@@ -24,10 +24,10 @@ from .errors import (
     DuplicateName,
     FlowError,
     InputOutputOverlap,
-    NoNewToken,
     NotEnabled,
     OutputArityMismatch,
     ParseError,
+    ProcessError,
     TypeMismatch,
     UnknownDataReference,
     UnknownKind,
@@ -36,34 +36,24 @@ from .errors import (
     ValueMissingForToken,
 )
 from .model import (
-    BipartiteGraph,
     Composition,
     DataNode,
     ExecutionState,
     OperatorSpec,
     TokenState,
     Value,
-    as_bipartite_graph,
     build_composition,
     initial_state,
     neighborhood,
 )
 from .patterns import PatternInstance, build_ifelse_pattern, build_loop_pattern
 from .semantics import (
-    FiringOutcome,
     ProcessRegistry,
     TraceEvent,
-    apply_user_process,
     can_fire,
     const,
     default_registry,
-    eval_ifelse,
-    eval_increment,
-    eval_less_than,
-    eval_merge,
-    eval_sync,
     fire,
-    update_general,
 )
 from .sequential import (
     RunLimits,
@@ -78,21 +68,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArityMismatch",
-    "BipartiteGraph",
     "Composition",
     "CompositionDocument",
     "DataNode",
     "DuplicateName",
     "ExecutionState",
-    "FiringOutcome",
     "FlowError",
     "InputOutputOverlap",
-    "NoNewToken",
     "NotEnabled",
     "OperatorSpec",
     "OutputArityMismatch",
     "ParseError",
     "PatternInstance",
+    "ProcessError",
     "ProcessRegistry",
     "RunLimits",
     "RunResult",
@@ -106,8 +94,6 @@ __all__ = [
     "ValidationError",
     "Value",
     "ValueMissingForToken",
-    "apply_user_process",
-    "as_bipartite_graph",
     "build_composition",
     "build_ifelse_pattern",
     "build_loop_pattern",
@@ -116,11 +102,6 @@ __all__ = [
     "default_registry",
     "emit_composition",
     "enabled_set",
-    "eval_ifelse",
-    "eval_increment",
-    "eval_less_than",
-    "eval_merge",
-    "eval_sync",
     "fire",
     "format_value",
     "initial_state",
@@ -134,5 +115,4 @@ __all__ = [
     "startable_set",
     "step",
     "to_dot",
-    "update_general",
 ]

@@ -5,7 +5,7 @@ every run observes the same per-node value sequences as a sequential one.
 An operator reads its inputs when it starts and commits its writes atomically
 when it ends; since nobody may touch its neighborhood in between, committing
 against the current state is equivalent to using the start-time snapshot
-(asserted below). Start decisions are greedy: at time zero and after every
+(checked below). Start decisions are greedy: at time zero and after every
 completion, keep starting the enabled operator that has waited longest
 (ties to the lowest declaration index) until nothing else fits.
 """
@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import ValidationError
+from .dsl import format_number, format_value
+from .errors import FlowError, ValidationError
 from .model import Composition, ExecutionState, Value, neighborhood
 from .semantics import ProcessRegistry, TraceEvent, can_fire, fire
 from .sequential import RunLimits, RunResult, enabled_set
@@ -40,15 +41,13 @@ def startable_set(
     """Enabled operators that may start next to the running ones.
 
     Running operators and anything sharing a data node with them are
-    excluded. Ordered by (waiting key, declaration index); the waiting key
-    defaults to enabled_since from the state.
+    excluded. Ordered by (waiting key, declaration index), or by declaration
+    index alone without a waiting map.
     """
     running = list(running)
     busy: set[int] = set()
     for idx in running:
         busy |= neighborhood(comp, idx)
-    if waiting is None:
-        waiting = state.enabled_since
     out = [
         op.index
         for op in comp.operators
@@ -56,7 +55,8 @@ def startable_set(
         and can_fire(comp, op, state.marking)
         and not (neighborhood(comp, op) & busy)
     ]
-    out.sort(key=lambda i: (waiting.get(i, 0), i))
+    if waiting is not None:
+        out.sort(key=lambda i: (waiting.get(i, 0), i))
     return out
 
 
@@ -109,7 +109,11 @@ def simulate_concurrent(
         for idx in due:
             started, _, snapshot = running.pop(idx)
             live = tuple(state.values[d] for d in comp.operators[idx].inputs)
-            assert live == snapshot, "exclusion rule violated: inputs moved mid-flight"
+            if live != snapshot:
+                raise FlowError(
+                    f"exclusion rule violated: inputs of {comp.operators[idx].name!r}"
+                    f" moved mid-flight at time {clock}"
+                )
             state, event = fire(comp, idx, state, registry)
             trace.append(event)
             schedule.append(
@@ -133,8 +137,6 @@ def simulate_concurrent(
 
 def schedule_tsv(schedule: Iterable[ScheduleEntry]) -> str:
     """Render a schedule as start/end/operator/writes TSV lines."""
-    from .dsl import format_value, format_number
-
     lines = []
     for entry in schedule:
         writes = ",".join(f"{n}={format_value(v)}" for n, v in entry.event.writes)

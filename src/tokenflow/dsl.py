@@ -20,26 +20,20 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import (
-    DuplicateName,
-    ParseError,
-    UnknownDataReference,
-    UnknownKind,
-    ValidationError,
-)
+from .errors import DuplicateName, ParseError, UnknownKind, ValidationError
 from .model import (
-    KIND_ARITIES,
-    KIND_PROCESS,
+    NAME,
+    SORTS,
     Composition,
     ExecutionState,
     TokenState,
     Value,
     build_composition,
+    check_kind,
     initial_state,
 )
 from .semantics import TraceEvent
 
-_NAME = re.compile(r"[A-Za-z_][\w.-]*$")
 _NUMBER = re.compile(r"-?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _DATA = re.compile(r"data\s+(\S+)(?:\s+(\S+))?\s*$")
 _OP = re.compile(
@@ -50,10 +44,14 @@ _INIT = re.compile(r"init\s+(\S+)\s*=\s*(.+?)\s*$")
 _DUR = re.compile(r"dur\s+(\S+)\s*=\s*(\S+)\s*$")
 
 
+# Characters str.splitlines breaks lines at that JSON leaves unescaped.
+_LINE_BREAKS = str.maketrans({c: f"\\u{ord(c):04x}" for c in "\x85\u2028\u2029"})
+
+
 def format_number(x: float) -> str:
     """Shortest decimal form; integral values print without a point."""
     if math.isfinite(x) and x == int(x) and abs(x) < 1e16:
-        return str(int(x))
+        return str(int(x)) if x or math.copysign(1.0, x) > 0 else "-0"
     return repr(x)
 
 
@@ -64,7 +62,7 @@ def format_value(value: Value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format_number(value)
-    return json.dumps(value, ensure_ascii=False)
+    return json.dumps(value, ensure_ascii=False).translate(_LINE_BREAKS)
 
 
 def _strip_comment(line: str) -> str:
@@ -155,9 +153,9 @@ class CompositionDocument:
                 if not m:
                     raise ParseError(lineno, f"bad data declaration: {raw.strip()}")
                 name, sort = m.group(1), m.group(2) or "any"
-                if not _NAME.match(name):
+                if not NAME.fullmatch(name):
                     raise ParseError(lineno, f"bad data name {name!r}")
-                if sort not in ("bool", "num", "text", "any"):
+                if sort not in SORTS:
                     raise ParseError(lineno, f"unknown sort {sort!r}")
                 doc.data_decls.append((name, sort))
             elif head == "op":
@@ -165,22 +163,20 @@ class CompositionDocument:
                 if not m:
                     raise ParseError(lineno, f"bad operator declaration: {raw.strip()}")
                 name, kind, process, ins, outs = m.groups()
-                if not _NAME.match(name):
+                if not NAME.fullmatch(name):
                     raise ParseError(lineno, f"bad operator name {name!r}")
-                if kind not in KIND_ARITIES:
-                    raise UnknownKind(f"line {lineno}: unknown operator kind {kind!r}")
-                if kind == KIND_PROCESS and not process:
-                    raise ParseError(lineno, f"operator {name!r} needs process:<name>")
-                if kind != KIND_PROCESS and process:
-                    raise ParseError(
-                        lineno, f"kind {kind!r} does not take a process name"
-                    )
+                try:
+                    check_kind(name, kind, process)
+                except UnknownKind as exc:
+                    raise UnknownKind(f"line {lineno}: {exc}") from None
+                except ValidationError as exc:
+                    raise ParseError(lineno, str(exc)) from None
 
                 def names(csv: str) -> tuple[str, ...]:
                     if not csv.strip():
                         return ()
                     parts = [p.strip() for p in csv.split(",")]
-                    if any(not _NAME.match(p) for p in parts):
+                    if any(not NAME.fullmatch(p) for p in parts):
                         raise ParseError(lineno, f"bad data reference in {csv!r}")
                     return tuple(parts)
 
@@ -204,7 +200,7 @@ class CompositionDocument:
                     raise DuplicateName(f"line {lineno}: duplicate dur for {name!r}")
                 seen_dur.add(name)
                 token = m.group(2)
-                if not _NUMBER.match(token) or float(token) <= 0:
+                if not _NUMBER.match(token) or not 0 < float(token) < math.inf:
                     raise ParseError(lineno, "duration must be a positive number")
                 doc.durations[name] = float(token)
             else:

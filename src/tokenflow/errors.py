@@ -33,10 +33,6 @@ class TypeMismatch(FlowError):
     pass
 
 
-class NoNewToken(FlowError):
-    pass
-
-
 class UnknownProcess(FlowError):
     pass
 
@@ -49,8 +45,15 @@ class NotEnabled(FlowError):
     pass
 
 
-class UnknownKind(FlowError):
+class UnknownKind(ValidationError):
     pass
+
+
+class ProcessError(FlowError):
+    """A process function raised something other than a FlowError.
+
+    Names the operator and the step; the original exception is chained.
+    """
 
 
 class ParseError(FlowError):

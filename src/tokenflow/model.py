@@ -3,20 +3,27 @@
 A composition is a bipartite structure: data nodes that hold a value and a
 token, and operators wired to read some data nodes and write others. All
 structural types are immutable once built; the mutable part of an execution
-lives in ExecutionState.
+lives in ExecutionState. KINDS describes every operator kind once: its arity,
+its firing rule over input markings, and its effect on values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import re
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
     DuplicateName,
+    FlowError,
     InputOutputOverlap,
+    OutputArityMismatch,
+    ProcessError,
     TypeMismatch,
     UnknownDataReference,
+    UnknownKind,
     ValidationError,
     ValueMissingForToken,
 )
@@ -46,23 +53,8 @@ Value = bool | float | str | None
 
 SORTS = ("bool", "num", "text", "any")
 
-KIND_PROCESS = "process"
-KIND_IFELSE = "ifelse"
-KIND_MERGE = "merge"
-KIND_SYNC = "sync"
-KIND_INCR = "incr"
-KIND_LT = "lt"
-
-# kind -> (input arity, output arity); None means any count (process outputs
-# still need at least one, checked in build_composition).
-KIND_ARITIES = {
-    KIND_PROCESS: (None, None),
-    KIND_IFELSE: (2, 2),
-    KIND_MERGE: (2, 1),
-    KIND_SYNC: (2, 2),
-    KIND_INCR: (0, 1),
-    KIND_LT: (2, 1),
-}
+# Data and operator names: what a document line can carry as one name.
+NAME = re.compile(r"[A-Za-z_][\w.-]*")
 
 
 def value_sort(value: Value) -> str | None:
@@ -79,11 +71,21 @@ def value_sort(value: Value) -> str | None:
 
 
 def coerce_value(value) -> Value:
-    """Normalize a value for storage; plain ints become binary64 numbers."""
-    if isinstance(value, bool) or value is None or isinstance(value, (float, str)):
+    """Normalize a value for storage; plain ints become binary64 numbers.
+
+    Numbers must be finite: documents and traces have no literal for the
+    others.
+    """
+    if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
-    if isinstance(value, int):
-        return float(value)
+    if isinstance(value, (int, float)):
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond binary64 range
+            value = math.inf
+        if not math.isfinite(value):
+            raise TypeMismatch(f"number {value!r} is not finite")
+        return value
     raise TypeMismatch(f"unsupported value type {type(value).__name__!r}")
 
 
@@ -132,6 +134,131 @@ class Composition:
         raise UnknownDataReference(f"no operator named {name!r}")
 
 
+# ------------------------------------------------------------ operator kinds
+
+
+def want_numbers(values: Iterable[Value], ctx: str) -> list[float]:
+    out = []
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, float):
+            raise TypeMismatch(f"{ctx} needs number operands, got {v!r}")
+        out.append(v)
+    return out
+
+
+def _ready(marks: list[TokenState]) -> bool:
+    """Every input holds a token and one is New; true without inputs."""
+    return not marks or (TokenState.VOID not in marks and TokenState.NEW in marks)
+
+
+def _any_new(marks: list[TokenState]) -> bool:
+    return TokenState.NEW in marks
+
+
+def _all_new(marks: list[TokenState]) -> bool:
+    return all(m == TokenState.NEW for m in marks)
+
+
+def _inputs(spec: OperatorSpec, state: ExecutionState) -> list[Value]:
+    return [state.values[d] for d in spec.inputs]
+
+
+def _process(spec: OperatorSpec, state: ExecutionState, registry):
+    """Run the registered function over the inputs; it writes every output."""
+    fn = registry.resolve(spec.process_name)
+    try:
+        result = list(fn(_inputs(spec, state), state.exec_counts[spec.index]))
+    except FlowError:
+        raise
+    except Exception as exc:
+        raise ProcessError(
+            f"operator {spec.name!r} at step {state.step}: process"
+            f" {spec.process_name!r} raised {type(exc).__name__}: {exc}"
+        ) from exc
+    if len(result) != len(spec.outputs):
+        raise OutputArityMismatch(
+            f"process {spec.process_name!r} returned {len(result)} values,"
+            f" operator writes {len(spec.outputs)}"
+        )
+    return spec.inputs, tuple(zip(spec.outputs, map(coerce_value, result)))
+
+
+def _ifelse(spec: OperatorSpec, state: ExecutionState, registry):
+    """Input 0 goes to output 0 when input 1 holds, else to output 1."""
+    value, condition = _inputs(spec, state)
+    if not isinstance(condition, bool):
+        raise TypeMismatch(f"if/else condition must be a boolean, got {condition!r}")
+    return spec.inputs, ((spec.outputs[0 if condition else 1], value),)
+
+
+def _merge(spec: OperatorSpec, state: ExecutionState, registry):
+    """Forward and consume the New input, input 0 on a tie."""
+    first, second = spec.inputs
+    src = first if state.marking[first] == TokenState.NEW else second
+    return (src,), ((spec.outputs[0], state.values[src]),)
+
+
+def _sync(spec: OperatorSpec, state: ExecutionState, registry):
+    return spec.inputs, tuple(zip(spec.outputs, _inputs(spec, state)))
+
+
+def _incr(spec: OperatorSpec, state: ExecutionState, registry):
+    return (), ((spec.outputs[0], float(state.exec_counts[spec.index] + 1)),)
+
+
+def _lt(spec: OperatorSpec, state: ExecutionState, registry):
+    x, y = want_numbers(_inputs(spec, state), "less-than")
+    return spec.inputs, ((spec.outputs[0], x < y),)
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One operator kind: its arity, firing rule and effect.
+
+    inputs/outputs are arities, None for any count (every operator still
+    needs an output). rule decides enablement from the input markings in
+    port order; can_fire adds that no output may hold a New token.
+    effect(spec, state, registry) returns the data indices the firing
+    consumes and the (output index, value) pairs it writes; fire() makes
+    the consumed inputs Old and the written outputs New.
+    """
+
+    inputs: int | None
+    outputs: int | None
+    rule: Callable[[list[TokenState]], bool]
+    effect: Callable[..., tuple]
+    takes_process: bool = False
+
+
+KINDS: dict[str, Kind] = {
+    "process": Kind(None, None, _ready, _process, takes_process=True),
+    "ifelse": Kind(2, 2, _ready, _ifelse),
+    "merge": Kind(2, 1, _any_new, _merge),
+    "sync": Kind(2, 2, _all_new, _sync),
+    "incr": Kind(0, 1, _ready, _incr),
+    "lt": Kind(2, 1, _ready, _lt),
+}
+
+
+def check_kind(name: str, kind: str, process_name: str | None) -> Kind:
+    """The KINDS entry for an operator declaration, or a ValidationError."""
+    if kind not in KINDS:
+        raise UnknownKind(f"operator {name!r}: unknown kind {kind!r}")
+    entry = KINDS[kind]
+    if entry.takes_process and not process_name:
+        raise ValidationError(f"operator {name!r}: kind {kind!r} needs a process name")
+    if process_name and not entry.takes_process:
+        raise ValidationError(
+            f"operator {name!r}: kind {kind!r} does not take a process name"
+        )
+    return entry
+
+
+def _check_name(role: str, name) -> None:
+    if not (isinstance(name, str) and NAME.fullmatch(name)):
+        raise ValidationError(f"bad {role} name {name!r}")
+
+
 def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
     """Validate declarations and assemble a Composition.
 
@@ -146,6 +273,7 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
             name, sort = decl, "any"
         else:
             name, sort = (decl[0], "any") if len(decl) == 1 else (decl[0], decl[1])
+        _check_name("data", name)
         if sort not in SORTS:
             raise ValidationError(f"data {name!r}: unknown sort {sort!r}")
         if name in by_name:
@@ -158,20 +286,11 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
     for decl in op_decls:
         name, kind, in_names, out_names = decl[0], decl[1], decl[2], decl[3]
         process_name = decl[4] if len(decl) > 4 else None
+        _check_name("operator", name)
         if name in op_names:
             raise DuplicateName(f"operator name {name!r} declared twice")
         op_names.add(name)
-        if kind not in KIND_ARITIES:
-            raise ValidationError(f"operator {name!r}: unknown kind {kind!r}")
-        if kind == KIND_PROCESS:
-            if not process_name:
-                raise ValidationError(
-                    f"operator {name!r}: process operators need a process name"
-                )
-        elif process_name:
-            raise ValidationError(
-                f"operator {name!r}: kind {kind!r} does not take a process name"
-            )
+        entry = check_kind(name, kind, process_name)
 
         def resolve(names: Sequence[str], role: str) -> tuple[int, ...]:
             out = []
@@ -185,14 +304,13 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
 
         inputs = resolve(in_names, "input")
         outputs = resolve(out_names, "output")
-        want_in, want_out = KIND_ARITIES[kind]
-        if want_in is not None and len(inputs) != want_in:
+        if entry.inputs is not None and len(inputs) != entry.inputs:
             raise ArityMismatch(
-                f"operator {name!r}: kind {kind!r} takes {want_in} inputs, got {len(inputs)}"
+                f"operator {name!r}: kind {kind!r} takes {entry.inputs} inputs, got {len(inputs)}"
             )
-        if want_out is not None and len(outputs) != want_out:
+        if entry.outputs is not None and len(outputs) != entry.outputs:
             raise ArityMismatch(
-                f"operator {name!r}: kind {kind!r} writes {want_out} outputs, got {len(outputs)}"
+                f"operator {name!r}: kind {kind!r} writes {entry.outputs} outputs, got {len(outputs)}"
             )
         if not outputs:
             raise ArityMismatch(f"operator {name!r}: needs at least one output")
@@ -215,46 +333,17 @@ def neighborhood(comp: Composition, op: OperatorSpec | int) -> frozenset[int]:
     return frozenset(spec.inputs) | frozenset(spec.outputs)
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """Composition viewed as a directed bipartite graph.
-
-    Vertices are ("data", index) and ("op", index) pairs; arcs run data->op
-    for reads and op->data for writes.
-    """
-
-    data_vertices: tuple[tuple[str, int], ...]
-    operator_vertices: tuple[tuple[str, int], ...]
-    arcs: tuple[tuple[tuple[str, int], tuple[str, int]], ...]
-
-
-def as_bipartite_graph(comp: Composition) -> BipartiteGraph:
-    data_vs = tuple(("data", n.index) for n in comp.data)
-    op_vs = tuple(("op", o.index) for o in comp.operators)
-    arcs: list[tuple[tuple[str, int], tuple[str, int]]] = []
-    for op in comp.operators:
-        for d in op.inputs:
-            arcs.append((("data", d), ("op", op.index)))
-    for op in comp.operators:
-        for d in op.outputs:
-            arcs.append((("op", op.index), ("data", d)))
-    return BipartiteGraph(data_vs, op_vs, tuple(arcs))
-
-
 @dataclass
 class ExecutionState:
     """Mutable execution snapshot: markings, values, firing counters.
 
-    enabled_since maps operator index -> step at which the operator most
-    recently went from disabled to enabled; presence in the map means the
-    operator is currently enabled. scan_start is the declaration index at
-    which the sequential scheduler begins its next scan.
+    scan_start is the declaration index at which the sequential scheduler
+    begins its next scan.
     """
 
     marking: dict[int, TokenState]
     values: dict[int, Value]
     exec_counts: dict[int, int]
-    enabled_since: dict[int, int] = field(default_factory=dict)
     step: int = 0
     scan_start: int = 0
 
@@ -263,7 +352,6 @@ class ExecutionState:
             dict(self.marking),
             dict(self.values),
             dict(self.exec_counts),
-            dict(self.enabled_since),
             self.step,
             self.scan_start,
         )
@@ -307,8 +395,4 @@ def initial_state(
                 f"data {comp.data[idx].name!r} holds a token but no value"
             )
 
-    state = ExecutionState(marking, vals, {op.index: 0 for op in comp.operators})
-    from .semantics import refresh_enabled  # deferred, semantics imports this module
-
-    refresh_enabled(comp, state)
-    return state
+    return ExecutionState(marking, vals, {op.index: 0 for op in comp.operators})

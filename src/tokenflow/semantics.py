@@ -1,28 +1,17 @@
-"""Operator firing rules.
+"""Process registry and the atomic firing of one operator.
 
-Each operator kind has three pieces: an enablement predicate over markings,
-a value transform, and a marking update. fire() glues them together as one
-atomic transition; on any error the input state is left untouched.
+The rule and effect of every operator kind live in model.KINDS. fire()
+checks the rule, applies the effect as one transition, and records it; on
+any error the input state is left untouched.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
-from .errors import (
-    NoNewToken,
-    NotEnabled,
-    OutputArityMismatch,
-    TypeMismatch,
-    UnknownProcess,
-)
+from .errors import NotEnabled, TypeMismatch, UnknownProcess
 from .model import (
-    KIND_IFELSE,
-    KIND_INCR,
-    KIND_LT,
-    KIND_MERGE,
-    KIND_PROCESS,
-    KIND_SYNC,
+    KINDS,
     Composition,
     ExecutionState,
     OperatorSpec,
@@ -30,6 +19,7 @@ from .model import (
     Value,
     check_sort,
     coerce_value,
+    want_numbers,
 )
 
 ProcessFn = Callable[[list, int], list]
@@ -61,31 +51,22 @@ class ProcessRegistry:
         return sorted(self._funcs)
 
 
-def _want_numbers(values: Iterable[Value], ctx: str) -> list[float]:
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, float):
-            raise TypeMismatch(f"{ctx} needs number operands, got {v!r}")
-        out.append(v)
-    return out
-
-
 def _identity(values, count):
     return list(values)
 
 
 def _add1(values, count):
-    (a,) = _want_numbers(values, "add1")
+    (a,) = want_numbers(values, "add1")
     return [a + 1.0]
 
 
 def _add(values, count):
-    return [sum(_want_numbers(values, "add"))]
+    return [sum(want_numbers(values, "add"))]
 
 
 def _mul(values, count):
     out = 1.0
-    for v in _want_numbers(values, "mul"):
+    for v in want_numbers(values, "mul"):
         out *= v
     return [out]
 
@@ -119,108 +100,18 @@ def default_registry() -> ProcessRegistry:
     )
 
 
-# ---------------------------------------------------------------- predicate
-
-
 def can_fire(
     comp: Composition, op: OperatorSpec | int, marking: Mapping[int, TokenState]
 ) -> bool:
     """Enablement predicate for one operator under a marking.
 
-    General rule: every input holds a token, at least one of them is New, and
-    no output already holds a New token. Merge only needs one New input
-    (the other may even be Void); synchrone needs every input New; operators
-    without inputs only need their outputs to be non-New.
+    No output may hold a New token, and the kind's rule must accept the
+    input markings.
     """
     spec = comp.operators[op] if isinstance(op, int) else op
     if any(marking[d] == TokenState.NEW for d in spec.outputs):
         return False
-    if not spec.inputs:
-        return True
-    if spec.kind == KIND_MERGE:
-        return any(marking[d] == TokenState.NEW for d in spec.inputs)
-    if spec.kind == KIND_SYNC:
-        return all(marking[d] == TokenState.NEW for d in spec.inputs)
-    return all(marking[d] != TokenState.VOID for d in spec.inputs) and any(
-        marking[d] == TokenState.NEW for d in spec.inputs
-    )
-
-
-# ------------------------------------------------------------- value rules
-
-
-def eval_less_than(a: Value, b: Value) -> bool:
-    x, y = _want_numbers((a, b), "less-than")
-    return x < y
-
-
-def eval_increment(exec_count: int) -> float:
-    """Value written by the firing after exec_count completed firings."""
-    return float(exec_count + 1)
-
-
-def eval_sync(values: Iterable[Value]) -> list[Value]:
-    """Positional identity: output i gets input i."""
-    return list(values)
-
-
-def eval_ifelse(value: Value, condition: Value) -> int:
-    """Branch index taken by an if/else firing: 0 when the condition holds."""
-    if not isinstance(condition, bool):
-        raise TypeMismatch(f"if/else condition must be a boolean, got {condition!r}")
-    return 0 if condition else 1
-
-
-def eval_merge(
-    m0: TokenState, m1: TokenState
-) -> int:
-    """Input index a merge propagates: the New one, input 0 on a tie."""
-    if m0 == TokenState.NEW:
-        return 0
-    if m1 == TokenState.NEW:
-        return 1
-    raise NoNewToken("merge fired with no New input")
-
-
-def apply_user_process(
-    registry: ProcessRegistry,
-    name: str,
-    inputs: list,
-    exec_count: int,
-    output_arity: int,
-) -> list:
-    fn = registry.resolve(name)
-    result = list(fn(list(inputs), exec_count))
-    if len(result) != output_arity:
-        raise OutputArityMismatch(
-            f"process {name!r} returned {len(result)} values, operator writes {output_arity}"
-        )
-    return result
-
-
-def update_general(
-    comp: Composition, op: OperatorSpec | int, marking: Mapping[int, TokenState]
-) -> dict[int, TokenState]:
-    """General marking update: inputs go Old, outputs go New."""
-    spec = comp.operators[op] if isinstance(op, int) else op
-    out = dict(marking)
-    for d in spec.inputs:
-        out[d] = TokenState.OLD
-    for d in spec.outputs:
-        out[d] = TokenState.NEW
-    return out
-
-
-# ------------------------------------------------------------------ firing
-
-
-@dataclass(frozen=True)
-class FiringOutcome:
-    """Planned effect of one firing: values written and touched markings."""
-
-    values_written: tuple[tuple[int, Value], ...]
-    marking_after: tuple[tuple[int, TokenState], ...]
-    reads: tuple[tuple[int, Value], ...]
+    return KINDS[spec.kind].rule([marking[d] for d in spec.inputs])
 
 
 @dataclass(frozen=True)
@@ -228,7 +119,7 @@ class TraceEvent:
     """One completed firing.
 
     reads/writes pair data names with the values the operator consumed and
-    produced; markings cover every data node in declaration order.
+    produced; marking_after covers every data node in declaration order.
     """
 
     step: int
@@ -236,53 +127,7 @@ class TraceEvent:
     op_name: str
     reads: tuple[tuple[str, Value], ...]
     writes: tuple[tuple[str, Value], ...]
-    marking_before: tuple[tuple[str, TokenState], ...]
     marking_after: tuple[tuple[str, TokenState], ...]
-
-
-def _plan(
-    comp: Composition,
-    spec: OperatorSpec,
-    state: ExecutionState,
-    registry: ProcessRegistry,
-) -> FiringOutcome:
-    values = state.values
-    marking = state.marking
-    count = state.exec_counts[spec.index]
-    in_vals = [values[d] for d in spec.inputs]
-
-    if spec.kind == KIND_IFELSE:
-        branch = eval_ifelse(in_vals[0], in_vals[1])
-        target = spec.outputs[branch]
-        written = ((target, in_vals[0]),)
-        marks = tuple((d, TokenState.OLD) for d in spec.inputs) + (
-            (target, TokenState.NEW),
-        )
-        reads = tuple(zip(spec.inputs, in_vals))
-        return FiringOutcome(written, marks, reads)
-
-    if spec.kind == KIND_MERGE:
-        chosen = eval_merge(marking[spec.inputs[0]], marking[spec.inputs[1]])
-        src = spec.inputs[chosen]
-        written = ((spec.outputs[0], values[src]),)
-        marks = ((src, TokenState.OLD), (spec.outputs[0], TokenState.NEW))
-        return FiringOutcome(written, marks, ((src, values[src]),))
-
-    if spec.kind == KIND_SYNC:
-        out_vals = eval_sync(in_vals)
-    elif spec.kind == KIND_LT:
-        out_vals = [eval_less_than(in_vals[0], in_vals[1])]
-    elif spec.kind == KIND_INCR:
-        out_vals = [eval_increment(count)]
-    else:
-        out_vals = apply_user_process(
-            registry, spec.process_name, in_vals, count, len(spec.outputs)
-        )
-
-    written = tuple(zip(spec.outputs, (coerce_value(v) for v in out_vals)))
-    updated = update_general(comp, spec, marking)
-    marks = tuple((d, updated[d]) for d in sorted(set(spec.inputs) | set(spec.outputs)))
-    return FiringOutcome(written, marks, tuple(zip(spec.inputs, in_vals)))
 
 
 def fire(
@@ -293,48 +138,34 @@ def fire(
 ) -> tuple[ExecutionState, TraceEvent]:
     """Fire one enabled operator. Returns the successor state and the event.
 
-    The input state is never mutated; errors raised while computing the
-    transform therefore leave no trace on it.
+    Consumed inputs become Old and written outputs New; the event's reads
+    are the consumed inputs. The input state is never mutated, so errors
+    raised by the effect leave no trace on it.
     """
     spec = comp.operators[op] if isinstance(op, int) else op
     if not can_fire(comp, spec, state.marking):
         raise NotEnabled(f"operator {spec.name!r} is not enabled")
 
-    outcome = _plan(comp, spec, state, registry)
-    for d, v in outcome.values_written:
+    consumed, writes = KINDS[spec.kind].effect(spec, state, registry)
+    for d, v in writes:
         check_sort(comp.data[d], v)
 
-    before = tuple((n.name, state.marking[n.index]) for n in comp.data)
     new = state.copy()
-    for d, v in outcome.values_written:
+    for d in consumed:
+        new.marking[d] = TokenState.OLD
+    for d, v in writes:
         new.values[d] = v
-    for d, m in outcome.marking_after:
-        new.marking[d] = m
+        new.marking[d] = TokenState.NEW
     new.exec_counts[spec.index] += 1
     new.step = state.step + 1
     new.scan_start = (spec.index + 1) % len(comp.operators)
-    refresh_enabled(comp, new)
 
     event = TraceEvent(
         step=state.step,
         op_index=spec.index,
         op_name=spec.name,
-        reads=tuple((comp.data[d].name, v) for d, v in outcome.reads),
-        writes=tuple((comp.data[d].name, v) for d, v in outcome.values_written),
-        marking_before=before,
+        reads=tuple((comp.data[d].name, state.values[d]) for d in consumed),
+        writes=tuple((comp.data[d].name, v) for d, v in writes),
         marking_after=tuple((n.name, new.marking[n.index]) for n in comp.data),
     )
     return new, event
-
-
-def refresh_enabled(comp: Composition, state: ExecutionState) -> None:
-    """Sync enabled_since with the marking.
-
-    Operators that just became enabled are stamped with the current step;
-    ones that stayed enabled keep their stamp; disabled ones are dropped.
-    """
-    for op in comp.operators:
-        if can_fire(comp, op, state.marking):
-            state.enabled_since.setdefault(op.index, state.step)
-        else:
-            state.enabled_since.pop(op.index, None)

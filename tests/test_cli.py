@@ -155,3 +155,43 @@ def test_cli_output_is_byte_deterministic():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.endswith(LOOP_FINAL.encode() + b"\n")
+
+
+def test_failing_process_exits_one_without_a_traceback(tmp_path):
+    doc = tmp_path / "bad.flow"
+    doc.write_text(
+        "data a num\ndata b num\ndata c num\n"
+        "op p process:add1 (a, b) -> (c)\n"  # add1 takes one operand
+        "init a = 1\ninit b = 2\n",
+        encoding="utf-8",
+    )
+    for command in ("run", "simulate"):
+        done = subprocess.run(
+            [sys.executable, "-m", "tokenflow", command, str(doc)],
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: operator 'p' at step 0:")
+        assert "ValueError" in done.stderr
+        assert "Traceback" not in done.stderr
+
+
+def test_broken_exclusion_exits_one_without_a_traceback(tmp_path, capsys, monkeypatch):
+    # With neighborhoods ignored, inc and eat start together although both
+    # touch a; inc commits first and moves eat's input mid-flight.
+    monkeypatch.setattr(
+        "tokenflow.concurrent.neighborhood", lambda comp, op: frozenset()
+    )
+    doc = tmp_path / "race.flow"
+    doc.write_text(
+        "data a num\ndata b num\ndata c any\n"
+        "op inc incr () -> (a)\n"
+        "op eat process:add (a, b) -> (c)\n"
+        "init a = 5 old\ninit b = 1\n",
+        encoding="utf-8",
+    )
+    code, _, err = run_cli(capsys, "simulate", str(doc))
+    assert code == 1
+    assert err.startswith("error: exclusion rule violated: inputs of 'eat'")
+    assert "Traceback" not in err

@@ -1,6 +1,9 @@
 """Document parsing, canonical emission, and trace serialization."""
+import math
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from tokenflow import (
@@ -32,6 +35,7 @@ def test_format_number():
     assert format_number(-7.0) == "-7"
     assert format_number(1.5) == "1.5"
     assert format_number(0.0) == "0"
+    assert format_number(-0.0) == "-0"
     assert format_number(1e16) == "1e+16"
     assert format_number(float("inf")) == "inf"
 
@@ -42,6 +46,12 @@ def test_format_value():
     assert format_value(False) == "false"
     assert format_value(5.0) == "5"
     assert format_value('say "hi"') == '"say \\"hi\\""'
+    # every character str.splitlines breaks at is escaped, so text round-trips
+    text = "a\x85b\u2028c\u2029d\ne"
+    assert format_value(text) == '"a\\u0085b\\u2028c\\u2029d\\ne"'
+    comp = build_composition([("t", "text")], [])
+    state = initial_state(comp, {0: N}, {0: text})
+    assert parse_composition(emit_composition(comp, state))[1] == state
 
 
 # ----------------------------------------------------------------- parsing
@@ -97,6 +107,9 @@ def test_parse_errors_carry_line_numbers():
     assert "bad literal" in str(exc.value)
     with pytest.raises(ParseError) as exc:
         CompositionDocument.parse("data a\ndur x = -1\n")
+    assert "positive" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        CompositionDocument.parse("data a\ndur x = 1e999\n")
     assert "positive" in str(exc.value)
     with pytest.raises(ParseError):
         CompositionDocument.parse("data a weird\n")
@@ -187,6 +200,29 @@ def test_emit_parse_round_trip(data):
     assert durs2 == {}
     # emitting again is a fixed point
     assert emit_composition(comp2, state2) == text
+
+
+def _same_number(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@settings(deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+@example(x=-0.0)
+@example(x=1e16)
+@example(x=5e-324)
+def test_numbers_round_trip_through_documents_and_traces(x):
+    comp = build_composition(
+        [("a", "num"), ("b", "num")],
+        [("p", "process", ("a",), ("b",), "identity")],
+    )
+    text = emit_composition(comp, initial_state(comp, {0: N}, {0: x}))
+    _, state, _ = parse_composition(text)
+    assert _same_number(state.values[0], x)
+    trace = serialize_trace(run_to_convergence(comp, state, default_registry()).trace)
+    written = re.fullmatch(r"step=0 op=p reads=\{a=(\S+)\} writes=\{b=(\S+)\} .*\n", trace)
+    assert _same_number(float(written.group(1)), x)
+    assert _same_number(float(written.group(2)), x)
 
 
 @settings(deadline=None)

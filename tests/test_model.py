@@ -10,12 +10,12 @@ from tokenflow import (
     TokenState,
     TypeMismatch,
     UnknownDataReference,
+    UnknownKind,
     ValidationError,
     ValueMissingForToken,
-    as_bipartite_graph,
     build_composition,
     build_ifelse_pattern,
-    build_loop_pattern,
+    enabled_set,
     initial_state,
     neighborhood,
 )
@@ -50,6 +50,12 @@ def test_coerce_value_normalizes_ints():
     assert coerce_value("t") == "t"
 
 
+def test_coerce_value_rejects_non_finite_numbers():
+    for bad in (float("inf"), float("-inf"), float("nan"), 10**400):
+        with pytest.raises(TypeMismatch):
+            coerce_value(bad)
+
+
 def test_build_basic_lookup():
     comp = branch_structure()
     assert [n.name for n in comp.data] == ["d0", "d1", "d2", "d3", "d4", "d5", "d6"]
@@ -69,6 +75,19 @@ def test_build_accepts_typed_data():
     assert comp.data_named("x").sort == "num"
     with pytest.raises(ValidationError):
         build_composition([("flag", "truthy")], [])
+
+
+def test_names_must_fit_a_document_line():
+    for data, ops in (
+        (["a b"], []),
+        (['q"'], []),
+        (["a\n"], []),
+        (["a"], [("bad op", "incr", (), ("a",))]),
+    ):
+        with pytest.raises(ValidationError):
+            build_composition(data, ops)
+    comp = build_composition(["x.1", "_y-2"], [("op.z", "incr", (), ("x.1",))])
+    assert [n.name for n in comp.data] == ["x.1", "_y-2"]
 
 
 def test_duplicate_data_name_rejected():
@@ -93,8 +112,9 @@ def test_unknown_data_reference_rejected():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ValidationError):
+    with pytest.raises(UnknownKind):
         build_composition(["a"], [("op", "frobnicate", (), ("a",))])
+    assert issubclass(UnknownKind, ValidationError)
 
 
 def test_arity_enforced_for_special_kinds():
@@ -151,28 +171,6 @@ def test_neighborhood_is_inputs_and_outputs():
     assert neighborhood(comp, 1) == frozenset({2, 4})
 
 
-def test_bipartite_graph_shape():
-    comp = branch_structure()
-    graph = as_bipartite_graph(comp)
-    assert len(graph.data_vertices) == 7
-    assert len(graph.operator_vertices) == 4
-    # 2+1+1+2 input arcs plus 2+1+1+1 output arcs
-    assert len(graph.arcs) == 11
-    assert (("data", 0), ("op", 0)) in graph.arcs
-    assert (("op", 0), ("data", 2)) in graph.arcs
-
-
-def test_bipartite_graph_recovers_wiring():
-    comp = build_loop_pattern("add1").composition
-    graph = as_bipartite_graph(comp)
-    assert len(graph.arcs) == 17
-    for op in comp.operators:
-        ins = tuple(src[1] for src, dst in graph.arcs if dst == ("op", op.index))
-        outs = tuple(dst[1] for src, dst in graph.arcs if src == ("op", op.index))
-        assert ins == op.inputs
-        assert outs == op.outputs
-
-
 def test_initial_state_defaults_to_void():
     comp = branch_structure()
     state = initial_state(comp, {}, {})
@@ -180,7 +178,7 @@ def test_initial_state_defaults_to_void():
     assert all(v is None for v in state.values.values())
     assert state.step == 0
     assert state.scan_start == 0
-    assert state.enabled_since == {}
+    assert enabled_set(comp, state) == []
     assert state.exec_counts == {0: 0, 1: 0, 2: 0, 3: 0}
 
 
@@ -189,7 +187,7 @@ def test_initial_state_tracks_enabled():
     state = state_of(
         pattern.composition, {"d0": N, "d1": N}, {"d0": True, "d1": 5.0}
     )
-    assert state.enabled_since == {0: 0}
+    assert enabled_set(pattern.composition, state) == [0]
 
 
 def test_initial_state_requires_value_for_token():
@@ -233,8 +231,6 @@ def test_state_copy_is_independent():
     clone.marking[0] = V
     clone.values[0] = None
     clone.exec_counts[0] = 7
-    clone.enabled_since[3] = 9
     assert state.marking[0] == N
     assert state.values[0] is True
     assert state.exec_counts[0] == 0
-    assert 3 not in state.enabled_since

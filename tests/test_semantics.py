@@ -2,30 +2,41 @@
 import pytest
 
 from tokenflow import (
-    NoNewToken,
+    ExecutionState,
     NotEnabled,
     OutputArityMismatch,
+    ProcessError,
     ProcessRegistry,
-    TokenState,
     TypeMismatch,
     UnknownProcess,
-    apply_user_process,
     build_composition,
     build_loop_pattern,
     can_fire,
     const,
     default_registry,
-    eval_ifelse,
-    eval_increment,
-    eval_less_than,
-    eval_merge,
-    eval_sync,
+    enabled_set,
     fire,
     initial_state,
     run_to_convergence,
-    update_general,
+    select_next,
+    startable_set,
 )
+from tokenflow import semantics
 from conftest import N, O, V, branch_structure, state_of
+
+
+def _lone(kind: str, n_in: int, n_out: int, process: str | None = None):
+    """A composition with one operator reading i0.. and writing o0.."""
+    names = [f"i{k}" for k in range(n_in)] + [f"o{k}" for k in range(n_out)]
+    decl = ("op", kind, tuple(names[:n_in]), tuple(names[n_in:]), process)
+    return build_composition(names, [decl])
+
+
+def _fire_lone(kind, marks, values, n_out=1, process=None):
+    """Fire a lone operator whose inputs hold the given marks and values."""
+    comp = _lone(kind, len(marks), n_out, process)
+    state = initial_state(comp, dict(enumerate(marks)), dict(enumerate(values)))
+    return fire(comp, 0, state, default_registry())
 
 
 # ---------------------------------------------------------------- registry
@@ -69,27 +80,21 @@ def test_const_factory():
 
 
 def test_apply_user_process_checks_output_arity():
-    reg = default_registry()
-    assert apply_user_process(reg, "add", [1.0, 2.0], 0, 1) == [3.0]
-    with pytest.raises(OutputArityMismatch):
-        apply_user_process(reg, "identity", [1.0, 2.0], 0, 1)
+    _, event = _fire_lone("process", (N, O), (1.0, 2.0), process="add")
+    assert event.writes == (("o0", 3.0),)
+    with pytest.raises(OutputArityMismatch):  # two values for one output
+        _fire_lone("process", (N, O), (1.0, 2.0), process="identity")
     with pytest.raises(UnknownProcess):
-        apply_user_process(reg, "nope", [], 0, 1)
+        _fire_lone("process", (N,), (1.0,), process="nope")
 
 
 # --------------------------------------------------------------- predicate
 
 
 def _pred(kind: str, in_marks, out_marks) -> bool:
-    n_in, n_out = len(in_marks), len(out_marks)
-    names = [f"i{k}" for k in range(n_in)] + [f"o{k}" for k in range(n_out)]
-    decl = (
-        ("op", kind, tuple(names[:n_in]), tuple(names[n_in:]))
-        if kind != "process"
-        else ("op", kind, tuple(names[:n_in]), tuple(names[n_in:]), "add")
-    )
-    comp = build_composition(names, [decl])
-    marking = {i: m for i, m in enumerate(list(in_marks) + list(out_marks))}
+    process = "add" if kind == "process" else None
+    comp = _lone(kind, len(in_marks), len(out_marks), process)
+    marking = dict(enumerate(list(in_marks) + list(out_marks)))
     return can_fire(comp, 0, marking)
 
 
@@ -131,46 +136,54 @@ def test_inputless_operator_waits_only_on_outputs():
 
 
 def test_eval_less_than():
-    assert eval_less_than(1.0, 10.0) is True
-    assert eval_less_than(10.0, 10.0) is False
-    assert eval_less_than(11.0, 10.0) is False
-    with pytest.raises(TypeMismatch):
-        eval_less_than(True, 1.0)
-    with pytest.raises(TypeMismatch):
-        eval_less_than("a", "b")
+    for a, b, want in ((1.0, 10.0, True), (10.0, 10.0, False), (11.0, 10.0, False)):
+        _, event = _fire_lone("lt", (N, O), (a, b))
+        assert event.writes == (("o0", want),)
+    for a, b in ((True, 1.0), ("a", "b")):
+        with pytest.raises(TypeMismatch):
+            _fire_lone("lt", (N, O), (a, b))
 
 
 def test_eval_increment_counts_from_one():
-    assert eval_increment(0) == 1.0
-    assert eval_increment(4) == 5.0
-    assert isinstance(eval_increment(0), float)
+    comp = _lone("incr", 0, 1)
+    state = initial_state(comp)
+    after, event = fire(comp, 0, state, default_registry())
+    assert event.writes == (("o0", 1.0),)
+    assert isinstance(after.values[0], float)
+    state.exec_counts[0] = 4
+    _, event = fire(comp, 0, state, default_registry())
+    assert event.writes == (("o0", 5.0),)
 
 
 def test_eval_sync_is_positional_identity():
-    assert eval_sync([True, 4.0]) == [True, 4.0]
+    _, event = _fire_lone("sync", (N, N), (True, 4.0), n_out=2)
+    assert event.writes == (("o0", True), ("o1", 4.0))
+    assert event.reads == (("i0", True), ("i1", 4.0))
 
 
 def test_eval_ifelse_picks_branch_by_condition():
-    assert eval_ifelse(5.0, True) == 0
-    assert eval_ifelse(5.0, False) == 1
+    _, event = _fire_lone("ifelse", (N, N), (5.0, True), n_out=2)
+    assert event.writes == (("o0", 5.0),)
+    _, event = _fire_lone("ifelse", (N, N), (5.0, False), n_out=2)
+    assert event.writes == (("o1", 5.0),)
     with pytest.raises(TypeMismatch):
-        eval_ifelse(5.0, 1.0)
+        _fire_lone("ifelse", (N, N), (5.0, 1.0), n_out=2)
 
 
 def test_eval_merge_prefers_first_new():
-    assert eval_merge(N, O) == 0
-    assert eval_merge(O, N) == 1
-    assert eval_merge(N, N) == 0
-    with pytest.raises(NoNewToken):
-        eval_merge(O, O)
+    for marks, chosen in (((N, O), "i0"), ((O, N), "i1"), ((N, N), "i0")):
+        _, event = _fire_lone("merge", marks, (1.0, 2.0))
+        assert [name for name, _ in event.reads] == [chosen]
+    with pytest.raises(NotEnabled):
+        _fire_lone("merge", (O, O), (1.0, 2.0))
 
 
 def test_update_general_touches_only_the_neighborhood():
     comp = branch_structure()
-    marking = {0: N, 1: N, 2: V, 3: V, 4: O, 5: V, 6: V}
-    updated = update_general(comp, 0, marking)
-    assert updated == {0: O, 1: O, 2: N, 3: N, 4: O, 5: V, 6: V}
-    assert marking[0] == N  # input untouched
+    state = state_of(comp, {"d0": N, "d1": N, "d4": O}, {"d0": 1.0, "d1": 2.0, "d4": 3.0})
+    after, _ = fire(comp, 0, state, default_registry())
+    assert after.marking == {0: O, 1: O, 2: N, 3: N, 4: O, 5: V, 6: V}
+    assert state.marking[0] == N  # input untouched
 
 
 # ------------------------------------------------------------------ firing
@@ -196,7 +209,6 @@ def test_fire_general_demotes_inputs_and_promotes_outputs():
     assert event.op_name == "op0"
     assert event.reads == (("d0", 2.0), ("d1", 3.0))
     assert event.writes == (("d2", 2.0), ("d3", 3.0))
-    assert dict(event.marking_before)["d0"] == N
     assert dict(event.marking_after)["d0"] == O
     # the input state is untouched
     assert state.marking[0] == N and state.values[2] is None
@@ -294,6 +306,12 @@ def test_fire_rolls_back_on_transform_errors():
     before_values = dict(state.values)
     with pytest.raises(TypeMismatch):
         fire(comp, 1, state, default_registry())
+    # any other exception from a process function becomes a ProcessError
+    registry = default_registry()
+    registry.register("add1", lambda values, count: 1 / 0)
+    with pytest.raises(ProcessError, match=r"operator 'op1' at step 0") as exc:
+        fire(comp, 1, state, registry)
+    assert isinstance(exc.value.__cause__, ZeroDivisionError)
     assert state.marking == before_marking
     assert state.values == before_values
     assert state.step == 0
@@ -326,7 +344,54 @@ def test_enabled_since_is_kept_across_unrelated_firings():
     pattern = build_loop_pattern("add1")
     comp = pattern.composition
     state = state_of(comp, {"d0": N, "d3": N}, {"d0": 10.0, "d3": 0.0})
-    assert state.enabled_since == {0: 0, 2: 0}  # merge and incr
+    assert enabled_set(comp, state) == [0, 2]  # merge and incr
     after, _ = fire(comp, 0, state, default_registry())
-    assert after.enabled_since[2] == 0  # incr stamp survives the merge firing
-    assert 0 not in after.enabled_since  # merge is now disabled
+    assert enabled_set(comp, after) == [2]  # incr stays enabled, merge does not
+    # a waiting map stamped before the merge firing still orders incr first
+    assert startable_set(comp, after, waiting={2: 0.0, 0: 0.0}) == [2]
+
+
+def _many_loops(count: int):
+    """count independent copies of the counted loop, each seeded with bound 4."""
+    base = build_loop_pattern("add1").composition
+    data, ops, marks, values = [], [], {}, {}
+    for j in range(count):
+        def name(d, j=j):
+            return f"l{j}.{base.data[d].name}"
+
+        data += [(name(n.index), n.sort) for n in base.data]
+        ops += [
+            (f"l{j}.{op.name}", op.kind, tuple(map(name, op.inputs)),
+             tuple(map(name, op.outputs)), op.process_name)
+            for op in base.operators
+        ]
+        marks.update({name(0): N, name(3): N})
+        values.update({name(0): 4.0, name(3): 0.0})
+    comp = build_composition(data, ops)
+    return comp, state_of(comp, marks, values)
+
+
+def test_fire_checks_enablement_and_copies_the_state_once(monkeypatch):
+    # Cost gate: no pass over every operator may come back into fire.
+    calls = {"can_fire": 0, "copy": 0}
+    real_can_fire, real_copy = semantics.can_fire, ExecutionState.copy
+
+    def counting_can_fire(*args):
+        calls["can_fire"] += 1
+        return real_can_fire(*args)
+
+    def counting_copy(self):
+        calls["copy"] += 1
+        return real_copy(self)
+
+    monkeypatch.setattr(semantics, "can_fire", counting_can_fire)
+    monkeypatch.setattr(ExecutionState, "copy", counting_copy)
+    comp, state = _many_loops(16)
+    registry = default_registry()
+    firings = 0
+    while (choice := select_next(comp, state)) is not None:
+        calls.update(can_fire=0, copy=0)
+        state, _ = fire(comp, choice, state, registry)
+        assert calls == {"can_fire": 1, "copy": 1}
+        firings += 1
+    assert firings == 16 * (6 * 4 + 2)
