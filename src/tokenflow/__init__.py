@@ -49,6 +49,7 @@ from .model import (
 from .patterns import PatternInstance, build_ifelse_pattern, build_loop_pattern
 from .semantics import (
     ProcessRegistry,
+    Trace,
     TraceEvent,
     can_fire,
     const,
@@ -56,6 +57,7 @@ from .semantics import (
     fire,
 )
 from .sequential import (
+    EnabledIndex,
     RunLimits,
     RunResult,
     enabled_set,
@@ -71,6 +73,7 @@ __all__ = [
     "Composition",
     "CompositionDocument",
     "DataNode",
+    "EnabledIndex",
     "DuplicateName",
     "ExecutionState",
     "FlowError",
@@ -86,6 +89,7 @@ __all__ = [
     "RunResult",
     "ScheduleEntry",
     "TokenState",
+    "Trace",
     "TraceEvent",
     "TypeMismatch",
     "UnknownDataReference",

@@ -14,7 +14,7 @@ from .dot import to_dot
 from .dsl import CompositionDocument, _parse_literal, format_value, serialize_trace
 from .errors import FlowError, ParseError
 from .model import Composition, ExecutionState
-from .semantics import default_registry
+from .semantics import Trace, default_registry
 from .sequential import RunLimits, RunResult, run_to_convergence
 
 
@@ -120,7 +120,7 @@ def main(argv=None) -> int:
         if args.command == "step":
             from .sequential import step as fire_once
 
-            events = []
+            events = Trace(comp, state)
             for _ in range(max(args.steps, 0)):
                 outcome = fire_once(comp, state, registry)
                 if outcome is None:

@@ -8,17 +8,27 @@ against the current state is equivalent to using the start-time snapshot
 (checked below). Start decisions are greedy: at time zero and after every
 completion, keep starting the enabled operator that has waited longest
 (ties to the lowest declaration index) until nothing else fits.
+
+A run builds its per-run data once: each operator's neighborhood and an
+EnabledIndex over them. Completions wait in a heap ordered by (end time,
+declaration index). After each commit only the operators sharing a data
+node with the committed one are re-tested, and the wait times of exactly
+those are brought up to date once all commits of the instant are in. A
+start pass is one sweep, in (wait time, index) order, over the
+startable_set of the index: enabled operators that are not running and
+touch no data in flight.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .dsl import format_number, format_value
 from .errors import FlowError, ValidationError
 from .model import Composition, ExecutionState, Value, neighborhood
-from .semantics import ProcessRegistry, TraceEvent, can_fire, fire
-from .sequential import RunLimits, RunResult, enabled_set
+from .semantics import ProcessRegistry, Trace, TraceEvent, fire
+from .sequential import EnabledIndex, RunLimits, RunResult
 
 
 @dataclass(frozen=True)
@@ -35,26 +45,27 @@ class ScheduleEntry:
 def startable_set(
     comp: Composition,
     state: ExecutionState,
-    running: Iterable[int] = (),
+    running: Collection[int] = (),
     waiting: Mapping[int, float] | None = None,
+    index: EnabledIndex | None = None,
 ) -> list[int]:
     """Enabled operators that may start next to the running ones.
 
     Running operators and anything sharing a data node with them are
     excluded. Ordered by (waiting key, declaration index), or by declaration
-    index alone without a waiting map.
+    index alone without a waiting map. running must support `in`. With a
+    run's EnabledIndex, its enabled list and neighborhoods are used;
+    without, every operator is tested.
     """
-    running = list(running)
+    if index is None:
+        index = EnabledIndex(
+            comp, state, [neighborhood(comp, op) for op in comp.operators]
+        )
+    hoods = index.hoods
     busy: set[int] = set()
     for idx in running:
-        busy |= neighborhood(comp, idx)
-    out = [
-        op.index
-        for op in comp.operators
-        if op.index not in running
-        and can_fire(comp, op, state.marking)
-        and not (neighborhood(comp, op) & busy)
-    ]
+        busy |= hoods[idx]
+    out = [i for i in index.order if i not in running and hoods[i].isdisjoint(busy)]
     if waiting is not None:
         out.sort(key=lambda i: (waiting.get(i, 0), i))
     return out
@@ -84,30 +95,32 @@ def simulate_concurrent(
 
     state = initial.copy()
     clock = 0.0
-    # op index -> (start time, end time, input snapshot)
-    running: dict[int, tuple[float, float, tuple[Value, ...]]] = {}
-    waited: dict[int, float] = {
-        idx: 0.0 for idx in enabled_set(comp, state)
-    }
-    trace: list[TraceEvent] = []
+    hoods = [neighborhood(comp, op) for op in comp.operators]
+    index = EnabledIndex(comp, state, hoods)
+    # op index -> (start time, input snapshot)
+    running: dict[int, tuple[float, tuple[Value, ...]]] = {}
+    completions: list[tuple[float, int]] = []  # heap of (end time, op index)
+    waited: dict[int, float] = {idx: 0.0 for idx in index.order}
+    trace = Trace(comp, initial)
     schedule: list[ScheduleEntry] = []
     truncated = False
 
     def start_pass() -> None:
-        while True:
-            candidates = startable_set(comp, state, running, waited)
-            if not candidates:
-                return
-            idx = candidates[0]
-            snapshot = tuple(state.values[d] for d in comp.operators[idx].inputs)
-            running[idx] = (clock, clock + durs[idx], snapshot)
+        taken: set[int] = set()  # data of the operators this pass starts
+        for idx in startable_set(comp, state, running, waited, index):
+            if hoods[idx].isdisjoint(taken):
+                taken |= hoods[idx]
+                snapshot = tuple(state.values[d] for d in comp.operators[idx].inputs)
+                running[idx] = (clock, snapshot)
+                heapq.heappush(completions, (clock + durs[idx], idx))
 
     start_pass()
-    while running and not truncated:
-        clock = min(end for (_, end, _) in running.values())
-        due = sorted(idx for idx, (_, end, _) in running.items() if end == clock)
-        for idx in due:
-            started, _, snapshot = running.pop(idx)
+    while completions and not truncated:
+        clock = completions[0][0]
+        touched: set[int] = set()
+        while completions and completions[0][0] == clock:
+            _, idx = heapq.heappop(completions)
+            started, snapshot = running.pop(idx)
             live = tuple(state.values[d] for d in comp.operators[idx].inputs)
             if live != snapshot:
                 raise FlowError(
@@ -115,6 +128,7 @@ def simulate_concurrent(
                     f" moved mid-flight at time {clock}"
                 )
             state, event = fire(comp, idx, state, registry)
+            touched.update(index.update(idx, state.marking))
             trace.append(event)
             schedule.append(
                 ScheduleEntry(started, clock, idx, comp.operators[idx].name, event)
@@ -122,16 +136,15 @@ def simulate_concurrent(
             if len(trace) >= limits.max_steps:
                 truncated = True
                 break
-        enabled_now = set(enabled_set(comp, state))
-        for idx in list(waited):
-            if idx not in enabled_now:
-                del waited[idx]
-        for idx in enabled_now:
-            waited.setdefault(idx, clock)
+        for idx in touched:
+            if idx in index:
+                waited.setdefault(idx, clock)
+            else:
+                waited.pop(idx, None)
         if not truncated:
             start_pass()
 
-    converged = not truncated and not running and not enabled_set(comp, state)
+    converged = not truncated and not running and not index.order
     return RunResult(state, trace, converged=converged), schedule
 
 

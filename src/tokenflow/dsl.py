@@ -18,9 +18,15 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .errors import DuplicateName, ParseError, UnknownKind, ValidationError
+from .errors import (
+    DuplicateName,
+    ParseError,
+    TypeMismatch,
+    UnknownKind,
+    ValidationError,
+)
 from .model import (
     NAME,
     SORTS,
@@ -30,9 +36,10 @@ from .model import (
     Value,
     build_composition,
     check_kind,
+    coerce_value,
     initial_state,
 )
-from .semantics import TraceEvent
+from .semantics import Trace
 
 _NUMBER = re.compile(r"-?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _DATA = re.compile(r"data\s+(\S+)(?:\s+(\S+))?\s*$")
@@ -90,9 +97,13 @@ def _parse_literal(token: str, lineno: int) -> Value:
         return False
     if token.startswith('"'):
         try:
-            return json.loads(token)
+            text = json.loads(token)
         except ValueError:
             raise ParseError(lineno, f"bad text literal {token}") from None
+        try:
+            return coerce_value(text)
+        except TypeMismatch as exc:
+            raise ParseError(lineno, str(exc)) from None
     if _NUMBER.match(token):
         return float(token)
     raise ParseError(lineno, f"bad literal {token!r}")
@@ -261,19 +272,27 @@ def emit_composition(
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def serialize_trace(trace: Iterable[TraceEvent]) -> str:
+def serialize_trace(trace: Trace) -> str:
     """One deterministic line per firing.
 
     step=<n> op=<name> reads={...} writes={...} marking=<name:V|O|N,...>
-    The marking column is the post-firing marking of every data node.
+    The marking column is the post-firing marking of every data node,
+    rebuilt by replaying each event's marking delta over trace.start.
     """
+    if not trace:
+        return ""
+    if not isinstance(trace, Trace):
+        raise TypeError("serialize_trace needs a Trace, which holds the start marking")
+    names = [n for n, _ in trace.start]
+    cells = [f"{n}:{m.code}" for n, m in trace.start]
     lines = []
     for event in trace:
+        for d, m in event.marking_delta:
+            cells[d] = f"{names[d]}:{m.code}"
         reads = ",".join(f"{n}={format_value(v)}" for n, v in event.reads)
         writes = ",".join(f"{n}={format_value(v)}" for n, v in event.writes)
-        marking = ",".join(f"{n}:{m.code}" for n, m in event.marking_after)
         lines.append(
             f"step={event.step} op={event.op_name}"
-            f" reads={{{reads}}} writes={{{writes}}} marking={marking}"
+            f" reads={{{reads}}} writes={{{writes}}} marking={','.join(cells)}"
         )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "\n".join(lines) + "\n"

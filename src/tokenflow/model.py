@@ -74,9 +74,17 @@ def coerce_value(value) -> Value:
     """Normalize a value for storage; plain ints become binary64 numbers.
 
     Numbers must be finite: documents and traces have no literal for the
-    others.
+    others. Text must be encodable as UTF-8, so lone surrogates are refused.
     """
-    if isinstance(value, bool) or value is None or isinstance(value, str):
+    if isinstance(value, str):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise TypeMismatch(
+                f"text {value!r} holds a lone surrogate, which UTF-8 cannot encode"
+            ) from None
+        return value
+    if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, (int, float)):
         try:
@@ -251,6 +259,8 @@ def check_kind(name: str, kind: str, process_name: str | None) -> Kind:
         raise ValidationError(
             f"operator {name!r}: kind {kind!r} does not take a process name"
         )
+    if process_name and not NAME.fullmatch(process_name):
+        raise ValidationError(f"operator {name!r}: bad process name {process_name!r}")
     return entry
 
 

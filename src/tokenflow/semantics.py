@@ -119,7 +119,8 @@ class TraceEvent:
     """One completed firing.
 
     reads/writes pair data names with the values the operator consumed and
-    produced; marking_after covers every data node in declaration order.
+    produced; marking_delta pairs the data indices whose marking the firing
+    set with their new marking: consumed inputs Old, written outputs New.
     """
 
     step: int
@@ -127,7 +128,20 @@ class TraceEvent:
     op_name: str
     reads: tuple[tuple[str, Value], ...]
     writes: tuple[tuple[str, Value], ...]
-    marking_after: tuple[tuple[str, TokenState], ...]
+    marking_delta: tuple[tuple[int, TokenState], ...]
+
+
+class Trace(list):
+    """The events of one run in firing order, and the marking it started from.
+
+    Events carry only marking deltas; start holds (data name, marking) for
+    every data node in declaration order, so replaying the deltas over it
+    recovers the full marking after each firing.
+    """
+
+    def __init__(self, comp: Composition, initial: ExecutionState):
+        super().__init__()
+        self.start = tuple((n.name, initial.marking[n.index]) for n in comp.data)
 
 
 def fire(
@@ -166,6 +180,7 @@ def fire(
         op_name=spec.name,
         reads=tuple((comp.data[d].name, state.values[d]) for d in consumed),
         writes=tuple((comp.data[d].name, v) for d, v in writes),
-        marking_after=tuple((n.name, new.marking[n.index]) for n in comp.data),
+        marking_delta=tuple((d, TokenState.OLD) for d in consumed)
+        + tuple((d, TokenState.NEW) for d, _ in writes),
     )
     return new, event

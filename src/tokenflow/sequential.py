@@ -6,13 +6,22 @@ around, and fires the first enabled operator it meets. The scan position
 lives in ExecutionState.scan_start, so runs are a pure function of the
 initial state. On a fresh state the scan starts at declaration index 0,
 which makes simultaneously enabled operators resolve to the lowest index.
+
+A run keeps its enabled operators in an EnabledIndex, built by one full
+scan when the run starts. A firing changes markings only inside its own
+neighbourhood, so afterwards only the operators that share a data node
+with the fired one are re-tested. select_next then takes the first enabled
+index at or after the scan position by bisection, wrapping to the lowest:
+the same choice as the rotating scan, without visiting every operator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, insort
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
-from .model import Composition, ExecutionState
-from .semantics import ProcessRegistry, TraceEvent, can_fire, fire
+from .model import Composition, ExecutionState, TokenState, neighborhood
+from .semantics import ProcessRegistry, Trace, TraceEvent, can_fire, fire
 
 
 @dataclass(frozen=True)
@@ -29,7 +38,7 @@ class RunLimits:
 @dataclass
 class RunResult:
     final_state: ExecutionState
-    trace: list[TraceEvent] = field(default_factory=list)
+    trace: Trace
     converged: bool = True
 
     @property
@@ -44,14 +53,66 @@ def enabled_set(comp: Composition, state: ExecutionState) -> list[int]:
     ]
 
 
-def select_next(comp: Composition, state: ExecutionState) -> int | None:
-    """Operator the scheduler will fire next, or None at convergence."""
-    n = len(comp.operators)
-    for offset in range(n):
-        idx = (state.scan_start + offset) % n
-        if can_fire(comp, comp.operators[idx], state.marking):
-            return idx
-    return None
+class EnabledIndex:
+    """The enabled operators of one run, kept current firing by firing.
+
+    order lists them in declaration order; it starts from a full
+    enabled_set scan. hoods[i] is the neighbourhood of operator i, and
+    affects[i] lists the operators sharing a data node with it (itself
+    included): the only ones whose enablement firing i can change.
+    """
+
+    def __init__(
+        self,
+        comp: Composition,
+        state: ExecutionState,
+        hoods: Sequence[frozenset[int]] | None = None,
+    ):
+        if hoods is None:
+            hoods = [neighborhood(comp, op) for op in comp.operators]
+        touching: dict[int, list[int]] = {}
+        for i, hood in enumerate(hoods):
+            for d in hood:
+                touching.setdefault(d, []).append(i)
+        self.comp = comp
+        self.hoods = hoods
+        self.affects = [
+            sorted({j for d in hood for j in touching[d]}) for hood in hoods
+        ]
+        self.order = enabled_set(comp, state)
+        self._on = set(self.order)
+
+    def __contains__(self, idx: int) -> bool:
+        return idx in self._on
+
+    def update(self, fired: int, marking: Mapping[int, TokenState]) -> list[int]:
+        """Re-test the operators that firing `fired` can affect; return them."""
+        ops = self.comp.operators
+        for j in self.affects[fired]:
+            if can_fire(self.comp, ops[j], marking):
+                if j not in self._on:
+                    self._on.add(j)
+                    insort(self.order, j)
+            elif j in self._on:
+                self._on.remove(j)
+                del self.order[bisect_left(self.order, j)]
+        return self.affects[fired]
+
+
+def select_next(
+    comp: Composition, state: ExecutionState, index: EnabledIndex | None = None
+) -> int | None:
+    """Operator the scheduler will fire next, or None at convergence.
+
+    The first enabled index at or after state.scan_start, else the lowest
+    enabled index. With a run's EnabledIndex its order is used; without,
+    every operator is tested.
+    """
+    enabled = enabled_set(comp, state) if index is None else index.order
+    if not enabled:
+        return None
+    pos = bisect_left(enabled, state.scan_start)
+    return enabled[pos] if pos < len(enabled) else enabled[0]
 
 
 def step(
@@ -76,12 +137,12 @@ def run_to_convergence(
     with converged=False.
     """
     state = initial
-    trace: list[TraceEvent] = []
-    while True:
-        outcome = step(comp, state, registry)
-        if outcome is None:
-            return RunResult(state, trace, converged=True)
-        state, event = outcome
-        trace.append(event)
-        if len(trace) >= limits.max_steps and select_next(comp, state) is not None:
+    trace = Trace(comp, initial)
+    index = EnabledIndex(comp, state)
+    while (choice := select_next(comp, state, index)) is not None:
+        if len(trace) >= limits.max_steps:
             return RunResult(state, trace, converged=False)
+        state, event = fire(comp, choice, state, registry)
+        trace.append(event)
+        index.update(choice, state.marking)
+    return RunResult(state, trace, converged=True)

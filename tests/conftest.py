@@ -4,19 +4,25 @@ from __future__ import annotations
 from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 
 from tokenflow import (
     Composition,
     ExecutionState,
+    ParseError,
     PatternInstance,
     RunLimits,
     RunResult,
     TokenState,
+    TypeMismatch,
     build_composition,
     build_ifelse_pattern,
     build_loop_pattern,
     default_registry,
+    emit_composition,
+    format_value,
     initial_state,
+    parse_composition,
     run_to_convergence,
 )
 from tokenflow.model import KINDS
@@ -159,12 +165,31 @@ def small_compositions(draw, max_data: int = 6, max_ops: int = 4) -> Composition
     return build_composition(names, decls)
 
 
-# Lone surrogates (category Cs) are left out: they have no UTF-8 encoding,
-# so no document file or trace on disk can hold one.
-_TEXT = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs",)),
-    max_size=6,
+# Every code point, lone surrogates (category Cs) included; the second
+# branch makes texts holding one common enough to be drawn.
+_CHAR = st.characters(exclude_categories=())
+_TEXT = st.text(_CHAR, max_size=6) | st.text(
+    _CHAR | st.characters(categories=["Cs"]), max_size=6
 )
+
+
+def usable_text(comp: Composition, text: str) -> str:
+    """text, or, when it holds a lone surrogate, text with U+FFFD in its place.
+
+    Text UTF-8 cannot encode has no place in a document or a trace, so both
+    the library and the document parser must refuse it; that is asserted
+    here before the replacement goes on in its place.
+    """
+    if not any(0xD800 <= ord(c) <= 0xDFFF for c in text):
+        return text
+    with pytest.raises(TypeMismatch, match="lone surrogate"):
+        initial_state(comp, {0: TokenState.NEW}, {0: text})
+    document = emit_composition(comp)
+    document += f"init {comp.data[0].name} = {format_value(text)}\n"
+    lineno = document.count("\n")
+    with pytest.raises(ParseError, match=f"^line {lineno}: text .* lone surrogate"):
+        parse_composition(document)
+    return text.encode("utf-8", "surrogatepass").decode("utf-8", "replace")
 
 
 @st.composite
@@ -182,7 +207,7 @@ def marked_states(draw, comp: Composition, with_text: bool = False):
             if node.index in cond_ports:
                 values[node.index] = draw(st.booleans())
             elif with_text and draw(st.booleans()):
-                values[node.index] = draw(_TEXT)
+                values[node.index] = usable_text(comp, draw(_TEXT))
             else:
                 values[node.index] = float(draw(st.integers(-50, 50)))
     return initial_state(comp, marks, values)

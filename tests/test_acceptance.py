@@ -284,20 +284,16 @@ def _check_schedule(comp, initial, schedule):
     # greedy maximality: whenever an operator is enabled on committed data
     # and touches nothing in flight, it is running
     times = sorted({e.start for e in schedule} | {e.end for e in schedule} | {0.0})
-    name_to_idx = {node.name: node.index for node in comp.data}
     for t in times:
         running = [e.op_index for e in schedule if e.start <= t < e.end]
         busy = set()
         for idx in running:
             busy |= neighborhood(comp, idx)
-        committed = [e for e in schedule if e.end <= t]
-        if committed:
-            marking = {
-                name_to_idx[name]: mark
-                for name, mark in committed[-1].event.marking_after
-            }
-        else:
-            marking = initial.marking
+        # the committed marking: every delta due by t, replayed in commit order
+        marking = dict(initial.marking)
+        for e in schedule:
+            if e.end <= t:
+                marking.update(e.event.marking_delta)
         for op in comp.operators:
             if op.index in running:
                 continue

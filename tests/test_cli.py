@@ -195,3 +195,20 @@ def test_broken_exclusion_exits_one_without_a_traceback(tmp_path, capsys, monkey
     assert code == 1
     assert err.startswith("error: exclusion rule violated: inputs of 'eat'")
     assert "Traceback" not in err
+
+
+def test_lone_surrogate_text_exits_one_without_a_traceback(tmp_path):
+    doc = tmp_path / "surrogate.flow"
+    doc.write_text(
+        'data t text\ndata u text\nop p process:identity (t) -> (u)\ninit t = "\\ud800"\n',
+        encoding="utf-8",
+    )
+    for command in ("validate", "run", "simulate", "step", "graph"):
+        done = subprocess.run(
+            [sys.executable, "-m", "tokenflow", command, str(doc)],
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 1, command
+        assert done.stderr.startswith("error: line 4: text '\\ud800' holds a lone surrogate")
+        assert "Traceback" not in done.stderr

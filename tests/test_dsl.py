@@ -121,6 +121,15 @@ def test_parse_errors_carry_line_numbers():
         CompositionDocument.parse("bogus stuff\n")
     with pytest.raises(ParseError):
         CompositionDocument.parse("data a\nop x incr (a b) -> (a)\n")
+    with pytest.raises(ParseError) as exc:
+        CompositionDocument.parse("data a\nop x process:f(x) () -> (a)\n")
+    assert exc.value.line == 2 and "bad process name" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        CompositionDocument.parse('data t\n\ninit t = "ok\\ud800"\n')
+    assert exc.value.line == 3 and "lone surrogate" in str(exc.value)
+    # an escaped surrogate pair is one code point, not a lone surrogate
+    doc = CompositionDocument.parse('data t\ninit t = "\\ud83d\\ude00"\n')
+    assert doc.inits["t"] == ("\U0001f600", False)
 
 
 def test_parse_unknown_kind():
@@ -248,3 +257,7 @@ def test_serialize_trace_line_shape():
     assert lines[0] == "step=0 op=inc reads={} writes={a=1} marking=a:N,b:V"
     assert lines[1] == "step=1 op=eat reads={a=1} writes={b=1} marking=a:O,b:N"
     assert serialize_trace([]) == ""
+    # events carry marking deltas only: without its start marking a list of
+    # them cannot be printed
+    with pytest.raises(TypeError):
+        serialize_trace(list(result.trace))

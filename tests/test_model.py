@@ -56,6 +56,13 @@ def test_coerce_value_rejects_non_finite_numbers():
             coerce_value(bad)
 
 
+def test_coerce_value_rejects_lone_surrogates():
+    for bad in ("\ud800", "a\udfffb", "\udc80"):
+        with pytest.raises(TypeMismatch, match="lone surrogate"):
+            coerce_value(bad)
+    assert coerce_value("\U0001f600") == "\U0001f600"
+
+
 def test_build_basic_lookup():
     comp = branch_structure()
     assert [n.name for n in comp.data] == ["d0", "d1", "d2", "d3", "d4", "d5", "d6"]
@@ -83,6 +90,8 @@ def test_names_must_fit_a_document_line():
         (['q"'], []),
         (["a\n"], []),
         (["a"], [("bad op", "incr", (), ("a",))]),
+        (["a"], [("op", "process", (), ("a",), "my proc")]),
+        (["a"], [("op", "process", (), ("a",), "f(x)")]),
     ):
         with pytest.raises(ValidationError):
             build_composition(data, ops)

@@ -19,9 +19,10 @@ from tokenflow import (
     initial_state,
     run_to_convergence,
     select_next,
+    simulate_concurrent,
     startable_set,
 )
-from tokenflow import semantics
+from tokenflow import concurrent, semantics, sequential
 from conftest import N, O, V, branch_structure, state_of
 
 
@@ -209,7 +210,7 @@ def test_fire_general_demotes_inputs_and_promotes_outputs():
     assert event.op_name == "op0"
     assert event.reads == (("d0", 2.0), ("d1", 3.0))
     assert event.writes == (("d2", 2.0), ("d3", 3.0))
-    assert dict(event.marking_after)["d0"] == O
+    assert event.marking_delta == ((0, O), (1, O), (2, N), (3, N))
     # the input state is untouched
     assert state.marking[0] == N and state.values[2] is None
 
@@ -395,3 +396,35 @@ def test_fire_checks_enablement_and_copies_the_state_once(monkeypatch):
         assert calls == {"can_fire": 1, "copy": 1}
         firings += 1
     assert firings == 16 * (6 * 4 + 2)
+
+
+# Re-tests per firing allowed on top of one scan of every operator at the
+# start of a run: fire's own check plus the operators sharing a data node
+# with the fired one (at most 4 in the counted loop).
+RETESTS_PER_FIRING = 5
+
+
+def test_processors_retest_only_the_neighbourhood_of_each_firing(monkeypatch):
+    # Cost gate: enablement checks per firing must not grow with the number
+    # of operators, in either processor.
+    calls = 0
+    real_can_fire = semantics.can_fire
+
+    def counting_can_fire(*args):
+        nonlocal calls
+        calls += 1
+        return real_can_fire(*args)
+
+    for module in (semantics, sequential, concurrent):
+        if getattr(module, "can_fire", None) is real_can_fire:
+            monkeypatch.setattr(module, "can_fire", counting_can_fire)
+    registry = default_registry()
+    for loops in (1, 32):
+        comp, state = _many_loops(loops)
+        for processor in (run_to_convergence, simulate_concurrent):
+            calls = 0
+            result = processor(comp, state, registry)
+            trace = (result[0] if isinstance(result, tuple) else result).trace
+            assert len(trace) == loops * (6 * 4 + 2)
+            bound = RETESTS_PER_FIRING * len(trace) + len(comp.operators)
+            assert calls <= bound, (processor.__name__, loops, calls, bound)
