@@ -5,12 +5,7 @@ operators may fire. A sequential processor fires one operator per step with
 a rotating scan; a concurrent processor overlaps operators with disjoint
 neighborhoods over virtual time. Both produce identical final states.
 """
-from .concurrent import (
-    ScheduleEntry,
-    schedule_tsv,
-    simulate_concurrent,
-    startable_set,
-)
+from .concurrent import ScheduleEntry, schedule_tsv, simulate_concurrent
 from .dot import to_dot
 from .dsl import (
     CompositionDocument,
@@ -56,15 +51,7 @@ from .semantics import (
     default_registry,
     fire,
 )
-from .sequential import (
-    EnabledIndex,
-    RunLimits,
-    RunResult,
-    enabled_set,
-    run_to_convergence,
-    select_next,
-    step,
-)
+from .sequential import RunLimits, RunResult, run_to_convergence, step
 
 __version__ = "0.1.0"
 
@@ -73,7 +60,6 @@ __all__ = [
     "Composition",
     "CompositionDocument",
     "DataNode",
-    "EnabledIndex",
     "DuplicateName",
     "ExecutionState",
     "FlowError",
@@ -105,7 +91,6 @@ __all__ = [
     "const",
     "default_registry",
     "emit_composition",
-    "enabled_set",
     "fire",
     "format_value",
     "initial_state",
@@ -113,10 +98,8 @@ __all__ = [
     "parse_composition",
     "run_to_convergence",
     "schedule_tsv",
-    "select_next",
     "serialize_trace",
     "simulate_concurrent",
-    "startable_set",
     "step",
     "to_dot",
 ]

@@ -14,7 +14,7 @@ from .dot import to_dot
 from .dsl import CompositionDocument, _parse_literal, format_value, serialize_trace
 from .errors import FlowError, ParseError
 from .model import Composition, ExecutionState
-from .semantics import Trace, default_registry
+from .semantics import default_registry
 from .sequential import RunLimits, RunResult, run_to_convergence
 
 
@@ -25,6 +25,14 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep exit code 2 reserved for step limits
         raise _UsageError(message)
+
+
+def positive_int(text: str) -> int:
+    """argparse type for step limits: RunLimits wants at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -41,7 +49,9 @@ def _build_parser() -> _Parser:
             help="replace an init value (repeatable)",
         )
         if runnable:
-            p.add_argument("--max-steps", type=int, default=RunLimits().max_steps)
+            p.add_argument(
+                "--max-steps", type=positive_int, default=RunLimits().max_steps
+            )
             p.add_argument("--quiet", action="store_true", help="summary only")
 
     p = sub.add_parser("validate", help="parse and structurally check a document")
@@ -69,7 +79,13 @@ def _build_parser() -> _Parser:
 
 
 def _load(path: str, overrides: list[str]):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            line, f"not UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+        ) from None
     doc = CompositionDocument.parse(text)
     for item in overrides:
         name, eq, literal = item.partition("=")
@@ -118,16 +134,11 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "step":
-            from .sequential import step as fire_once
-
-            events = Trace(comp, state)
-            for _ in range(max(args.steps, 0)):
-                outcome = fire_once(comp, state, registry)
-                if outcome is None:
-                    break
-                state, event = outcome
-                events.append(event)
-            out.write(serialize_trace(events))
+            if args.steps >= 1:
+                limits = RunLimits(args.steps)
+                result = run_to_convergence(comp, state, registry, limits)
+                out.write(serialize_trace(result.trace))
+                state = result.final_state
             out.write(_summary(comp, state) + "\n")
             return 0
 

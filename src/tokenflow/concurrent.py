@@ -9,14 +9,13 @@ against the current state is equivalent to using the start-time snapshot
 completion, keep starting the enabled operator that has waited longest
 (ties to the lowest declaration index) until nothing else fits.
 
-A run builds its per-run data once: each operator's neighborhood and an
-EnabledIndex over them. Completions wait in a heap ordered by (end time,
-declaration index). After each commit only the operators sharing a data
-node with the committed one are re-tested, and the wait times of exactly
-those are brought up to date once all commits of the instant are in. A
-start pass is one sweep, in (wait time, index) order, over the
-startable_set of the index: enabled operators that are not running and
-touch no data in flight.
+A run builds one EnabledIndex, which also holds each operator's
+neighborhood. Completions wait in a heap ordered by (end time, declaration
+index). After each commit only the operators sharing a data node with the
+committed one are re-tested, and the wait times of exactly those are
+brought up to date once all commits of the instant are in. A start pass is
+one sweep, in (wait time, index) order, over the startable_set of the
+index: enabled operators that are not running and touch no data in flight.
 """
 from __future__ import annotations
 
@@ -26,7 +25,7 @@ from typing import Collection, Iterable, Mapping
 
 from .dsl import format_number, format_value
 from .errors import FlowError, ValidationError
-from .model import Composition, ExecutionState, Value, neighborhood
+from .model import Composition, ExecutionState, Value
 from .semantics import ProcessRegistry, Trace, TraceEvent, fire
 from .sequential import EnabledIndex, RunLimits, RunResult
 
@@ -43,31 +42,20 @@ class ScheduleEntry:
 
 
 def startable_set(
-    comp: Composition,
-    state: ExecutionState,
-    running: Collection[int] = (),
-    waiting: Mapping[int, float] | None = None,
-    index: EnabledIndex | None = None,
+    index: EnabledIndex, running: Collection[int], waiting: Mapping[int, float]
 ) -> list[int]:
     """Enabled operators that may start next to the running ones.
 
     Running operators and anything sharing a data node with them are
-    excluded. Ordered by (waiting key, declaration index), or by declaration
-    index alone without a waiting map. running must support `in`. With a
-    run's EnabledIndex, its enabled list and neighborhoods are used;
-    without, every operator is tested.
+    excluded. Ordered by (waiting key, declaration index); an operator
+    missing from waiting counts as 0. running must support `in`.
     """
-    if index is None:
-        index = EnabledIndex(
-            comp, state, [neighborhood(comp, op) for op in comp.operators]
-        )
     hoods = index.hoods
     busy: set[int] = set()
     for idx in running:
         busy |= hoods[idx]
     out = [i for i in index.order if i not in running and hoods[i].isdisjoint(busy)]
-    if waiting is not None:
-        out.sort(key=lambda i: (waiting.get(i, 0), i))
+    out.sort(key=lambda i: (waiting.get(i, 0), i))
     return out
 
 
@@ -95,8 +83,8 @@ def simulate_concurrent(
 
     state = initial.copy()
     clock = 0.0
-    hoods = [neighborhood(comp, op) for op in comp.operators]
-    index = EnabledIndex(comp, state, hoods)
+    index = EnabledIndex(comp, state)
+    hoods = index.hoods
     # op index -> (start time, input snapshot)
     running: dict[int, tuple[float, tuple[Value, ...]]] = {}
     completions: list[tuple[float, int]] = []  # heap of (end time, op index)
@@ -107,7 +95,7 @@ def simulate_concurrent(
 
     def start_pass() -> None:
         taken: set[int] = set()  # data of the operators this pass starts
-        for idx in startable_set(comp, state, running, waited, index):
+        for idx in startable_set(index, running, waited):
             if hoods[idx].isdisjoint(taken):
                 taken |= hoods[idx]
                 snapshot = tuple(state.values[d] for d in comp.operators[idx].inputs)

@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -129,17 +130,25 @@ class Composition:
     data: tuple[DataNode, ...]
     operators: tuple[OperatorSpec, ...]
 
+    @cached_property
+    def _data_by_name(self) -> dict[str, DataNode]:
+        return {node.name: node for node in self.data}
+
+    @cached_property
+    def _operator_by_name(self) -> dict[str, OperatorSpec]:
+        return {op.name: op for op in self.operators}
+
     def data_named(self, name: str) -> DataNode:
-        for node in self.data:
-            if node.name == name:
-                return node
-        raise UnknownDataReference(f"no data node named {name!r}")
+        node = self._data_by_name.get(name)
+        if node is None:
+            raise UnknownDataReference(f"no data node named {name!r}")
+        return node
 
     def operator_named(self, name: str) -> OperatorSpec:
-        for op in self.operators:
-            if op.name == name:
-                return op
-        raise UnknownDataReference(f"no operator named {name!r}")
+        op = self._operator_by_name.get(name)
+        if op is None:
+            raise UnknownDataReference(f"no operator named {name!r}")
+        return op
 
 
 # ------------------------------------------------------------ operator kinds

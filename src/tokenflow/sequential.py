@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .model import Composition, ExecutionState, TokenState, neighborhood
 from .semantics import ProcessRegistry, Trace, TraceEvent, can_fire, fire
@@ -62,14 +62,8 @@ class EnabledIndex:
     included): the only ones whose enablement firing i can change.
     """
 
-    def __init__(
-        self,
-        comp: Composition,
-        state: ExecutionState,
-        hoods: Sequence[frozenset[int]] | None = None,
-    ):
-        if hoods is None:
-            hoods = [neighborhood(comp, op) for op in comp.operators]
+    def __init__(self, comp: Composition, state: ExecutionState):
+        hoods = [neighborhood(comp, op) for op in comp.operators]
         touching: dict[int, list[int]] = {}
         for i, hood in enumerate(hoods):
             for d in hood:
@@ -99,16 +93,13 @@ class EnabledIndex:
         return self.affects[fired]
 
 
-def select_next(
-    comp: Composition, state: ExecutionState, index: EnabledIndex | None = None
-) -> int | None:
+def select_next(state: ExecutionState, index: EnabledIndex) -> int | None:
     """Operator the scheduler will fire next, or None at convergence.
 
     The first enabled index at or after state.scan_start, else the lowest
-    enabled index. With a run's EnabledIndex its order is used; without,
-    every operator is tested.
+    enabled index, taken from the run's EnabledIndex.
     """
-    enabled = enabled_set(comp, state) if index is None else index.order
+    enabled = index.order
     if not enabled:
         return None
     pos = bisect_left(enabled, state.scan_start)
@@ -119,10 +110,8 @@ def step(
     comp: Composition, state: ExecutionState, registry: ProcessRegistry
 ) -> tuple[ExecutionState, TraceEvent] | None:
     """Fire the scheduler's choice once. None when nothing is enabled."""
-    choice = select_next(comp, state)
-    if choice is None:
-        return None
-    return fire(comp, choice, state, registry)
+    result = run_to_convergence(comp, state, registry, RunLimits(1))
+    return (result.final_state, result.trace[0]) if result.trace else None
 
 
 def run_to_convergence(
@@ -139,7 +128,7 @@ def run_to_convergence(
     state = initial
     trace = Trace(comp, initial)
     index = EnabledIndex(comp, state)
-    while (choice := select_next(comp, state, index)) is not None:
+    while (choice := select_next(state, index)) is not None:
         if len(trace) >= limits.max_steps:
             return RunResult(state, trace, converged=False)
         state, event = fire(comp, choice, state, registry)

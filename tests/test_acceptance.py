@@ -21,7 +21,6 @@ from tokenflow import (
     can_fire,
     default_registry,
     emit_composition,
-    enabled_set,
     fire,
     neighborhood,
     parse_composition,
@@ -29,6 +28,7 @@ from tokenflow import (
     serialize_trace,
     simulate_concurrent,
 )
+from tokenflow.sequential import enabled_set
 from conftest import (
     FLOWS,
     N,

@@ -1,10 +1,15 @@
 """Command line behavior: output shapes, exit codes, determinism."""
+import contextlib
+import io
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from tokenflow.cli import main
+from tokenflow import parse_composition
+from tokenflow.cli import _summary, main
 from conftest import FLOWS
 
 LOOP = str(FLOWS / "c1_loop.flow")
@@ -102,6 +107,21 @@ def test_step_stops_quietly_at_convergence(capsys):
     assert len(out.splitlines()) == 4  # three firings, then the summary
 
 
+@pytest.mark.parametrize("name", ["c1_loop.flow", "c0_ifelse.flow"])
+def test_step_equals_a_bounded_run(capsys, name):
+    doc = str(FLOWS / name)
+    for steps in ("1", "7", "1000"):  # 1000 is past convergence for both
+        code, stepped, _ = run_cli(capsys, "step", doc, "--steps", steps)
+        assert code == 0
+        _, bounded, _ = run_cli(capsys, "run", doc, "--max-steps", steps)
+        assert stepped == bounded, steps
+    comp, state, _ = parse_composition((FLOWS / name).read_text(encoding="utf-8"))
+    for steps in ("0", "-2"):
+        code, out, _ = run_cli(capsys, "step", doc, "--steps", steps)
+        assert code == 0
+        assert out == _summary(comp, state) + "\n"
+
+
 def test_graph_emits_dot(capsys):
     code, out, _ = run_cli(capsys, "graph", BRANCH)
     assert code == 0
@@ -135,6 +155,11 @@ def test_usage_errors_exit_one(capsys):
     code, _, err = run_cli(capsys, "run")
     assert code == 1
     assert err.startswith("usage error:")
+    for command, limit in (("run", "0"), ("simulate", "-3")):
+        code, out, err = run_cli(capsys, command, LOOP, "--max-steps", limit)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: argument --max-steps: must be at least 1")
 
 
 def test_bad_seed_override_exits_one(capsys):
@@ -181,7 +206,7 @@ def test_broken_exclusion_exits_one_without_a_traceback(tmp_path, capsys, monkey
     # With neighborhoods ignored, inc and eat start together although both
     # touch a; inc commits first and moves eat's input mid-flight.
     monkeypatch.setattr(
-        "tokenflow.concurrent.neighborhood", lambda comp, op: frozenset()
+        "tokenflow.sequential.neighborhood", lambda comp, op: frozenset()
     )
     doc = tmp_path / "race.flow"
     doc.write_text(
@@ -195,6 +220,16 @@ def test_broken_exclusion_exits_one_without_a_traceback(tmp_path, capsys, monkey
     assert code == 1
     assert err.startswith("error: exclusion rule violated: inputs of 'eat'")
     assert "Traceback" not in err
+
+
+def test_non_utf8_document_exits_one_without_a_traceback(tmp_path, capsys):
+    doc = tmp_path / "latin1.flow"
+    doc.write_bytes(b'data t text\ninit t = "caf\xe9"\n')
+    for command in ("validate", "run", "simulate"):
+        code, out, err = run_cli(capsys, command, str(doc))
+        assert code == 1, command
+        assert out == ""
+        assert err.startswith("error: line 2: not UTF-8: byte 0xe9"), err
 
 
 def test_lone_surrogate_text_exits_one_without_a_traceback(tmp_path):
@@ -212,3 +247,65 @@ def test_lone_surrogate_text_exits_one_without_a_traceback(tmp_path):
         assert done.returncode == 1, command
         assert done.stderr.startswith("error: line 4: text '\\ud800' holds a lone surrogate")
         assert "Traceback" not in done.stderr
+
+
+# Pieces of the document grammar, valid and not, for the parser fuzz test.
+_NAMES = st.sampled_from(["a", "b", "c", "x_1", "a b", "", "é"])
+_TOKENS = st.one_of(
+    _NAMES,
+    st.sampled_from([
+        "data", "op", "init", "dur", "#", "(", ")", "->", ",", "=", ":", "old",
+        "bool", "num", "text", "any", "process", "ifelse", "merge", "sync",
+        "incr", "lt", "gate", "process:add1", "process:identity", "process:",
+        "true", "false", "1", "-0", "0.5", "1e999", "nan", "-", '"t"', '"',
+        '"\\ud800"', '"\\n"', "\t", "\r", "\x85", "\u2028", "\ufeff",
+    ]),
+)
+_LINES = st.one_of(
+    st.lists(_TOKENS, max_size=8).map(" ".join),
+    st.lists(_TOKENS, max_size=8).map("".join),
+    st.builds("data {} {}".format, _NAMES, st.sampled_from(["num", "any", "x"])),
+    st.builds(
+        "op {} {} ({}) -> ({})".format,
+        _NAMES,
+        st.sampled_from(["incr", "lt", "merge", "sync", "ifelse", "process:add"]),
+        st.lists(_NAMES, max_size=3).map(", ".join),
+        st.lists(_NAMES, max_size=3).map(", ".join),
+    ),
+    st.builds("init {} = {}".format, _NAMES, _TOKENS),
+    st.builds("dur {} = {}".format, _NAMES, _TOKENS),
+)
+
+
+_HEADER = ["data a num", "data b num", "data c any"]  # so more lines build
+
+
+def _encode(parts: tuple[list[str], list[str]]) -> bytes:
+    return "\n".join(parts[0] + parts[1]).encode("utf-8")
+
+
+_TEXT_DOCUMENTS = st.tuples(
+    st.sampled_from([[], _HEADER]), st.lists(_LINES, max_size=10)
+).map(_encode)
+_DOCUMENTS = st.one_of(
+    st.binary(max_size=200),
+    _TEXT_DOCUMENTS,
+    st.tuples(  # a document cut short by bytes that may not be UTF-8
+        _TEXT_DOCUMENTS, st.binary(min_size=1, max_size=4)
+    ).map(b"".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_DOCUMENTS)
+def test_validate_never_raises(tmp_path_factory, data):
+    doc = tmp_path_factory.getbasetemp() / "fuzz.flow"
+    doc.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", str(doc)])
+    if code == 0:
+        assert out.getvalue().startswith("ok: ") and err.getvalue() == ""
+    else:
+        assert code == 1
+        assert err.getvalue().startswith("error: ")

@@ -10,8 +10,9 @@ from tokenflow import (
     run_to_convergence,
     schedule_tsv,
     simulate_concurrent,
-    startable_set,
 )
+from tokenflow.concurrent import startable_set
+from tokenflow.sequential import EnabledIndex
 from conftest import (
     N,
     branch_state,
@@ -39,15 +40,17 @@ def test_startable_set_orders_by_waiting_time():
     pattern = build_loop_pattern("add1")
     comp = pattern.composition
     state = loop_state(pattern, 10.0, 0.0)
-    assert startable_set(comp, state) == [0, 2]  # merge then incr
-    assert startable_set(comp, state, waiting={0: 5.0, 2: 0.0}) == [2, 0]
+    index = EnabledIndex(comp, state)
+    assert startable_set(index, (), {}) == [0, 2]  # merge then incr
+    assert startable_set(index, (), {0: 5.0, 2: 0.0}) == [2, 0]
 
 
 def test_startable_set_excludes_overlapping_neighborhoods():
     comp = branch_structure()  # op1 and op2 both read d2
     state = state_of(comp, {"d2": N}, {"d2": 5.0})
-    assert startable_set(comp, state) == [1, 2]
-    assert startable_set(comp, state, running=[1]) == []
+    index = EnabledIndex(comp, state)
+    assert startable_set(index, (), {}) == [1, 2]
+    assert startable_set(index, [1], {}) == []
     assert neighborhood(comp, 1) & neighborhood(comp, 2) == {2}
 
 

@@ -15,11 +15,11 @@ from tokenflow import (
     ValueMissingForToken,
     build_composition,
     build_ifelse_pattern,
-    enabled_set,
     initial_state,
     neighborhood,
 )
 from tokenflow.model import coerce_value, value_sort
+from tokenflow.sequential import enabled_set
 
 from conftest import N, O, V, branch_structure, state_of
 

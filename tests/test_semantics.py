@@ -14,15 +14,14 @@ from tokenflow import (
     can_fire,
     const,
     default_registry,
-    enabled_set,
     fire,
     initial_state,
     run_to_convergence,
-    select_next,
     simulate_concurrent,
-    startable_set,
 )
 from tokenflow import concurrent, semantics, sequential
+from tokenflow.concurrent import startable_set
+from tokenflow.sequential import EnabledIndex, enabled_set, select_next
 from conftest import N, O, V, branch_structure, state_of
 
 
@@ -349,7 +348,7 @@ def test_enabled_since_is_kept_across_unrelated_firings():
     after, _ = fire(comp, 0, state, default_registry())
     assert enabled_set(comp, after) == [2]  # incr stays enabled, merge does not
     # a waiting map stamped before the merge firing still orders incr first
-    assert startable_set(comp, after, waiting={2: 0.0, 0: 0.0}) == [2]
+    assert startable_set(EnabledIndex(comp, after), (), {2: 0.0, 0: 0.0}) == [2]
 
 
 def _many_loops(count: int):
@@ -390,8 +389,8 @@ def test_fire_checks_enablement_and_copies_the_state_once(monkeypatch):
     comp, state = _many_loops(16)
     registry = default_registry()
     firings = 0
-    while (choice := select_next(comp, state)) is not None:
-        calls.update(can_fire=0, copy=0)
+    while (choice := select_next(state, EnabledIndex(comp, state))) is not None:
+        calls.update(can_fire=0, copy=0)  # after the index's own scan
         state, _ = fire(comp, choice, state, registry)
         assert calls == {"can_fire": 1, "copy": 1}
         firings += 1

@@ -7,13 +7,12 @@ from tokenflow import (
     build_composition,
     build_loop_pattern,
     default_registry,
-    enabled_set,
     initial_state,
     run_to_convergence,
-    select_next,
     serialize_trace,
     step,
 )
+from tokenflow.sequential import EnabledIndex, enabled_set, select_next
 from conftest import (
     N,
     O,
@@ -46,15 +45,16 @@ def test_select_next_scans_from_the_cursor():
         [("inc_a", "incr", (), ("a",)), ("inc_b", "incr", (), ("b",))],
     )
     state = initial_state(comp, {}, {})
-    assert select_next(comp, state) == 0
+    index = EnabledIndex(comp, state)
+    assert select_next(state, index) == 0
     state.scan_start = 1
-    assert select_next(comp, state) == 1
+    assert select_next(state, index) == 1
     state.marking[1] = N  # inc_b blocked, the scan wraps around
     state.values[1] = 1.0
-    assert select_next(comp, state) == 0
+    assert select_next(state, EnabledIndex(comp, state)) == 0
     state.marking[0] = N
     state.values[0] = 1.0
-    assert select_next(comp, state) is None
+    assert select_next(state, EnabledIndex(comp, state)) is None
 
 
 def test_step_returns_none_at_convergence():
