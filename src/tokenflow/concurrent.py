@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping
 
 from .dsl import format_number, format_value
-from .errors import FlowError, ValidationError
-from .model import Composition, ExecutionState, Value
+from .errors import FlowError
+from .model import Composition, ExecutionState, Value, check_durations
 from .semantics import ProcessRegistry, Trace, TraceEvent, fire
 from .sequential import EnabledIndex, RunLimits, RunResult
 
@@ -70,16 +70,11 @@ def simulate_concurrent(
 
     Returns the run result (trace ordered by commit) and the schedule.
     Simultaneous completions commit in declaration order, and all completions
-    due at an instant commit before anything new starts.
+    due at an instant commit before anything new starts. A duration that is
+    not a finite positive number, or one keyed by an index with no operator,
+    raises ValidationError before the run starts.
     """
-    durs = {op.index: 1.0 for op in comp.operators}
-    for idx, d in (durations or {}).items():
-        d = float(d)
-        if d <= 0:
-            raise ValidationError(
-                f"duration for {comp.operators[idx].name!r} must be positive"
-            )
-        durs[idx] = d
+    durs = {op.index: 1.0 for op in comp.operators} | check_durations(comp, durations)
 
     state = initial.copy()
     clock = 0.0

@@ -18,24 +18,18 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .errors import (
-    DuplicateName,
-    ParseError,
-    TypeMismatch,
-    UnknownKind,
-    ValidationError,
-)
+from .errors import DuplicateName, FlowError, ParseError, TypeMismatch, ValidationError
 from .model import (
-    NAME,
-    SORTS,
     Composition,
     ExecutionState,
     TokenState,
     Value,
     build_composition,
-    check_kind,
+    check_duration,
+    check_durations,
+    check_sort,
     coerce_value,
     initial_state,
 )
@@ -49,6 +43,12 @@ _OP = re.compile(
 )
 _INIT = re.compile(r"init\s+(\S+)\s*=\s*(.+?)\s*$")
 _DUR = re.compile(r"dur\s+(\S+)\s*=\s*(\S+)\s*$")
+# A double-quoted text literal with backslash escapes. Group "end" holds its
+# closing quote and is empty for a literal left open, which runs to the end
+# of the line.
+_TEXT = r'"(?:[^"\\]|\\.)*(?P<end>"?)'
+_CODE = re.compile(rf'(?:[^"#]|{_TEXT})*', re.S)  # a line up to its comment
+_LITERAL = re.compile(rf"{_TEXT}|\S*", re.S)  # the literal of an init line
 
 
 # Characters str.splitlines breaks lines at that JSON leaves unescaped.
@@ -73,21 +73,7 @@ def format_value(value: Value) -> str:
 
 
 def _strip_comment(line: str) -> str:
-    in_text = False
-    escaped = False
-    for pos, ch in enumerate(line):
-        if in_text:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_text = False
-        elif ch == '"':
-            in_text = True
-        elif ch == "#":
-            return line[:pos]
-    return line
+    return _CODE.match(line).group()
 
 
 def _parse_literal(token: str, lineno: int) -> Value:
@@ -112,48 +98,36 @@ def _parse_literal(token: str, lineno: int) -> Value:
 def _split_init_rhs(rhs: str, lineno: int) -> tuple[str, bool]:
     """Split an init right-hand side into (literal token, old flag)."""
     rhs = rhs.strip()
-    if rhs.startswith('"'):
-        escaped = False
-        for pos in range(1, len(rhs)):
-            ch = rhs[pos]
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                literal, rest = rhs[: pos + 1], rhs[pos + 1 :].strip()
-                break
-        else:
-            raise ParseError(lineno, "unterminated text literal")
-    else:
-        parts = rhs.split(None, 1)
-        literal, rest = parts[0], parts[1].strip() if len(parts) > 1 else ""
-    if rest == "old":
-        return literal, True
-    if rest:
+    m = _LITERAL.match(rhs)
+    if m["end"] == "":
+        raise ParseError(lineno, "unterminated text literal")
+    rest = rhs[m.end() :].strip()
+    if rest not in ("", "old"):
         raise ParseError(lineno, f"unexpected trailing {rest!r}")
-    return literal, False
+    return m.group(), rest == "old"
 
 
 @dataclass
 class CompositionDocument:
     """Parsed document: declarations plus seed values and durations.
 
-    build() assembles the composition, the initial state, and the duration
-    map (operator index -> duration). Seed entries map a data name to its
-    value and an old flag.
+    parse() checks the grammar only. build() assembles the composition, the
+    initial state, and the duration map (operator index -> duration); the
+    model's errors there become ParseErrors naming the declaration's line,
+    chained to the model's error. Seed entries map a data name to its value
+    and an old flag. lines maps ("data" or "op", position) and ("init" or
+    "dur", name) to document lines; an overridden seed has none.
     """
 
     data_decls: list[tuple[str, str]] = field(default_factory=list)
     op_decls: list[tuple] = field(default_factory=list)
     inits: dict[str, tuple[Value, bool]] = field(default_factory=dict)
     durations: dict[str, float] = field(default_factory=dict)
+    lines: dict[tuple[str, int | str], int] = field(default_factory=dict)
 
     @classmethod
     def parse(cls, text: str) -> "CompositionDocument":
         doc = cls()
-        seen_init: set[str] = set()
-        seen_dur: set[str] = set()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = _strip_comment(raw).strip()
             if not line:
@@ -163,57 +137,42 @@ class CompositionDocument:
                 m = _DATA.match(line)
                 if not m:
                     raise ParseError(lineno, f"bad data declaration: {raw.strip()}")
-                name, sort = m.group(1), m.group(2) or "any"
-                if not NAME.fullmatch(name):
-                    raise ParseError(lineno, f"bad data name {name!r}")
-                if sort not in SORTS:
-                    raise ParseError(lineno, f"unknown sort {sort!r}")
-                doc.data_decls.append((name, sort))
+                doc.lines["data", len(doc.data_decls)] = lineno
+                doc.data_decls.append((m.group(1), m.group(2) or "any"))
             elif head == "op":
                 m = _OP.match(line)
                 if not m:
                     raise ParseError(lineno, f"bad operator declaration: {raw.strip()}")
-                name, kind, process, ins, outs = m.groups()
-                if not NAME.fullmatch(name):
-                    raise ParseError(lineno, f"bad operator name {name!r}")
-                try:
-                    check_kind(name, kind, process)
-                except UnknownKind as exc:
-                    raise UnknownKind(f"line {lineno}: {exc}") from None
-                except ValidationError as exc:
-                    raise ParseError(lineno, str(exc)) from None
-
-                def names(csv: str) -> tuple[str, ...]:
-                    if not csv.strip():
-                        return ()
-                    parts = [p.strip() for p in csv.split(",")]
-                    if any(not NAME.fullmatch(p) for p in parts):
-                        raise ParseError(lineno, f"bad data reference in {csv!r}")
-                    return tuple(parts)
-
-                doc.op_decls.append((name, kind, names(ins), names(outs), process))
+                name, kind, process, *refs = m.groups()
+                ins, outs = (
+                    tuple(map(str.strip, r.split(","))) if r else () for r in refs
+                )
+                doc.lines["op", len(doc.op_decls)] = lineno
+                doc.op_decls.append((name, kind, ins, outs, process))
             elif head == "init":
                 m = _INIT.match(line)
                 if not m:
                     raise ParseError(lineno, f"bad init line: {raw.strip()}")
                 name = m.group(1)
-                if name in seen_init:
+                if name in doc.inits:
                     raise DuplicateName(f"line {lineno}: duplicate init for {name!r}")
-                seen_init.add(name)
                 literal, old = _split_init_rhs(m.group(2), lineno)
                 doc.inits[name] = (_parse_literal(literal, lineno), old)
+                doc.lines["init", name] = lineno
             elif head == "dur":
                 m = _DUR.match(line)
                 if not m:
                     raise ParseError(lineno, f"bad dur line: {raw.strip()}")
-                name = m.group(1)
-                if name in seen_dur:
+                name, token = m.groups()
+                if name in doc.durations:
                     raise DuplicateName(f"line {lineno}: duplicate dur for {name!r}")
-                seen_dur.add(name)
-                token = m.group(2)
-                if not _NUMBER.match(token) or not 0 < float(token) < math.inf:
-                    raise ParseError(lineno, "duration must be a positive number")
-                doc.durations[name] = float(token)
+                try:
+                    doc.durations[name] = check_duration(
+                        name, float(token) if _NUMBER.match(token) else token
+                    )
+                except ValidationError as exc:
+                    raise ParseError(lineno, str(exc)) from exc
+                doc.lines["dur", name] = lineno
             else:
                 raise ParseError(lineno, f"unknown declaration {head!r}")
         return doc
@@ -222,18 +181,37 @@ class CompositionDocument:
         """Replace a seed value, keeping its old flag; new entries are New."""
         _, old = self.inits.get(name, (None, False))
         self.inits[name] = (value, old)
+        self.lines.pop(("init", name), None)
 
     def build(self) -> tuple[Composition, ExecutionState, dict[int, float]]:
-        comp = build_composition(self.data_decls, self.op_decls)
-        marks: dict[int, TokenState] = {}
-        values: dict[int, Value] = {}
-        for name, (value, old) in self.inits.items():
-            node = comp.data_named(name)
-            marks[node.index] = TokenState.OLD if old else TokenState.NEW
-            values[node.index] = value
-        durs: dict[int, float] = {}
-        for name, d in self.durations.items():
-            durs[comp.operator_named(name).index] = d
+        line = None  # document line of the declaration in hand, if any
+
+        def handed(kind: str, decls: list) -> Iterator:
+            nonlocal line
+            for pos, decl in enumerate(decls):
+                line = self.lines.get((kind, pos))
+                yield decl
+
+        try:
+            comp = build_composition(
+                handed("data", self.data_decls), handed("op", self.op_decls)
+            )
+            marks: dict[int, TokenState] = {}
+            values: dict[int, Value] = {}
+            for name, (value, old) in self.inits.items():
+                line = self.lines.get(("init", name))
+                node = comp.data_named(name)
+                check_sort(node, value)
+                marks[node.index] = TokenState.OLD if old else TokenState.NEW
+                values[node.index] = value
+            durs: dict[int, float] = {}
+            for name, d in self.durations.items():
+                line = self.lines.get(("dur", name))
+                durs[comp.operator_named(name).index] = d
+        except FlowError as exc:
+            if line is None:
+                raise
+            raise ParseError(line, str(exc)) from exc
         return comp, initial_state(comp, marks, values), durs
 
 
@@ -265,10 +243,8 @@ def emit_composition(
             lines.append(
                 f"init {node.name} = {format_value(seed.values[node.index])}{suffix}"
             )
-    for idx, d in sorted((durations or {}).items()):
-        if d <= 0:
-            raise ValidationError("durations must be positive")
-        lines.append(f"dur {comp.operators[idx].name} = {format_number(float(d))}")
+    for idx, d in sorted(check_durations(comp, durations).items()):
+        lines.append(f"dur {comp.operators[idx].name} = {format_number(d)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

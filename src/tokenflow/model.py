@@ -257,22 +257,6 @@ KINDS: dict[str, Kind] = {
 }
 
 
-def check_kind(name: str, kind: str, process_name: str | None) -> Kind:
-    """The KINDS entry for an operator declaration, or a ValidationError."""
-    if kind not in KINDS:
-        raise UnknownKind(f"operator {name!r}: unknown kind {kind!r}")
-    entry = KINDS[kind]
-    if entry.takes_process and not process_name:
-        raise ValidationError(f"operator {name!r}: kind {kind!r} needs a process name")
-    if process_name and not entry.takes_process:
-        raise ValidationError(
-            f"operator {name!r}: kind {kind!r} does not take a process name"
-        )
-    if process_name and not NAME.fullmatch(process_name):
-        raise ValidationError(f"operator {name!r}: bad process name {process_name!r}")
-    return entry
-
-
 def _check_name(role: str, name) -> None:
     if not (isinstance(name, str) and NAME.fullmatch(name)):
         raise ValidationError(f"bad {role} name {name!r}")
@@ -284,6 +268,9 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
     data_decls: names, or (name, sort) pairs.
     op_decls: (name, kind, input_names, output_names[, process_name]) tuples.
     Declaration order is preserved and defines the operator scan order.
+    Each declaration is checked fully as it is taken from its iterable, all
+    data before any operator, so when an error is raised the declaration
+    taken last is the one at fault.
     """
     nodes: list[DataNode] = []
     by_name: dict[str, int] = {}
@@ -309,7 +296,18 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
         if name in op_names:
             raise DuplicateName(f"operator name {name!r} declared twice")
         op_names.add(name)
-        entry = check_kind(name, kind, process_name)
+        if kind not in KINDS:
+            raise UnknownKind(f"operator {name!r}: unknown kind {kind!r}")
+        entry = KINDS[kind]
+        if entry.takes_process != bool(process_name):
+            takes = "needs" if entry.takes_process else "does not take"
+            raise ValidationError(
+                f"operator {name!r}: kind {kind!r} {takes} a process name"
+            )
+        if process_name and not NAME.fullmatch(process_name):
+            raise ValidationError(
+                f"operator {name!r}: bad process name {process_name!r}"
+            )
 
         def resolve(names: Sequence[str], role: str) -> tuple[int, ...]:
             out = []
@@ -344,6 +342,29 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
         ops.append(OperatorSpec(len(ops), name, kind, inputs, outputs, process_name))
 
     return Composition(tuple(nodes), tuple(ops))
+
+
+def check_duration(op_name: str, d) -> float:
+    """A duration in virtual time units: a real number with 0 < d < inf."""
+    try:
+        x = coerce_value(d)
+    except TypeMismatch:
+        x = None
+    if not isinstance(x, float) or x <= 0:
+        raise ValidationError(
+            f"operator {op_name!r}: duration {d!r} is not a positive finite number"
+        )
+    return x
+
+
+def check_durations(comp: Composition, durations: Mapping | None) -> dict[int, float]:
+    """Validate an operator index -> duration map; see check_duration."""
+    out: dict[int, float] = {}
+    for idx, d in (durations or {}).items():
+        if not (isinstance(idx, int) and 0 <= idx < len(comp.operators)):
+            raise ValidationError(f"duration for unknown operator index {idx!r}")
+        out[idx] = check_duration(comp.operators[idx].name, d)
+    return out
 
 
 def neighborhood(comp: Composition, op: OperatorSpec | int) -> frozenset[int]:
@@ -396,7 +417,12 @@ def initial_state(
     marking = {node.index: TokenState.VOID for node in comp.data}
     vals: dict[int, Value] = {node.index: None for node in comp.data}
     for idx, mark in markings.items():
-        marking[idx] = TokenState(mark)
+        try:
+            marking[idx] = TokenState(mark)
+        except ValueError:
+            raise ValidationError(
+                f"data {comp.data[idx].name!r}: {mark!r} is not a marking"
+            ) from None
     for idx, value in values.items():
         node = comp.data[idx]
         value = coerce_value(value)

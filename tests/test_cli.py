@@ -1,6 +1,7 @@
 """Command line behavior: output shapes, exit codes, determinism."""
 import contextlib
 import io
+import re
 import subprocess
 import sys
 
@@ -308,4 +309,5 @@ def test_validate_never_raises(tmp_path_factory, data):
         assert out.getvalue().startswith("ok: ") and err.getvalue() == ""
     else:
         assert code == 1
-        assert err.getvalue().startswith("error: ")
+        # every error in a document names its line
+        assert re.match(r"error: line [1-9]\d*: ", err.getvalue())

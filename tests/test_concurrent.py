@@ -6,6 +6,7 @@ from tokenflow import (
     ValidationError,
     build_loop_pattern,
     default_registry,
+    emit_composition,
     neighborhood,
     run_to_convergence,
     schedule_tsv,
@@ -149,6 +150,28 @@ def test_duration_must_be_positive():
             default_registry(),
             durations={0: 0.0},
         )
+
+
+@pytest.mark.parametrize(
+    "durations, named",
+    [
+        ({0: float("nan")}, "'merge'"),
+        ({0: float("inf")}, "'merge'"),
+        ({0: 0}, "'merge'"),
+        ({5: -1}, "'p1'"),
+        ({0: "x"}, "'merge'"),
+        ({6: 1.0}, "index 6"),
+    ],
+    ids=["nan", "inf", "zero", "negative", "text", "unknown-index"],
+)
+def test_bad_durations_are_refused_before_the_run(durations, named):
+    pattern = build_loop_pattern("add1")
+    comp, state = pattern.composition, loop_state(pattern, 10.0, 0.0)
+    with pytest.raises(ValidationError, match=named):
+        simulate_concurrent(comp, state, default_registry(), durations, RunLimits(10))
+    # documents refuse these values, so emission refuses them too
+    with pytest.raises(ValidationError, match=named):
+        emit_composition(comp, state, durations)
 
 
 def test_simulation_truncates_at_the_step_limit():

@@ -85,11 +85,17 @@ def test_parse_literal_forms():
         'init f = false\n'
         'init x = -1.5e3\n'
         'init y = .5\n'
+        'data h text\n'
+        'data q text\n'
+        'init h = "x # y"  # a comment after a # inside text\n'
+        'init q = "\\"#"  # an escaped quote before a #\n'
     )
     assert doc.inits["t"] == ('a#b "quoted"', True)
     assert doc.inits["f"] == (False, False)
     assert doc.inits["x"] == (-1500.0, False)
     assert doc.inits["y"] == (0.5, False)
+    assert doc.inits["h"] == ("x # y", False)
+    assert doc.inits["q"] == ('"#', False)
 
 
 def test_parse_errors_carry_line_numbers():
@@ -102,6 +108,16 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as exc:
         CompositionDocument.parse('init t = "unterminated\n')
     assert exc.value.line == 1
+    # a literal left open runs to the end of the line, past a # or a backslash
+    with pytest.raises(ParseError) as exc:
+        CompositionDocument.parse('data t\ninit t = "open # not a comment\n')
+    assert exc.value.line == 2 and "unterminated text literal" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        CompositionDocument.parse('data t\ninit t = "open\\\n')
+    assert exc.value.line == 2 and "unterminated text literal" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        CompositionDocument.parse('data t\ninit t = "a"b old\n')
+    assert exc.value.line == 2 and "unexpected trailing 'b old'" in str(exc.value)
     with pytest.raises(ParseError) as exc:
         CompositionDocument.parse("init a = maybe\n")
     assert "bad literal" in str(exc.value)
@@ -111,18 +127,19 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as exc:
         CompositionDocument.parse("data a\ndur x = 1e999\n")
     assert "positive" in str(exc.value)
+    # faults in names, sorts and kinds are found when the document is built
     with pytest.raises(ParseError):
-        CompositionDocument.parse("data a weird\n")
+        parse_composition("data a weird\n")
     with pytest.raises(ParseError):
-        CompositionDocument.parse("data a\nop x process () -> (a)\n")
+        parse_composition("data a\nop x process () -> (a)\n")
     with pytest.raises(ParseError):
-        CompositionDocument.parse("data a\nop x lt:foo (a, a) -> (a)\n")
+        parse_composition("data a\nop x lt:foo (a, a) -> (a)\n")
     with pytest.raises(ParseError):
         CompositionDocument.parse("bogus stuff\n")
     with pytest.raises(ParseError):
-        CompositionDocument.parse("data a\nop x incr (a b) -> (a)\n")
+        parse_composition("data a\nop x incr (a b) -> (a)\n")
     with pytest.raises(ParseError) as exc:
-        CompositionDocument.parse("data a\nop x process:f(x) () -> (a)\n")
+        parse_composition("data a\nop x process:f(x) () -> (a)\n")
     assert exc.value.line == 2 and "bad process name" in str(exc.value)
     with pytest.raises(ParseError) as exc:
         CompositionDocument.parse('data t\n\ninit t = "ok\\ud800"\n')
@@ -133,9 +150,10 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_parse_unknown_kind():
-    with pytest.raises(UnknownKind) as exc:
-        CompositionDocument.parse("data a\nop x frob () -> (a)\n")
-    assert "line 2" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        parse_composition("data a\nop x frob () -> (a)\n")
+    assert exc.value.line == 2
+    assert isinstance(exc.value.__cause__, UnknownKind)
 
 
 def test_parse_duplicate_init_and_dur():
@@ -148,12 +166,17 @@ def test_parse_duplicate_init_and_dur():
 
 
 def test_build_rejects_unknown_names():
-    with pytest.raises(DuplicateName):
+    with pytest.raises(ParseError) as exc:
         parse_composition("data a\ndata a\n")
-    with pytest.raises(UnknownDataReference):
+    assert exc.value.line == 2 and isinstance(exc.value.__cause__, DuplicateName)
+    with pytest.raises(ParseError) as exc:
         parse_composition("data a\ninit ghost = 1\n")
-    with pytest.raises(UnknownDataReference):
+    assert exc.value.line == 2
+    assert isinstance(exc.value.__cause__, UnknownDataReference)
+    with pytest.raises(ParseError) as exc:
         parse_composition("data a\nop i incr () -> (a)\ndur ghost = 1\n")
+    assert exc.value.line == 3
+    assert isinstance(exc.value.__cause__, UnknownDataReference)
 
 
 def test_override_keeps_the_old_flag():

@@ -209,6 +209,9 @@ def test_initial_state_rejects_value_on_void():
     comp = branch_structure()
     with pytest.raises(ValidationError):
         initial_state(comp, {}, {0: 1.0})
+    # a marking that is not a TokenState names the data node
+    with pytest.raises(ValidationError, match="data 'd0'"):
+        initial_state(comp, {0: 7}, {0: 1.0})
 
 
 def test_initial_state_rejects_bad_index():
