@@ -4,9 +4,12 @@ Compositions wire operators to data nodes; tokens on the nodes gate which
 operators may fire. A sequential processor fires one operator per step with
 a rotating scan; a concurrent processor overlaps operators with disjoint
 neighborhoods over virtual time. Both produce identical final states.
+
+The names of the concurrent processor and the patterns load on first use,
+so a command that does not use them does not import them.
 """
-from .concurrent import ScheduleEntry, schedule_tsv, simulate_concurrent
-from .dot import to_dot
+from importlib import import_module
+
 from .dsl import (
     CompositionDocument,
     emit_composition,
@@ -32,16 +35,12 @@ from .errors import (
 )
 from .model import (
     Composition,
-    DataNode,
     ExecutionState,
-    OperatorSpec,
     TokenState,
-    Value,
     build_composition,
     initial_state,
     neighborhood,
 )
-from .patterns import PatternInstance, build_ifelse_pattern, build_loop_pattern
 from .semantics import (
     ProcessRegistry,
     Trace,
@@ -55,17 +54,30 @@ from .sequential import RunLimits, RunResult, run_to_convergence, step
 
 __version__ = "0.1.0"
 
+_LAZY = {
+    "concurrent": ("ScheduleEntry", "schedule_tsv", "simulate_concurrent"),
+    "patterns": ("PatternInstance", "build_ifelse_pattern", "build_loop_pattern"),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            value = getattr(import_module(f".{module}", __name__), name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "ArityMismatch",
     "Composition",
     "CompositionDocument",
-    "DataNode",
     "DuplicateName",
     "ExecutionState",
     "FlowError",
     "InputOutputOverlap",
     "NotEnabled",
-    "OperatorSpec",
     "OutputArityMismatch",
     "ParseError",
     "PatternInstance",
@@ -82,7 +94,6 @@ __all__ = [
     "UnknownKind",
     "UnknownProcess",
     "ValidationError",
-    "Value",
     "ValueMissingForToken",
     "build_composition",
     "build_ifelse_pattern",
@@ -101,5 +112,4 @@ __all__ = [
     "serialize_trace",
     "simulate_concurrent",
     "step",
-    "to_dot",
 ]

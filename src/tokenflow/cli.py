@@ -9,10 +9,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .concurrent import schedule_tsv, simulate_concurrent
-from .dot import to_dot
-from .dsl import CompositionDocument, _parse_literal, format_value, serialize_trace
-from .errors import FlowError, ParseError
+from .dsl import CompositionDocument, format_value, parse_literal, serialize_trace
+from .errors import FlowError, ParseError, ValidationError
 from .model import Composition, ExecutionState
 from .semantics import default_registry
 from .sequential import RunLimits, RunResult, run_to_convergence
@@ -88,10 +86,15 @@ def _load(path: str, overrides: list[str]):
         ) from None
     doc = CompositionDocument.parse(text)
     for item in overrides:
+        where = f"--seed-override {item!r}"
         name, eq, literal = item.partition("=")
         if not eq or not name:
-            raise ParseError(0, f"bad --seed-override {item!r}, want name=literal")
-        doc.override(name.strip(), _parse_literal(literal.strip(), 0))
+            raise ValidationError(f"{where}: want name=literal")
+        try:
+            value = parse_literal(literal.strip())
+        except ValueError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
+        doc.override(name.strip(), value, where)
     return doc.build()
 
 
@@ -130,6 +133,8 @@ def main(argv=None) -> int:
         registry = default_registry()
 
         if args.command == "graph":
+            from .dot import to_dot
+
             out.write(to_dot(comp, state.marking))
             return 0
 
@@ -152,6 +157,8 @@ def main(argv=None) -> int:
             return _finish(comp, result, args, out, trace_text)
 
         if args.command == "simulate":
+            from .concurrent import schedule_tsv, simulate_concurrent
+
             result, schedule = simulate_concurrent(
                 comp, state, registry, durations, limits
             )

@@ -20,8 +20,7 @@ index: enabled operators that are not running and touch no data in flight.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .dsl import format_number, format_value
 from .errors import FlowError
@@ -30,8 +29,7 @@ from .semantics import ProcessRegistry, Trace, TraceEvent, fire
 from .sequential import EnabledIndex, RunLimits, RunResult
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
+class ScheduleEntry(NamedTuple):
     """One executed interval: [start, end) in virtual time."""
 
     start: float

@@ -14,10 +14,8 @@ scan order.
 """
 from __future__ import annotations
 
-import json
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .errors import DuplicateName, FlowError, ParseError, TypeMismatch, ValidationError
@@ -69,30 +67,31 @@ def format_value(value: Value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format_number(value)
+    import json  # only text needs it, and many runs carry none
+
     return json.dumps(value, ensure_ascii=False).translate(_LINE_BREAKS)
 
 
-def _strip_comment(line: str) -> str:
-    return _CODE.match(line).group()
-
-
-def _parse_literal(token: str, lineno: int) -> Value:
+def parse_literal(token: str) -> Value:
+    """The value of one literal; ValueError when the token is none."""
     if token == "true":
         return True
     if token == "false":
         return False
     if token.startswith('"'):
+        import json
+
         try:
             text = json.loads(token)
         except ValueError:
-            raise ParseError(lineno, f"bad text literal {token}") from None
+            raise ValueError(f"bad text literal {token}") from None
         try:
             return coerce_value(text)
         except TypeMismatch as exc:
-            raise ParseError(lineno, str(exc)) from None
+            raise ValueError(str(exc)) from None
     if _NUMBER.match(token):
         return float(token)
-    raise ParseError(lineno, f"bad literal {token!r}")
+    raise ValueError(f"bad literal {token!r}")
 
 
 def _split_init_rhs(rhs: str, lineno: int) -> tuple[str, bool]:
@@ -107,7 +106,6 @@ def _split_init_rhs(rhs: str, lineno: int) -> tuple[str, bool]:
     return m.group(), rest == "old"
 
 
-@dataclass
 class CompositionDocument:
     """Parsed document: declarations plus seed values and durations.
 
@@ -116,20 +114,24 @@ class CompositionDocument:
     model's errors there become ParseErrors naming the declaration's line,
     chained to the model's error. Seed entries map a data name to its value
     and an old flag. lines maps ("data" or "op", position) and ("init" or
-    "dur", name) to document lines; an overridden seed has none.
+    "dur", name) to document lines; an overridden seed maps to the source
+    its override names, or None, and errors about it name that instead.
     """
 
-    data_decls: list[tuple[str, str]] = field(default_factory=list)
-    op_decls: list[tuple] = field(default_factory=list)
-    inits: dict[str, tuple[Value, bool]] = field(default_factory=dict)
-    durations: dict[str, float] = field(default_factory=dict)
-    lines: dict[tuple[str, int | str], int] = field(default_factory=dict)
+    __slots__ = ("data_decls", "op_decls", "inits", "durations", "lines")
+
+    def __init__(self):
+        self.data_decls: list[tuple[str, str]] = []
+        self.op_decls: list[tuple] = []
+        self.inits: dict[str, tuple[Value, bool]] = {}
+        self.durations: dict[str, float] = {}
+        self.lines: dict[tuple[str, int | str], int | str | None] = {}
 
     @classmethod
     def parse(cls, text: str) -> "CompositionDocument":
         doc = cls()
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = _strip_comment(raw).strip()
+            line = _CODE.match(raw).group().strip()
             if not line:
                 continue
             head = line.split(None, 1)[0]
@@ -157,7 +159,10 @@ class CompositionDocument:
                 if name in doc.inits:
                     raise DuplicateName(f"line {lineno}: duplicate init for {name!r}")
                 literal, old = _split_init_rhs(m.group(2), lineno)
-                doc.inits[name] = (_parse_literal(literal, lineno), old)
+                try:
+                    doc.inits[name] = (parse_literal(literal), old)
+                except ValueError as exc:
+                    raise ParseError(lineno, str(exc)) from None
                 doc.lines["init", name] = lineno
             elif head == "dur":
                 m = _DUR.match(line)
@@ -177,14 +182,18 @@ class CompositionDocument:
                 raise ParseError(lineno, f"unknown declaration {head!r}")
         return doc
 
-    def override(self, name: str, value: Value) -> None:
-        """Replace a seed value, keeping its old flag; new entries are New."""
+    def override(self, name: str, value: Value, source: str | None = None) -> None:
+        """Replace a seed value, keeping its old flag; new entries are New.
+
+        source says where the value came from, such as a command-line
+        argument; build() errors about this seed name it.
+        """
         _, old = self.inits.get(name, (None, False))
         self.inits[name] = (value, old)
-        self.lines.pop(("init", name), None)
+        self.lines["init", name] = source
 
     def build(self) -> tuple[Composition, ExecutionState, dict[int, float]]:
-        line = None  # document line of the declaration in hand, if any
+        line = None  # where the declaration in hand came from, if known
 
         def handed(kind: str, decls: list) -> Iterator:
             nonlocal line
@@ -211,6 +220,8 @@ class CompositionDocument:
         except FlowError as exc:
             if line is None:
                 raise
+            if isinstance(line, str):
+                raise ValidationError(f"{line}: {exc}") from exc
             raise ParseError(line, str(exc)) from exc
         return comp, initial_state(comp, marks, values), durs
 

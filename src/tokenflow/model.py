@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -108,15 +106,13 @@ def check_sort(node: "DataNode", value: Value) -> None:
         )
 
 
-@dataclass(frozen=True)
-class DataNode:
+class DataNode(NamedTuple):
     index: int
     name: str
     sort: str = "any"
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(NamedTuple):
     index: int
     name: str
     kind: str
@@ -125,18 +121,24 @@ class OperatorSpec:
     process_name: str | None = None
 
 
-@dataclass(frozen=True)
 class Composition:
-    data: tuple[DataNode, ...]
-    operators: tuple[OperatorSpec, ...]
+    """Data nodes and operators, each in declaration order.
 
-    @cached_property
-    def _data_by_name(self) -> dict[str, DataNode]:
-        return {node.name: node for node in self.data}
+    Two compositions are equal when their declarations are.
+    """
 
-    @cached_property
-    def _operator_by_name(self) -> dict[str, OperatorSpec]:
-        return {op.name: op for op in self.operators}
+    __slots__ = ("data", "operators", "_data_by_name", "_operator_by_name")
+
+    def __init__(self, data, operators):
+        self.data: tuple[DataNode, ...] = data
+        self.operators: tuple[OperatorSpec, ...] = operators
+        self._data_by_name = {node.name: node for node in data}
+        self._operator_by_name = {op.name: op for op in operators}
+
+    def __eq__(self, other):
+        if not isinstance(other, Composition):
+            return NotImplemented
+        return self.data == other.data and self.operators == other.operators
 
     def data_named(self, name: str) -> DataNode:
         node = self._data_by_name.get(name)
@@ -147,7 +149,7 @@ class Composition:
     def operator_named(self, name: str) -> OperatorSpec:
         op = self._operator_by_name.get(name)
         if op is None:
-            raise UnknownDataReference(f"no operator named {name!r}")
+            raise ValidationError(f"no operator named {name!r}")
         return op
 
 
@@ -228,8 +230,7 @@ def _lt(spec: OperatorSpec, state: ExecutionState, registry):
     return spec.inputs, ((spec.outputs[0], x < y),)
 
 
-@dataclass(frozen=True)
-class Kind:
+class Kind(NamedTuple):
     """One operator kind: its arity, firing rule and effect.
 
     inputs/outputs are arities, None for any count (every operator still
@@ -296,7 +297,7 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
         if name in op_names:
             raise DuplicateName(f"operator name {name!r} declared twice")
         op_names.add(name)
-        if kind not in KINDS:
+        if not (isinstance(kind, str) and kind in KINDS):
             raise UnknownKind(f"operator {name!r}: unknown kind {kind!r}")
         entry = KINDS[kind]
         if entry.takes_process != bool(process_name):
@@ -304,7 +305,9 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
             raise ValidationError(
                 f"operator {name!r}: kind {kind!r} {takes} a process name"
             )
-        if process_name and not NAME.fullmatch(process_name):
+        if process_name and not (
+            isinstance(process_name, str) and NAME.fullmatch(process_name)
+        ):
             raise ValidationError(
                 f"operator {name!r}: bad process name {process_name!r}"
             )
@@ -312,6 +315,10 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
         def resolve(names: Sequence[str], role: str) -> tuple[int, ...]:
             out = []
             for ref in names:
+                if not isinstance(ref, str):
+                    raise ValidationError(
+                        f"operator {name!r} {role} reference {ref!r} is not a name"
+                    )
                 if ref not in by_name:
                     raise UnknownDataReference(
                         f"operator {name!r} {role} references unknown data {ref!r}"
@@ -373,19 +380,26 @@ def neighborhood(comp: Composition, op: OperatorSpec | int) -> frozenset[int]:
     return frozenset(spec.inputs) | frozenset(spec.outputs)
 
 
-@dataclass
 class ExecutionState:
     """Mutable execution snapshot: markings, values, firing counters.
 
     scan_start is the declaration index at which the sequential scheduler
-    begins its next scan.
+    begins its next scan. Two states are equal when all five fields are.
     """
 
-    marking: dict[int, TokenState]
-    values: dict[int, Value]
-    exec_counts: dict[int, int]
-    step: int = 0
-    scan_start: int = 0
+    __slots__ = ("marking", "values", "exec_counts", "step", "scan_start")
+
+    def __init__(self, marking, values, exec_counts, step=0, scan_start=0):
+        self.marking: dict[int, TokenState] = marking
+        self.values: dict[int, Value] = values
+        self.exec_counts: dict[int, int] = exec_counts
+        self.step = step
+        self.scan_start = scan_start
+
+    def __eq__(self, other):
+        if not isinstance(other, ExecutionState):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def copy(self) -> "ExecutionState":
         return ExecutionState(

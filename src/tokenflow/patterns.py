@@ -1,15 +1,14 @@
 """Canonical composition patterns: branch-and-merge and the counted loop."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UnknownProcess
 from .model import Composition, build_composition
 from .semantics import ProcessRegistry
 
 
-@dataclass(frozen=True)
-class PatternInstance:
+class PatternInstance(NamedTuple):
     """A built pattern plus the data indices that matter to callers."""
 
     composition: Composition

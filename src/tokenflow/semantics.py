@@ -6,8 +6,7 @@ any error the input state is left untouched.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import NotEnabled, TypeMismatch, UnknownProcess
 from .model import (
@@ -114,8 +113,7 @@ def can_fire(
     return KINDS[spec.kind].rule([marking[d] for d in spec.inputs])
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One completed firing.
 
     reads/writes pair data names with the values the operator consumed and

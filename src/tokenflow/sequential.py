@@ -17,29 +17,30 @@ the same choice as the rotating scan, without visiting every operator.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from typing import Mapping
 
 from .model import Composition, ExecutionState, TokenState, neighborhood
 from .semantics import ProcessRegistry, Trace, TraceEvent, can_fire, fire
 
 
-@dataclass(frozen=True)
 class RunLimits:
     """Safety valve for non-terminating compositions."""
 
-    max_steps: int = 100_000
+    __slots__ = ("max_steps",)
 
-    def __post_init__(self):
-        if self.max_steps < 1:
+    def __init__(self, max_steps: int = 100_000):
+        if max_steps < 1:
             raise ValueError("max_steps must be at least 1")
+        self.max_steps = max_steps
 
 
-@dataclass
 class RunResult:
-    final_state: ExecutionState
-    trace: Trace
-    converged: bool = True
+    __slots__ = ("final_state", "trace", "converged")
+
+    def __init__(self, final_state, trace, converged=True):
+        self.final_state: ExecutionState = final_state
+        self.trace: Trace = trace
+        self.converged = converged
 
     @property
     def steps_taken(self) -> int:

@@ -1,6 +1,7 @@
 """Command line behavior: output shapes, exit codes, determinism."""
 import contextlib
 import io
+import json
 import re
 import subprocess
 import sys
@@ -167,6 +168,48 @@ def test_bad_seed_override_exits_one(capsys):
     code, _, err = run_cli(capsys, "run", BRANCH, "--seed-override", "nonsense")
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_seed_override_errors_name_the_argument(capsys):
+    for item, message in (
+        ("d0=xyz", "bad literal 'xyz'"),
+        ("nope=1", "no data node named 'nope'"),
+        ('d0="text"', "data 'd0' is declared bool but got a text value"),
+        ("nonsense", "want name=literal"),
+    ):
+        code, out, err = run_cli(capsys, "run", BRANCH, "--seed-override", item)
+        assert (code, out) == (1, "")
+        assert err == f"error: --seed-override {item!r}: {message}\n"
+
+
+def test_a_run_imports_only_what_it_uses():
+    # A module a bare interpreter already loads (through site, say) is not
+    # charged to tokenflow.
+    heavy = {"dataclasses", "inspect", "tokenflow.patterns", "tokenflow.dot"}
+    modules = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+    run = (
+        "import contextlib, io\n"
+        "from tokenflow import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['run', {LOOP!r}, '--quiet']) == 0\n"
+    )
+    bare, loaded = (
+        set(json.loads(_python(script).stdout)) for script in (modules, run + modules)
+    )
+    assert heavy & (loaded - bare) == set()
+    _python(
+        "import tokenflow\n"
+        "from tokenflow import build_loop_pattern\n"
+        "from tokenflow import *\n"
+        "assert build_loop_pattern is tokenflow.build_loop_pattern\n"
+        "assert all(name in globals() for name in tokenflow.__all__)\n"
+    )
+
+
+def _python(script: str) -> subprocess.CompletedProcess:
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done
 
 
 def test_missing_file_exits_one(capsys):

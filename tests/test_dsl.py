@@ -14,6 +14,7 @@ from tokenflow import (
     TokenState,
     UnknownDataReference,
     UnknownKind,
+    ValidationError,
     build_composition,
     default_registry,
     emit_composition,
@@ -176,7 +177,7 @@ def test_build_rejects_unknown_names():
     with pytest.raises(ParseError) as exc:
         parse_composition("data a\nop i incr () -> (a)\ndur ghost = 1\n")
     assert exc.value.line == 3
-    assert isinstance(exc.value.__cause__, UnknownDataReference)
+    assert isinstance(exc.value.__cause__, ValidationError)
 
 
 def test_override_keeps_the_old_flag():

@@ -1,6 +1,4 @@
 """Structure building, validation, graph views, and state construction."""
-import dataclasses
-
 import pytest
 
 from tokenflow import (
@@ -120,6 +118,22 @@ def test_unknown_data_reference_rejected():
         build_composition(["a"], [("op", "process", ("missing",), ("a",), "identity")])
 
 
+def test_declarations_that_are_not_strings_are_rejected():
+    for data, ops, culprit in (
+        (["a"], [("x", ["incr"], (), ("a",))], "'x'"),
+        (["a"], [("x", "incr", (), (["a"],))], "'x'"),
+        (["a"], [("x", "process", (), ("a",), ["identity"])], "'x'"),
+        ([("a", ["num"])], [], "'a'"),
+    ):
+        with pytest.raises(ValidationError, match=culprit):
+            build_composition(data, ops)
+
+
+def test_operator_named_rejects_a_missing_operator():
+    with pytest.raises(ValidationError, match="no operator named 'nope'"):
+        branch_structure().operator_named("nope")
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(UnknownKind):
         build_composition(["a"], [("op", "frobnicate", (), ("a",))])
@@ -168,10 +182,12 @@ def test_process_name_required_only_for_process_kind():
 
 def test_declarations_are_frozen():
     comp = branch_structure()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         comp.data[0].name = "renamed"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         comp.operators[0].kind = "merge"
+    assert comp.data[0].name == "d0"
+    assert comp.operators[0].kind == "process"
 
 
 def test_neighborhood_is_inputs_and_outputs():
