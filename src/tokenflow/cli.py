@@ -130,13 +130,13 @@ def main(argv=None) -> int:
             return 0
 
         comp, state, durations = _load(args.file, args.seed_override)
-        registry = default_registry()
-
         if args.command == "graph":
             from .dot import to_dot
 
             out.write(to_dot(comp, state.marking))
             return 0
+
+        registry = default_registry()
 
         if args.command == "step":
             if args.steps >= 1:

@@ -9,7 +9,9 @@ against the current state is equivalent to using the start-time snapshot
 completion, keep starting the enabled operator that has waited longest
 (ties to the lowest declaration index) until nothing else fits.
 
-A run builds one EnabledIndex, which also holds each operator's
+A run is a semantics.Run: it owns a copy of the initial state and commits
+each completion to it through Run.commit, as the sequential processor does,
+so only the selection differs. Its EnabledIndex also holds each operator's
 neighborhood. Completions wait in a heap ordered by (end time, declaration
 index). After each commit only the operators sharing a data node with the
 committed one are re-tested, and the wait times of exactly those are
@@ -25,8 +27,14 @@ from typing import Collection, Iterable, Mapping, NamedTuple
 from .dsl import format_number, format_value
 from .errors import FlowError
 from .model import Composition, ExecutionState, Value, check_durations
-from .semantics import ProcessRegistry, Trace, TraceEvent, fire
-from .sequential import EnabledIndex, RunLimits, RunResult
+from .semantics import (
+    EnabledIndex,
+    ProcessRegistry,
+    Run,
+    RunLimits,
+    RunResult,
+    TraceEvent,
+)
 
 
 class ScheduleEntry(NamedTuple):
@@ -74,15 +82,13 @@ def simulate_concurrent(
     """
     durs = {op.index: 1.0 for op in comp.operators} | check_durations(comp, durations)
 
-    state = initial.copy()
+    run = Run(comp, initial, registry, limits)
+    state, index, hoods = run.state, run.index, run.index.hoods
     clock = 0.0
-    index = EnabledIndex(comp, state)
-    hoods = index.hoods
     # op index -> (start time, input snapshot)
     running: dict[int, tuple[float, tuple[Value, ...]]] = {}
     completions: list[tuple[float, int]] = []  # heap of (end time, op index)
     waited: dict[int, float] = {idx: 0.0 for idx in index.order}
-    trace = Trace(comp, initial)
     schedule: list[ScheduleEntry] = []
     truncated = False
 
@@ -108,14 +114,11 @@ def simulate_concurrent(
                     f"exclusion rule violated: inputs of {comp.operators[idx].name!r}"
                     f" moved mid-flight at time {clock}"
                 )
-            state, event = fire(comp, idx, state, registry)
-            touched.update(index.update(idx, state.marking))
-            trace.append(event)
-            schedule.append(
-                ScheduleEntry(started, clock, idx, comp.operators[idx].name, event)
-            )
-            if len(trace) >= limits.max_steps:
-                truncated = True
+            truncated = run.commit(idx)
+            touched.update(index.affects[idx])
+            event = run.trace[-1]
+            schedule.append(ScheduleEntry(started, clock, idx, event.op_name, event))
+            if truncated:
                 break
         for idx in touched:
             if idx in index:
@@ -126,7 +129,7 @@ def simulate_concurrent(
             start_pass()
 
     converged = not truncated and not running and not index.order
-    return RunResult(state, trace, converged=converged), schedule
+    return RunResult(state, run.trace, converged=converged), schedule
 
 
 def schedule_tsv(schedule: Iterable[ScheduleEntry]) -> str:

@@ -90,7 +90,10 @@ def parse_literal(token: str) -> Value:
         except TypeMismatch as exc:
             raise ValueError(str(exc)) from None
     if _NUMBER.match(token):
-        return float(token)
+        value = float(token)
+        if math.isfinite(value):
+            return value
+        raise ValueError(f"number {token} is not finite")  # such as 1e999
     raise ValueError(f"bad literal {token!r}")
 
 

@@ -53,7 +53,11 @@ class ProcessError(FlowError):
     """A process function raised something other than a FlowError.
 
     Names the operator and the step; the original exception is chained.
+    Raised inside a run, result is the RunResult up to the failure: its
+    trace, the state before the failing firing, and converged=False.
     """
+
+    result = None
 
 
 class ParseError(FlowError):

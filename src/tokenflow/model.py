@@ -46,6 +46,10 @@ class TokenState(IntEnum):
 
 _CODES = {TokenState.VOID: "V", TokenState.OLD: "O", TokenState.NEW: "N"}
 
+# Module-level names for the markings: the firing rules read them on every
+# enablement test, and a global is much cheaper than an enum attribute.
+VOID, OLD, NEW = TokenState
+
 # Values carried by data nodes: booleans, binary64 numbers, text.
 # None stands for "no value" (a node that never held a token).
 Value = bool | float | str | None
@@ -167,15 +171,15 @@ def want_numbers(values: Iterable[Value], ctx: str) -> list[float]:
 
 def _ready(marks: list[TokenState]) -> bool:
     """Every input holds a token and one is New; true without inputs."""
-    return not marks or (TokenState.VOID not in marks and TokenState.NEW in marks)
+    return not marks or (VOID not in marks and NEW in marks)
 
 
 def _any_new(marks: list[TokenState]) -> bool:
-    return TokenState.NEW in marks
+    return NEW in marks
 
 
 def _all_new(marks: list[TokenState]) -> bool:
-    return all(m == TokenState.NEW for m in marks)
+    return marks.count(NEW) == len(marks)
 
 
 def _inputs(spec: OperatorSpec, state: ExecutionState) -> list[Value]:
@@ -213,7 +217,7 @@ def _ifelse(spec: OperatorSpec, state: ExecutionState, registry):
 def _merge(spec: OperatorSpec, state: ExecutionState, registry):
     """Forward and consume the New input, input 0 on a tie."""
     first, second = spec.inputs
-    src = first if state.marking[first] == TokenState.NEW else second
+    src = first if state.marking[first] == NEW else second
     return (src,), ((spec.outputs[0], state.values[src]),)
 
 
@@ -237,7 +241,7 @@ class Kind(NamedTuple):
     needs an output). rule decides enablement from the input markings in
     port order; can_fire adds that no output may hold a New token.
     effect(spec, state, registry) returns the data indices the firing
-    consumes and the (output index, value) pairs it writes; fire() makes
+    consumes and the (output index, value) pairs it writes; commit() makes
     the consumed inputs Old and the written outputs New.
     """
 
@@ -266,8 +270,9 @@ def _check_name(role: str, name) -> None:
 def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
     """Validate declarations and assemble a Composition.
 
-    data_decls: names, or (name, sort) pairs.
-    op_decls: (name, kind, input_names, output_names[, process_name]) tuples.
+    data_decls: names, or (name,) or (name, sort) tuples.
+    op_decls: (name, kind, input_names, output_names[, process_name]) tuples,
+    where input_names and output_names are tuples (or lists) of data names.
     Declaration order is preserved and defines the operator scan order.
     Each declaration is checked fully as it is taken from its iterable, all
     data before any operator, so when an error is raised the declaration
@@ -277,9 +282,13 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
     by_name: dict[str, int] = {}
     for decl in data_decls:
         if isinstance(decl, str):
-            name, sort = decl, "any"
-        else:
-            name, sort = (decl[0], "any") if len(decl) == 1 else (decl[0], decl[1])
+            decl = (decl,)
+        try:
+            name, sort = decl if len(decl) == 2 else (*decl, "any")
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"bad data declaration {decl!r}: want a name or (name, sort)"
+            ) from None
         _check_name("data", name)
         if sort not in SORTS:
             raise ValidationError(f"data {name!r}: unknown sort {sort!r}")
@@ -291,8 +300,15 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
     ops: list[OperatorSpec] = []
     op_names: set[str] = set()
     for decl in op_decls:
-        name, kind, in_names, out_names = decl[0], decl[1], decl[2], decl[3]
-        process_name = decl[4] if len(decl) > 4 else None
+        try:
+            name, kind, in_names, out_names, process_name = (
+                decl if len(decl) == 5 else (*decl, None)
+            )
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"bad operator declaration {decl!r}: want"
+                " (name, kind, inputs, outputs[, process name])"
+            ) from None
         _check_name("operator", name)
         if name in op_names:
             raise DuplicateName(f"operator name {name!r} declared twice")
@@ -314,16 +330,23 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
 
         def resolve(names: Sequence[str], role: str) -> tuple[int, ...]:
             out = []
-            for ref in names:
-                if not isinstance(ref, str):
-                    raise ValidationError(
-                        f"operator {name!r} {role} reference {ref!r} is not a name"
-                    )
-                if ref not in by_name:
-                    raise UnknownDataReference(
-                        f"operator {name!r} {role} references unknown data {ref!r}"
-                    )
-                out.append(by_name[ref])
+            try:
+                if isinstance(names, str):  # not to be split into letters
+                    raise TypeError
+                for ref in names:
+                    if not isinstance(ref, str):
+                        raise ValidationError(
+                            f"operator {name!r} {role} reference {ref!r} is not a name"
+                        )
+                    if ref not in by_name:
+                        raise UnknownDataReference(
+                            f"operator {name!r} {role} references unknown data {ref!r}"
+                        )
+                    out.append(by_name[ref])
+            except TypeError:  # from iterating something that is not a list
+                raise ValidationError(
+                    f"operator {name!r}: {role}s {names!r} are not a list of names"
+                ) from None
             return tuple(out)
 
         inputs = resolve(in_names, "input")

@@ -1,16 +1,22 @@
-"""Process registry and the atomic firing of one operator.
+"""Process registry, the firing of one operator, and runs.
 
-The rule and effect of every operator kind live in model.KINDS. fire()
-checks the rule, applies the effect as one transition, and records it; on
-any error the input state is left untouched.
+The rule and effect of every operator kind live in model.KINDS. commit()
+fires an enabled operator in place, in work bounded by its neighbourhood;
+fire() checks the rule and commits to a copy, so its input never changes.
+A Run copies its initial state once and commits every firing to that copy,
+keeping its EnabledIndex, trace and step count current: both processors
+fire through it and differ only in which enabled operator they pick.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Callable, Mapping, NamedTuple
 
-from .errors import NotEnabled, TypeMismatch, UnknownProcess
+from .errors import NotEnabled, ProcessError, TypeMismatch, UnknownProcess
 from .model import (
     KINDS,
+    NEW,
+    OLD,
     Composition,
     ExecutionState,
     OperatorSpec,
@@ -18,6 +24,7 @@ from .model import (
     Value,
     check_sort,
     coerce_value,
+    neighborhood,
     want_numbers,
 )
 
@@ -108,8 +115,9 @@ def can_fire(
     input markings.
     """
     spec = comp.operators[op] if isinstance(op, int) else op
-    if any(marking[d] == TokenState.NEW for d in spec.outputs):
-        return False
+    for d in spec.outputs:
+        if marking[d] == NEW:
+            return False
     return KINDS[spec.kind].rule([marking[d] for d in spec.inputs])
 
 
@@ -142,6 +150,44 @@ class Trace(list):
         self.start = tuple((n.name, initial.marking[n.index]) for n in comp.data)
 
 
+def commit(
+    comp: Composition,
+    spec: OperatorSpec,
+    state: ExecutionState,
+    registry: ProcessRegistry,
+) -> TraceEvent:
+    """Fire an enabled operator in place on state; return its event.
+
+    The caller vouches that spec is enabled. Consumed inputs become Old and
+    written outputs New; the event's reads are the consumed inputs, with
+    their values before the firing. The effect and the sort checks run
+    before anything is written, so an error leaves state untouched.
+    """
+    consumed, writes = KINDS[spec.kind].effect(spec, state, registry)
+    data = comp.data
+    for d, v in writes:
+        check_sort(data[d], v)
+
+    values, marking = state.values, state.marking
+    event = TraceEvent(
+        state.step,
+        spec.index,
+        spec.name,
+        tuple([(data[d].name, values[d]) for d in consumed]),
+        tuple([(data[d].name, v) for d, v in writes]),
+        tuple([(d, OLD) for d in consumed] + [(d, NEW) for d, _ in writes]),
+    )
+    for d in consumed:
+        marking[d] = OLD
+    for d, v in writes:
+        values[d] = v
+        marking[d] = NEW
+    state.exec_counts[spec.index] += 1
+    state.step += 1
+    state.scan_start = (spec.index + 1) % len(comp.operators)
+    return event
+
+
 def fire(
     comp: Composition,
     op: OperatorSpec | int,
@@ -150,35 +196,120 @@ def fire(
 ) -> tuple[ExecutionState, TraceEvent]:
     """Fire one enabled operator. Returns the successor state and the event.
 
-    Consumed inputs become Old and written outputs New; the event's reads
-    are the consumed inputs. The input state is never mutated, so errors
-    raised by the effect leave no trace on it.
+    Checks enablement, copies the state and commits to the copy: the input
+    state is never mutated, so errors raised by the effect leave no trace
+    on it.
     """
     spec = comp.operators[op] if isinstance(op, int) else op
     if not can_fire(comp, spec, state.marking):
         raise NotEnabled(f"operator {spec.name!r} is not enabled")
-
-    consumed, writes = KINDS[spec.kind].effect(spec, state, registry)
-    for d, v in writes:
-        check_sort(comp.data[d], v)
-
     new = state.copy()
-    for d in consumed:
-        new.marking[d] = TokenState.OLD
-    for d, v in writes:
-        new.values[d] = v
-        new.marking[d] = TokenState.NEW
-    new.exec_counts[spec.index] += 1
-    new.step = state.step + 1
-    new.scan_start = (spec.index + 1) % len(comp.operators)
+    return new, commit(comp, spec, new, registry)
 
-    event = TraceEvent(
-        step=state.step,
-        op_index=spec.index,
-        op_name=spec.name,
-        reads=tuple((comp.data[d].name, state.values[d]) for d in consumed),
-        writes=tuple((comp.data[d].name, v) for d, v in writes),
-        marking_delta=tuple((d, TokenState.OLD) for d in consumed)
-        + tuple((d, TokenState.NEW) for d, _ in writes),
-    )
-    return new, event
+
+# ------------------------------------------------------------------ runs
+
+
+class RunLimits:
+    """Safety valve for non-terminating compositions."""
+
+    __slots__ = ("max_steps",)
+
+    def __init__(self, max_steps: int = 100_000):
+        if max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
+        self.max_steps = max_steps
+
+
+class RunResult:
+    __slots__ = ("final_state", "trace", "converged")
+
+    def __init__(self, final_state, trace, converged=True):
+        self.final_state: ExecutionState = final_state
+        self.trace: Trace = trace
+        self.converged = converged
+
+    @property
+    def steps_taken(self) -> int:
+        return len(self.trace)
+
+
+def enabled_set(comp: Composition, state: ExecutionState) -> list[int]:
+    """Indices of every enabled operator, in declaration order."""
+    return [
+        op.index for op in comp.operators if can_fire(comp, op, state.marking)
+    ]
+
+
+class EnabledIndex:
+    """The enabled operators of one run, kept current firing by firing.
+
+    order lists them in declaration order; it starts from a full
+    enabled_set scan. hoods[i] is the neighbourhood of operator i, and
+    affects[i] lists the operators sharing a data node with it (itself
+    included): the only ones whose enablement firing i can change.
+    """
+
+    def __init__(self, comp: Composition, state: ExecutionState):
+        hoods = [neighborhood(comp, op) for op in comp.operators]
+        touching: dict[int, list[int]] = {}
+        for i, hood in enumerate(hoods):
+            for d in hood:
+                touching.setdefault(d, []).append(i)
+        self.comp = comp
+        self.hoods = hoods
+        self.affects = [
+            sorted({j for d in hood for j in touching[d]}) for hood in hoods
+        ]
+        self.order = enabled_set(comp, state)
+        self._on = set(self.order)
+
+    def __contains__(self, idx: int) -> bool:
+        return idx in self._on
+
+    def update(self, fired: int, marking: Mapping[int, TokenState]) -> None:
+        """Re-test the operators that firing `fired` can affect."""
+        ops = self.comp.operators
+        for j in self.affects[fired]:
+            if can_fire(self.comp, ops[j], marking):
+                if j not in self._on:
+                    self._on.add(j)
+                    insort(self.order, j)
+            elif j in self._on:
+                self._on.remove(j)
+                del self.order[bisect_left(self.order, j)]
+
+
+class Run:
+    """One run: the state it owns, its EnabledIndex and its trace.
+
+    The initial state is copied once, here; commit() is then the only way
+    the run changes. The processors differ only in which operator they
+    commit next.
+    """
+
+    def __init__(self, comp, initial, registry, limits):
+        self.comp = comp
+        self.registry = registry
+        self.max_steps = limits.max_steps
+        self.state = initial.copy()
+        self.index = EnabledIndex(comp, self.state)
+        self.trace = Trace(comp, initial)
+
+    def commit(self, idx: int) -> bool:
+        """Fire enabled operator idx in place; True once the step limit is hit.
+
+        A ProcessError leaves the state as it was before the firing and
+        carries the run so far as its result, with converged=False.
+        """
+        spec = self.comp.operators[idx]
+        if idx not in self.index:
+            raise NotEnabled(f"operator {spec.name!r} is not enabled")
+        try:
+            event = commit(self.comp, spec, self.state, self.registry)
+        except ProcessError as exc:
+            exc.result = RunResult(self.state, self.trace, converged=False)
+            raise
+        self.index.update(idx, self.state.marking)
+        self.trace.append(event)
+        return len(self.trace) >= self.max_steps

@@ -124,7 +124,11 @@ def test_step_equals_a_bounded_run(capsys, name):
         assert out == _summary(comp, state) + "\n"
 
 
-def test_graph_emits_dot(capsys):
+def test_graph_emits_dot(capsys, monkeypatch):
+    # graph fires nothing, so it needs no process registry
+    monkeypatch.setattr(
+        "tokenflow.cli.default_registry", lambda: pytest.fail("registry built")
+    )
     code, out, _ = run_cli(capsys, "graph", BRANCH)
     assert code == 0
     assert out.startswith("digraph composition {")
@@ -250,7 +254,7 @@ def test_broken_exclusion_exits_one_without_a_traceback(tmp_path, capsys, monkey
     # With neighborhoods ignored, inc and eat start together although both
     # touch a; inc commits first and moves eat's input mid-flight.
     monkeypatch.setattr(
-        "tokenflow.sequential.neighborhood", lambda comp, op: frozenset()
+        "tokenflow.semantics.neighborhood", lambda comp, op: frozenset()
     )
     doc = tmp_path / "race.flow"
     doc.write_text(

@@ -123,6 +123,9 @@ def test_parse_errors_carry_line_numbers():
         CompositionDocument.parse("init a = maybe\n")
     assert "bad literal" in str(exc.value)
     with pytest.raises(ParseError) as exc:
+        CompositionDocument.parse("data a num\ninit a = -1e999\n")
+    assert exc.value.line == 2 and "not finite" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
         CompositionDocument.parse("data a\ndur x = -1\n")
     assert "positive" in str(exc.value)
     with pytest.raises(ParseError) as exc:

@@ -129,6 +129,18 @@ def test_declarations_that_are_not_strings_are_rejected():
             build_composition(data, ops)
 
 
+def test_declarations_of_the_wrong_shape_are_rejected():
+    for data, ops, message in (
+        (["a"], [("x", "incr")], "bad operator declaration"),
+        ([5], [], "bad data declaration 5"),
+        (["a"], [("x", "incr", (), 5)], "operator 'x': outputs 5 are not"),
+        # a bare string is not split into one-letter names
+        (["a", "b", "ab"], [("x", "sync", ("a", "b"), "ab")], "outputs 'ab' are not"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            build_composition(data, ops)
+
+
 def test_operator_named_rejects_a_missing_operator():
     with pytest.raises(ValidationError, match="no operator named 'nope'"):
         branch_structure().operator_named("nope")

@@ -7,6 +7,7 @@ from tokenflow import (
     OutputArityMismatch,
     ProcessError,
     ProcessRegistry,
+    RunLimits,
     TypeMismatch,
     UnknownProcess,
     build_composition,
@@ -194,6 +195,11 @@ def test_fire_requires_enablement():
     state = initial_state(comp, {}, {})
     with pytest.raises(NotEnabled):
         fire(comp, 0, state, default_registry())
+    # inside a run the index is the test
+    run = semantics.Run(comp, state, default_registry(), RunLimits())
+    with pytest.raises(NotEnabled):
+        run.commit(0)
+    assert run.state == state and not run.trace
 
 
 def test_fire_general_demotes_inputs_and_promotes_outputs():
@@ -372,7 +378,8 @@ def _many_loops(count: int):
 
 
 def test_fire_checks_enablement_and_copies_the_state_once(monkeypatch):
-    # Cost gate: no pass over every operator may come back into fire.
+    # Cost gate: no pass over every operator may come back into fire, and a
+    # run copies the state once in all, not once per firing.
     calls = {"can_fire": 0, "copy": 0}
     real_can_fire, real_copy = semantics.can_fire, ExecutionState.copy
 
@@ -386,21 +393,27 @@ def test_fire_checks_enablement_and_copies_the_state_once(monkeypatch):
 
     monkeypatch.setattr(semantics, "can_fire", counting_can_fire)
     monkeypatch.setattr(ExecutionState, "copy", counting_copy)
-    comp, state = _many_loops(16)
+    comp, initial = _many_loops(16)
     registry = default_registry()
-    firings = 0
+    state, firings = initial, 0
     while (choice := select_next(state, EnabledIndex(comp, state))) is not None:
         calls.update(can_fire=0, copy=0)  # after the index's own scan
         state, _ = fire(comp, choice, state, registry)
         assert calls == {"can_fire": 1, "copy": 1}
         firings += 1
     assert firings == 16 * (6 * 4 + 2)
+    for processor in (run_to_convergence, simulate_concurrent):
+        calls.update(copy=0)
+        result = processor(comp, initial, registry)
+        trace = (result[0] if isinstance(result, tuple) else result).trace
+        assert len(trace) == firings
+        assert calls["copy"] == 1, processor.__name__
 
 
 # Re-tests per firing allowed on top of one scan of every operator at the
-# start of a run: fire's own check plus the operators sharing a data node
-# with the fired one (at most 4 in the counted loop).
-RETESTS_PER_FIRING = 5
+# start of a run: the operators sharing a data node with the fired one (at
+# most 4 in the counted loop). The run's index is its only enablement test.
+RETESTS_PER_FIRING = 4
 
 
 def test_processors_retest_only_the_neighbourhood_of_each_firing(monkeypatch):
@@ -427,3 +440,54 @@ def test_processors_retest_only_the_neighbourhood_of_each_firing(monkeypatch):
             assert len(trace) == loops * (6 * 4 + 2)
             bound = RETESTS_PER_FIRING * len(trace) + len(comp.operators)
             assert calls <= bound, (processor.__name__, loops, calls, bound)
+
+
+def _third_call_fails(values, count):
+    if count == 2:
+        raise RuntimeError("third call")
+    return [values[0] + 1.0]
+
+
+def _sequential(comp, state, registry, limits=RunLimits()):
+    return run_to_convergence(comp, state, registry, limits)
+
+
+def _concurrent(comp, state, registry, limits=RunLimits()):
+    return simulate_concurrent(comp, state, registry, None, limits)[0]
+
+
+def test_a_run_never_touches_the_callers_state():
+    comp, state = _many_loops(2)
+    saved = state.copy()
+    failing = default_registry()
+    failing.register("add1", _third_call_fails)
+    for processor in (_sequential, _concurrent):
+        assert processor(comp, state, default_registry()).converged
+        assert state == saved, processor.__name__
+        result = processor(comp, state, default_registry(), RunLimits(7))
+        assert not result.converged and len(result.trace) == 7
+        assert state == saved, processor.__name__
+        with pytest.raises(ProcessError, match="third call"):
+            processor(comp, state, failing)
+        assert state == saved, processor.__name__
+
+
+def test_a_failing_run_keeps_its_partial_result():
+    pattern = build_loop_pattern("add1")
+    comp = pattern.composition
+    state = state_of(comp, {"d0": N, "d3": N}, {"d0": 10.0, "d3": 0.0})
+    registry = default_registry()
+    registry.register("add1", _third_call_fails)
+    body = comp.operator_named("p1").index
+    for processor in (_sequential, _concurrent):
+        with pytest.raises(ProcessError, match="third call") as exc:
+            processor(comp, state, registry)
+        result = exc.value.result
+        assert not result.converged
+        assert [e.op_index for e in result.trace].count(body) == 2
+        assert result.final_state.exec_counts[body] == 2
+        # the run up to the failing firing, as a run stopped just before it
+        limits = RunLimits(len(result.trace))
+        stopped = processor(comp, state, default_registry(), limits)
+        assert result.final_state == stopped.final_state
+        assert list(result.trace) == list(stopped.trace)
