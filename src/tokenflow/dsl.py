@@ -78,23 +78,23 @@ def parse_literal(token: str) -> Value:
         return True
     if token == "false":
         return False
-    if token.startswith('"'):
+    if _NUMBER.match(token):
+        value = float(token)
+        if math.isfinite(value):  # the common case, without a call per seed
+            return value
+    elif token.startswith('"'):
         import json
 
         try:
-            text = json.loads(token)
+            value = json.loads(token)
         except ValueError:
             raise ValueError(f"bad text literal {token}") from None
-        try:
-            return coerce_value(text)
-        except TypeMismatch as exc:
-            raise ValueError(str(exc)) from None
-    if _NUMBER.match(token):
-        value = float(token)
-        if math.isfinite(value):
-            return value
-        raise ValueError(f"number {token} is not finite")  # such as 1e999
-    raise ValueError(f"bad literal {token!r}")
+    else:
+        raise ValueError(f"bad literal {token!r}")
+    try:
+        return coerce_value(value)  # refuses lone surrogates, and 1e999
+    except TypeMismatch as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _split_init_rhs(rhs: str, lineno: int) -> tuple[str, bool]:

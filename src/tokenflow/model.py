@@ -241,7 +241,7 @@ class Kind(NamedTuple):
     needs an output). rule decides enablement from the input markings in
     port order; can_fire adds that no output may hold a New token.
     effect(spec, state, registry) returns the data indices the firing
-    consumes and the (output index, value) pairs it writes; commit() makes
+    consumes and the (output index, value) pairs it writes; fire() makes
     the consumed inputs Old and the written outputs New.
     """
 
@@ -329,10 +329,12 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
             )
 
         def resolve(names: Sequence[str], role: str) -> tuple[int, ...]:
+            if isinstance(names, str):  # not to be split into letters
+                raise ValidationError(
+                    f"operator {name!r}: {role}s {names!r} are not a list of names"
+                )
             out = []
             try:
-                if isinstance(names, str):  # not to be split into letters
-                    raise TypeError
                 for ref in names:
                     if not isinstance(ref, str):
                         raise ValidationError(

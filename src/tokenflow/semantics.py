@@ -1,11 +1,11 @@
 """Process registry, the firing of one operator, and runs.
 
-The rule and effect of every operator kind live in model.KINDS. commit()
-fires an enabled operator in place, in work bounded by its neighbourhood;
-fire() checks the rule and commits to a copy, so its input never changes.
-A Run copies its initial state once and commits every firing to that copy,
-keeping its EnabledIndex, trace and step count current: both processors
-fire through it and differ only in which enabled operator they pick.
+The rule and effect of every operator kind live in model.KINDS. fire()
+checks the rule and commits the firing to a copy, so its input never
+changes. A Run copies its initial state once and commits every firing to
+that copy in place, through fire(owned=True), keeping its EnabledIndex,
+trace and step count current: Run.commit is the one firing path of both
+processors, which differ only in which enabled operator they pick.
 """
 from __future__ import annotations
 
@@ -150,19 +150,32 @@ class Trace(list):
         self.start = tuple((n.name, initial.marking[n.index]) for n in comp.data)
 
 
-def commit(
+def fire(
     comp: Composition,
-    spec: OperatorSpec,
+    op: OperatorSpec | int,
     state: ExecutionState,
     registry: ProcessRegistry,
-) -> TraceEvent:
-    """Fire an enabled operator in place on state; return its event.
+    *,
+    owned: bool = False,
+) -> tuple[ExecutionState, TraceEvent]:
+    """Fire one enabled operator. Returns the state it fired on and the event.
 
-    The caller vouches that spec is enabled. Consumed inputs become Old and
-    written outputs New; the event's reads are the consumed inputs, with
-    their values before the firing. The effect and the sort checks run
-    before anything is written, so an error leaves state untouched.
+    Consumed inputs become Old and written outputs New; the event's reads
+    are the consumed inputs, with their values before the firing. The
+    effect and the sort checks run before anything is written, so an error
+    leaves the state untouched.
+
+    By default fire checks enablement and commits to a copy: the input
+    state is never mutated. A Run passes owned=True for the state it owns,
+    once its EnabledIndex holds the operator as enabled: the firing is then
+    committed to that state in place, in work bounded by the operator's
+    neighbourhood, with no second check and no copy.
     """
+    spec = comp.operators[op] if isinstance(op, int) else op
+    if not owned:
+        if not can_fire(comp, spec, state.marking):
+            raise NotEnabled(f"operator {spec.name!r} is not enabled")
+        state = state.copy()
     consumed, writes = KINDS[spec.kind].effect(spec, state, registry)
     data = comp.data
     for d, v in writes:
@@ -185,26 +198,7 @@ def commit(
     state.exec_counts[spec.index] += 1
     state.step += 1
     state.scan_start = (spec.index + 1) % len(comp.operators)
-    return event
-
-
-def fire(
-    comp: Composition,
-    op: OperatorSpec | int,
-    state: ExecutionState,
-    registry: ProcessRegistry,
-) -> tuple[ExecutionState, TraceEvent]:
-    """Fire one enabled operator. Returns the successor state and the event.
-
-    Checks enablement, copies the state and commits to the copy: the input
-    state is never mutated, so errors raised by the effect leave no trace
-    on it.
-    """
-    spec = comp.operators[op] if isinstance(op, int) else op
-    if not can_fire(comp, spec, state.marking):
-        raise NotEnabled(f"operator {spec.name!r} is not enabled")
-    new = state.copy()
-    return new, commit(comp, spec, new, registry)
+    return state, event
 
 
 # ------------------------------------------------------------------ runs
@@ -306,7 +300,7 @@ class Run:
         if idx not in self.index:
             raise NotEnabled(f"operator {spec.name!r} is not enabled")
         try:
-            event = commit(self.comp, spec, self.state, self.registry)
+            _, event = fire(self.comp, spec, self.state, self.registry, owned=True)
         except ProcessError as exc:
             exc.result = RunResult(self.state, self.trace, converged=False)
             raise

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .model import Composition, ExecutionState
-from .semantics import (  # enabled_set: re-exported for callers of this module
+from .semantics import (  # enabled_set, fire: re-exported for callers of this module
     EnabledIndex,
     ProcessRegistry,
     Run,
@@ -26,6 +26,7 @@ from .semantics import (  # enabled_set: re-exported for callers of this module
     RunResult,
     TraceEvent,
     enabled_set,
+    fire,
 )
 
 
