@@ -18,20 +18,12 @@ from .dsl import (
     serialize_trace,
 )
 from .errors import (
-    ArityMismatch,
-    DuplicateName,
     FlowError,
-    InputOutputOverlap,
     NotEnabled,
-    OutputArityMismatch,
     ParseError,
     ProcessError,
     TypeMismatch,
-    UnknownDataReference,
-    UnknownKind,
-    UnknownProcess,
     ValidationError,
-    ValueMissingForToken,
 )
 from .model import (
     Composition,
@@ -70,15 +62,11 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "ArityMismatch",
     "Composition",
     "CompositionDocument",
-    "DuplicateName",
     "ExecutionState",
     "FlowError",
-    "InputOutputOverlap",
     "NotEnabled",
-    "OutputArityMismatch",
     "ParseError",
     "PatternInstance",
     "ProcessError",
@@ -90,11 +78,7 @@ __all__ = [
     "Trace",
     "TraceEvent",
     "TypeMismatch",
-    "UnknownDataReference",
-    "UnknownKind",
-    "UnknownProcess",
     "ValidationError",
-    "ValueMissingForToken",
     "build_composition",
     "build_ifelse_pattern",
     "build_loop_pattern",

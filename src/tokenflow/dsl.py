@@ -18,7 +18,7 @@ import math
 import re
 from typing import Iterator, Mapping
 
-from .errors import DuplicateName, FlowError, ParseError, TypeMismatch, ValidationError
+from .errors import FlowError, ParseError, TypeMismatch, ValidationError
 from .model import (
     Composition,
     ExecutionState,
@@ -160,7 +160,7 @@ class CompositionDocument:
                     raise ParseError(lineno, f"bad init line: {raw.strip()}")
                 name = m.group(1)
                 if name in doc.inits:
-                    raise DuplicateName(f"line {lineno}: duplicate init for {name!r}")
+                    raise ParseError(lineno, f"duplicate init for {name!r}")
                 literal, old = _split_init_rhs(m.group(2), lineno)
                 try:
                     doc.inits[name] = (parse_literal(literal), old)
@@ -173,7 +173,7 @@ class CompositionDocument:
                     raise ParseError(lineno, f"bad dur line: {raw.strip()}")
                 name, token = m.groups()
                 if name in doc.durations:
-                    raise DuplicateName(f"line {lineno}: duplicate dur for {name!r}")
+                    raise ParseError(lineno, f"duplicate dur for {name!r}")
                 try:
                     doc.durations[name] = check_duration(
                         name, float(token) if _NUMBER.match(token) else token

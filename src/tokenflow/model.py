@@ -13,19 +13,7 @@ import re
 from enum import IntEnum
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import (
-    ArityMismatch,
-    DuplicateName,
-    FlowError,
-    InputOutputOverlap,
-    OutputArityMismatch,
-    ProcessError,
-    TypeMismatch,
-    UnknownDataReference,
-    UnknownKind,
-    ValidationError,
-    ValueMissingForToken,
-)
+from .errors import FlowError, ProcessError, TypeMismatch, ValidationError
 
 
 class TokenState(IntEnum):
@@ -147,7 +135,7 @@ class Composition:
     def data_named(self, name: str) -> DataNode:
         node = self._data_by_name.get(name)
         if node is None:
-            raise UnknownDataReference(f"no data node named {name!r}")
+            raise ValidationError(f"no data node named {name!r}")
         return node
 
     def operator_named(self, name: str) -> OperatorSpec:
@@ -195,11 +183,10 @@ def _process(spec: OperatorSpec, state: ExecutionState, registry):
         raise
     except Exception as exc:
         raise ProcessError(
-            f"operator {spec.name!r} at step {state.step}: process"
-            f" {spec.process_name!r} raised {type(exc).__name__}: {exc}"
+            f"process {spec.process_name!r} raised {type(exc).__name__}: {exc}"
         ) from exc
     if len(result) != len(spec.outputs):
-        raise OutputArityMismatch(
+        raise ProcessError(
             f"process {spec.process_name!r} returned {len(result)} values,"
             f" operator writes {len(spec.outputs)}"
         )
@@ -293,7 +280,7 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
         if sort not in SORTS:
             raise ValidationError(f"data {name!r}: unknown sort {sort!r}")
         if name in by_name:
-            raise DuplicateName(f"data name {name!r} declared twice")
+            raise ValidationError(f"data name {name!r} declared twice")
         by_name[name] = len(nodes)
         nodes.append(DataNode(len(nodes), name, sort))
 
@@ -311,10 +298,10 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
             ) from None
         _check_name("operator", name)
         if name in op_names:
-            raise DuplicateName(f"operator name {name!r} declared twice")
+            raise ValidationError(f"operator name {name!r} declared twice")
         op_names.add(name)
         if not (isinstance(kind, str) and kind in KINDS):
-            raise UnknownKind(f"operator {name!r}: unknown kind {kind!r}")
+            raise ValidationError(f"operator {name!r}: unknown kind {kind!r}")
         entry = KINDS[kind]
         if entry.takes_process != bool(process_name):
             takes = "needs" if entry.takes_process else "does not take"
@@ -341,7 +328,7 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
                             f"operator {name!r} {role} reference {ref!r} is not a name"
                         )
                     if ref not in by_name:
-                        raise UnknownDataReference(
+                        raise ValidationError(
                             f"operator {name!r} {role} references unknown data {ref!r}"
                         )
                     out.append(by_name[ref])
@@ -354,21 +341,21 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
         inputs = resolve(in_names, "input")
         outputs = resolve(out_names, "output")
         if entry.inputs is not None and len(inputs) != entry.inputs:
-            raise ArityMismatch(
+            raise ValidationError(
                 f"operator {name!r}: kind {kind!r} takes {entry.inputs} inputs, got {len(inputs)}"
             )
         if entry.outputs is not None and len(outputs) != entry.outputs:
-            raise ArityMismatch(
+            raise ValidationError(
                 f"operator {name!r}: kind {kind!r} writes {entry.outputs} outputs, got {len(outputs)}"
             )
         if not outputs:
-            raise ArityMismatch(f"operator {name!r}: needs at least one output")
+            raise ValidationError(f"operator {name!r}: needs at least one output")
         if len(set(outputs)) != len(outputs):
             raise ValidationError(f"operator {name!r}: duplicate output data node")
         overlap = set(inputs) & set(outputs)
         if overlap:
             names = ", ".join(nodes[i].name for i in sorted(overlap))
-            raise InputOutputOverlap(
+            raise ValidationError(
                 f"operator {name!r} reads and writes the same data: {names}"
             )
         ops.append(OperatorSpec(len(ops), name, kind, inputs, outputs, process_name))
@@ -451,7 +438,7 @@ def initial_state(
     n = len(comp.data)
     for idx in list(markings) + list(values):
         if not (0 <= idx < n):
-            raise UnknownDataReference(f"no data node with index {idx}")
+            raise ValidationError(f"no data node with index {idx}")
 
     marking = {node.index: TokenState.VOID for node in comp.data}
     vals: dict[int, Value] = {node.index: None for node in comp.data}
@@ -475,7 +462,7 @@ def initial_state(
         vals[idx] = value
     for idx, mark in marking.items():
         if mark != TokenState.VOID and vals[idx] is None:
-            raise ValueMissingForToken(
+            raise ValidationError(
                 f"data {comp.data[idx].name!r} holds a token but no value"
             )
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import UnknownProcess
 from .model import Composition, build_composition
 from .semantics import ProcessRegistry
 
@@ -16,11 +15,9 @@ class PatternInstance(NamedTuple):
 
 
 def _check_registered(registry: ProcessRegistry | None, *names: str) -> None:
-    if registry is None:
-        return
-    for name in names:
-        if name not in registry:
-            raise UnknownProcess(f"no process registered under {name!r}")
+    if registry is not None:
+        for name in names:
+            registry.resolve(name)
 
 
 def build_ifelse_pattern(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Callable, Mapping, NamedTuple
 
-from .errors import NotEnabled, ProcessError, TypeMismatch, UnknownProcess
+from .errors import FlowError, NotEnabled, TypeMismatch, ValidationError
 from .model import (
     KINDS,
     NEW,
@@ -48,7 +48,7 @@ class ProcessRegistry:
         try:
             return self._funcs[name]
         except KeyError:
-            raise UnknownProcess(f"no process registered under {name!r}") from None
+            raise ValidationError(f"no process registered under {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self._funcs
@@ -163,7 +163,8 @@ def fire(
     Consumed inputs become Old and written outputs New; the event's reads
     are the consumed inputs, with their values before the firing. The
     effect and the sort checks run before anything is written, so an error
-    leaves the state untouched.
+    leaves the state untouched; any FlowError they raise is prefixed with
+    the operator and the step.
 
     By default fire checks enablement and commits to a copy: the input
     state is never mutated. A Run passes owned=True for the state it owns,
@@ -176,10 +177,14 @@ def fire(
         if not can_fire(comp, spec, state.marking):
             raise NotEnabled(f"operator {spec.name!r} is not enabled")
         state = state.copy()
-    consumed, writes = KINDS[spec.kind].effect(spec, state, registry)
     data = comp.data
-    for d, v in writes:
-        check_sort(data[d], v)
+    try:
+        consumed, writes = KINDS[spec.kind].effect(spec, state, registry)
+        for d, v in writes:
+            check_sort(data[d], v)
+    except FlowError as exc:
+        exc.args = (f"operator {spec.name!r} at step {state.step}: {exc}",)
+        raise
 
     values, marking = state.values, state.marking
     event = TraceEvent(
@@ -293,7 +298,7 @@ class Run:
     def commit(self, idx: int) -> bool:
         """Fire enabled operator idx in place; True once the step limit is hit.
 
-        A ProcessError leaves the state as it was before the firing and
+        A FlowError from the firing leaves the state as it was before it and
         carries the run so far as its result, with converged=False.
         """
         spec = self.comp.operators[idx]
@@ -301,7 +306,7 @@ class Run:
             raise NotEnabled(f"operator {spec.name!r} is not enabled")
         try:
             _, event = fire(self.comp, spec, self.state, self.registry, owned=True)
-        except ProcessError as exc:
+        except FlowError as exc:
             exc.result = RunResult(self.state, self.trace, converged=False)
             raise
         self.index.update(idx, self.state.marking)

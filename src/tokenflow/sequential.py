@@ -61,8 +61,8 @@ def run_to_convergence(
 
     initial is never mutated. Hitting the limit is not an error: the result
     carries the partial trace, with converged=False while an operator is
-    still enabled. A ProcessError carries the run up to the failure as its
-    result.
+    still enabled. A FlowError from a firing carries the run up to the
+    failure as its result.
     """
     run = Run(comp, initial, registry, limits)
     while (choice := select_next(run.state, run.index)) is not None:

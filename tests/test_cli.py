@@ -231,23 +231,48 @@ def test_cli_output_is_byte_deterministic():
 
 
 def test_failing_process_exits_one_without_a_traceback(tmp_path):
+    # Each document fails at the first firing, of operator q.
+    documents = [
+        (  # add1 takes one operand: the process function itself raises
+            "data a num\ndata b num\ndata c num\n"
+            "op q process:add1 (a, b) -> (c)\ninit a = 1\ninit b = 2\n",
+            "process 'add1' raised ValueError",
+        ),
+        (
+            'data a\ndata c\nop q process:add1 (a) -> (c)\ninit a = "x"\n',
+            "add1 needs number operands, got 'x'",
+        ),
+        (
+            "data a\ndata c\nop q process:nope (a) -> (c)\ninit a = 1\n",
+            "no process registered under 'nope'",
+        ),
+        (
+            'data a\ndata c num\nop q process:identity (a) -> (c)\ninit a = "x"\n',
+            "data 'c' is declared num but got a text value",
+        ),
+        (
+            "data v\ndata c\ndata t\ndata f\nop q ifelse (v, c) -> (t, f)\n"
+            "init v = 1\ninit c = 2\n",
+            "if/else condition must be a boolean, got 2.0",
+        ),
+        (
+            "data a\ndata b\ndata c\nop q process:identity (a, b) -> (c)\n"
+            "init a = 1\ninit b = 2\n",
+            "process 'identity' returned 2 values, operator writes 1",
+        ),
+    ]
     doc = tmp_path / "bad.flow"
-    doc.write_text(
-        "data a num\ndata b num\ndata c num\n"
-        "op p process:add1 (a, b) -> (c)\n"  # add1 takes one operand
-        "init a = 1\ninit b = 2\n",
-        encoding="utf-8",
-    )
-    for command in ("run", "simulate"):
-        done = subprocess.run(
-            [sys.executable, "-m", "tokenflow", command, str(doc)],
-            capture_output=True,
-            text=True,
-        )
-        assert done.returncode == 1
-        assert done.stderr.startswith("error: operator 'p' at step 0:")
-        assert "ValueError" in done.stderr
-        assert "Traceback" not in done.stderr
+    for text, message in documents:
+        doc.write_text(text, encoding="utf-8")
+        for command in ("run", "simulate"):
+            done = subprocess.run(
+                [sys.executable, "-m", "tokenflow", command, str(doc)],
+                capture_output=True,
+                text=True,
+            )
+            assert done.returncode == 1, (command, text)
+            assert done.stderr.startswith("error: operator 'q' at step 0: " + message)
+            assert "Traceback" not in done.stderr
 
 
 def test_broken_exclusion_exits_one_without_a_traceback(tmp_path, capsys, monkeypatch):

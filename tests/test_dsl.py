@@ -8,12 +8,9 @@ import hypothesis.strategies as st
 
 from tokenflow import (
     CompositionDocument,
-    DuplicateName,
     FlowError,
     ParseError,
     TokenState,
-    UnknownDataReference,
-    UnknownKind,
     ValidationError,
     build_composition,
     default_registry,
@@ -157,26 +154,33 @@ def test_parse_unknown_kind():
     with pytest.raises(ParseError) as exc:
         parse_composition("data a\nop x frob () -> (a)\n")
     assert exc.value.line == 2
-    assert isinstance(exc.value.__cause__, UnknownKind)
+    cause = exc.value.__cause__
+    assert isinstance(cause, ValidationError)
+    assert str(cause) == "operator 'x': unknown kind 'frob'"
 
 
 def test_parse_duplicate_init_and_dur():
-    with pytest.raises(DuplicateName):
+    with pytest.raises(ParseError, match="^line 3: duplicate init for 'a'$") as exc:
         CompositionDocument.parse("data a\ninit a = 1\ninit a = 2\n")
-    with pytest.raises(DuplicateName):
+    assert exc.value.line == 3
+    with pytest.raises(ParseError, match="^line 4: duplicate dur for 'i'$") as exc:
         CompositionDocument.parse(
             "data a\nop i incr () -> (a)\ndur i = 1\ndur i = 2\n"
         )
+    assert exc.value.line == 4
 
 
 def test_build_rejects_unknown_names():
     with pytest.raises(ParseError) as exc:
         parse_composition("data a\ndata a\n")
-    assert exc.value.line == 2 and isinstance(exc.value.__cause__, DuplicateName)
+    assert exc.value.line == 2
+    assert isinstance(exc.value.__cause__, ValidationError)
+    assert str(exc.value.__cause__) == "data name 'a' declared twice"
     with pytest.raises(ParseError) as exc:
         parse_composition("data a\ninit ghost = 1\n")
     assert exc.value.line == 2
-    assert isinstance(exc.value.__cause__, UnknownDataReference)
+    assert isinstance(exc.value.__cause__, ValidationError)
+    assert str(exc.value.__cause__) == "no data node named 'ghost'"
     with pytest.raises(ParseError) as exc:
         parse_composition("data a\nop i incr () -> (a)\ndur ghost = 1\n")
     assert exc.value.line == 3

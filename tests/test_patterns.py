@@ -2,7 +2,7 @@
 import pytest
 
 from tokenflow import (
-    UnknownProcess,
+    ValidationError,
     build_ifelse_pattern,
     build_loop_pattern,
     default_registry,
@@ -44,9 +44,9 @@ def test_patterns_check_the_registry_when_given():
     reg = default_registry()
     assert build_ifelse_pattern("add1", "identity", reg)
     assert build_loop_pattern("mul", reg)
-    with pytest.raises(UnknownProcess):
+    with pytest.raises(ValidationError, match="no process registered under 'missing'"):
         build_ifelse_pattern("add1", "missing", reg)
-    with pytest.raises(UnknownProcess):
+    with pytest.raises(ValidationError, match="no process registered under 'missing'"):
         build_loop_pattern("missing", reg)
     # without a registry the names are taken on faith
     assert build_loop_pattern("missing").composition

@@ -4,12 +4,11 @@ import pytest
 from tokenflow import (
     ExecutionState,
     NotEnabled,
-    OutputArityMismatch,
     ProcessError,
     ProcessRegistry,
     RunLimits,
     TypeMismatch,
-    UnknownProcess,
+    ValidationError,
     build_composition,
     build_loop_pattern,
     can_fire,
@@ -58,7 +57,7 @@ def test_default_registry_contents():
 
 def test_registry_register_and_resolve():
     reg = ProcessRegistry()
-    with pytest.raises(UnknownProcess):
+    with pytest.raises(ValidationError, match="no process registered under 'double'"):
         reg.resolve("double")
     reg.register("double", lambda vals, count: [vals[0] * 2.0])
     assert reg.resolve("double")([21.0], 0) == [42.0]
@@ -83,9 +82,16 @@ def test_const_factory():
 def test_apply_user_process_checks_output_arity():
     _, event = _fire_lone("process", (N, O), (1.0, 2.0), process="add")
     assert event.writes == (("o0", 3.0),)
-    with pytest.raises(OutputArityMismatch):  # two values for one output
+    with pytest.raises(  # two values for one output
+        ProcessError,
+        match="^operator 'op' at step 0: process 'identity' returned 2 values,"
+        " operator writes 1$",
+    ):
         _fire_lone("process", (N, O), (1.0, 2.0), process="identity")
-    with pytest.raises(UnknownProcess):
+    with pytest.raises(
+        ValidationError,
+        match="^operator 'op' at step 0: no process registered under 'nope'$",
+    ):
         _fire_lone("process", (N,), (1.0,), process="nope")
 
 
@@ -341,7 +347,10 @@ def test_fire_with_unknown_process_is_harmless():
         [("op", "process", ("a",), ("b",), "mystery")],
     )
     state = initial_state(comp, {0: N}, {0: 1.0})
-    with pytest.raises(UnknownProcess):
+    with pytest.raises(
+        ValidationError,
+        match="^operator 'op' at step 0: no process registered under 'mystery'$",
+    ):
         fire(comp, 0, state, default_registry())
     assert state.marking[1] == V
 
@@ -473,21 +482,29 @@ def test_a_run_never_touches_the_callers_state():
 
 
 def test_a_failing_run_keeps_its_partial_result():
-    pattern = build_loop_pattern("add1")
-    comp = pattern.composition
-    state = state_of(comp, {"d0": N, "d3": N}, {"d0": 10.0, "d3": 0.0})
-    registry = default_registry()
-    registry.register("add1", _third_call_fails)
+    comp = build_loop_pattern("add1").composition
     body = comp.operator_named("p1").index
-    for processor in (_sequential, _concurrent):
-        with pytest.raises(ProcessError, match="third call") as exc:
-            processor(comp, state, registry)
-        result = exc.value.result
-        assert not result.converged
-        assert [e.op_index for e in result.trace].count(body) == 2
-        assert result.final_state.exec_counts[body] == 2
-        # the run up to the failing firing, as a run stopped just before it
-        limits = RunLimits(len(result.trace))
-        stopped = processor(comp, state, default_registry(), limits)
-        assert result.final_state == stopped.final_state
-        assert list(result.trace) == list(stopped.trace)
+    failing = default_registry()
+    failing.register("add1", _third_call_fails)
+    # (seed, registry, error, message, firings of the body before the failure)
+    cases = (
+        (0.0, failing, ProcessError, "third call", 2),
+        ("x", default_registry(), TypeMismatch, "add1 needs number operands", 0),
+    )
+    for seed, registry, error, message, done in cases:
+        state = state_of(comp, {"d0": N, "d3": N}, {"d0": 10.0, "d3": seed})
+        for processor in (_sequential, _concurrent):
+            with pytest.raises(error, match=message) as exc:
+                processor(comp, state, registry)
+            result = exc.value.result
+            assert str(exc.value).startswith(
+                f"operator 'p1' at step {len(result.trace)}: "
+            )
+            assert not result.converged
+            assert [e.op_index for e in result.trace].count(body) == done
+            assert result.final_state.exec_counts[body] == done
+            # the run up to the failing firing, as a run stopped just before it
+            limits = RunLimits(len(result.trace))
+            stopped = processor(comp, state, default_registry(), limits)
+            assert result.final_state == stopped.final_state
+            assert list(result.trace) == list(stopped.trace)
