@@ -9,10 +9,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .dsl import CompositionDocument, format_value, parse_literal, serialize_trace
+from .dsl import CompositionDocument, format_value, parse_literal, trace_renderer
 from .errors import FlowError, ParseError, ValidationError
 from .model import Composition, ExecutionState
-from .semantics import default_registry
+from .semantics import Trace, default_registry
 from .sequential import RunLimits, RunResult, run_to_convergence
 
 
@@ -106,72 +106,141 @@ def _summary(comp: Composition, state: ExecutionState) -> str:
     return "final: " + " ".join(parts)
 
 
-def _finish(comp, result: RunResult, args, out, trace_text: str) -> int:
-    if not args.quiet:
-        out.write(trace_text)
-    out.write(_summary(comp, result.final_state) + "\n")
+# Characters gathered before one write. A stream opened unbuffered (python -u,
+# PYTHONUNBUFFERED) would otherwise take a system call per trace line.
+CHUNK = 1 << 16
+
+
+class _Batch:
+    """Text handed to write in pieces of `chunk` characters or more.
+
+    flush() hands over what is left, however little.
+    """
+
+    __slots__ = ("write", "chunk", "parts", "size")
+
+    def __init__(self, write, chunk: int = CHUNK):
+        self.write = write
+        self.chunk = chunk
+        self.parts: list[str] = []
+        self.size = 0
+
+    def add(self, text: str) -> None:
+        self.parts.append(text)
+        self.size += len(text)
+        if self.size >= self.chunk:
+            self.flush()
+
+    def flush(self) -> None:
+        if self.parts:
+            text = "".join(self.parts)
+            self.parts.clear()
+            self.size = 0
+            self.write(text)
+
+
+def _discard(item) -> None:
+    pass
+
+
+def _lines_to(batch: _Batch, comp: Composition, state: ExecutionState):
+    """Commit hook adding each firing's trace line to batch as it commits."""
+    render, add = trace_renderer(Trace(comp, state).start), batch.add
+    return lambda event: add(render(event))
+
+
+def _finish(comp, result: RunResult, out: _Batch) -> int:
+    out.add(_summary(comp, result.final_state) + "\n")
     return 0 if result.converged else 2
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    out = sys.stdout
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    stdout = sys.stdout
+    out = _Batch(stdout.write)
     try:
-        if args.command == "validate":
-            comp, _, _ = _load(args.file, [])
-            out.write(
-                f"ok: {len(comp.data)} data nodes, {len(comp.operators)} operators\n"
-            )
-            return 0
-
-        comp, state, durations = _load(args.file, args.seed_override)
-        if args.command == "graph":
-            from .dot import to_dot
-
-            out.write(to_dot(comp, state.marking))
-            return 0
-
-        registry = default_registry()
-
-        if args.command == "step":
-            if args.steps >= 1:
-                limits = RunLimits(args.steps)
-                result = run_to_convergence(comp, state, registry, limits)
-                out.write(serialize_trace(result.trace))
-                state = result.final_state
-            out.write(_summary(comp, state) + "\n")
-            return 0
-
-        limits = RunLimits(max_steps=args.max_steps)
-        if args.command == "run":
-            result = run_to_convergence(comp, state, registry, limits)
-            trace_text = serialize_trace(result.trace)
-            if args.trace != "-":
-                Path(args.trace).write_text(trace_text, encoding="utf-8")
-                trace_text = ""
-            return _finish(comp, result, args, out, trace_text)
-
-        if args.command == "simulate":
-            from .concurrent import schedule_tsv, simulate_concurrent
-
-            result, schedule = simulate_concurrent(
-                comp, state, registry, durations, limits
-            )
-            text = serialize_trace(result.trace) + schedule_tsv(schedule)
-            return _finish(comp, result, args, out, text)
-
-        raise _UsageError(f"unknown command {args.command!r}")
+        try:
+            return _command(args, out)
+        finally:  # what the run committed, also when it failed mid-way
+            out.flush()
+            stdout.flush()
     except FlowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _command(args, out: _Batch) -> int:
+    """Carry out one parsed command; trace lines go out as firings commit."""
+    if args.command == "validate":
+        comp, _, _ = _load(args.file, [])
+        out.add(f"ok: {len(comp.data)} data nodes, {len(comp.operators)} operators\n")
+        return 0
+
+    comp, state, durations = _load(args.file, args.seed_override)
+    if args.command == "graph":
+        from .dot import to_dot
+
+        out.add(to_dot(comp, state.marking))
+        return 0
+
+    registry = default_registry()
+
+    if args.command == "step":
+        if args.steps >= 1:
+            limits = RunLimits(args.steps)
+            hook = _lines_to(out, comp, state)
+            state = run_to_convergence(comp, state, registry, limits, hook).final_state
+        out.add(_summary(comp, state) + "\n")
+        return 0
+
+    limits = RunLimits(max_steps=args.max_steps)
+    if args.command == "run":
+        if args.trace == "-":
+            hook = _discard if args.quiet else _lines_to(out, comp, state)
+            result = run_to_convergence(comp, state, registry, limits, hook)
+        else:
+            with open(args.trace, "w", encoding="utf-8") as fh:
+                trace = _Batch(fh.write)
+                try:
+                    hook = _lines_to(trace, comp, state)
+                    result = run_to_convergence(comp, state, registry, limits, hook)
+                finally:
+                    trace.flush()
+        return _finish(comp, result, out)
+
+    if args.command == "simulate":
+        from .concurrent import schedule_row, simulate_concurrent
+
+        # The schedule, printed after the trace, is held joined in pieces of
+        # 4 KiB: one short row alone takes several times its text in memory.
+        held: list[str] = []
+        rows = _Batch(held.append, 1 << 12)
+        if args.quiet:
+            hook = _discard
+        else:
+            line = _lines_to(out, comp, state)
+
+            def hook(entry):
+                line(entry.event)
+                rows.add(schedule_row(entry))
+
+        result, _ = simulate_concurrent(
+            comp, state, registry, durations, limits, hook
+        )
+        rows.flush()
+        for text in held:
+            out.add(text)
+        return _finish(comp, result, out)
+
+    raise _UsageError(f"unknown command {args.command!r}")
 
 
 def entry() -> None:

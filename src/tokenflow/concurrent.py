@@ -22,7 +22,7 @@ index: enabled operators that are not running and touch no data in flight.
 from __future__ import annotations
 
 import heapq
-from typing import Collection, Iterable, Mapping, NamedTuple
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple
 
 from .dsl import format_number, format_value
 from .errors import FlowError
@@ -61,8 +61,13 @@ def startable_set(
     for idx in running:
         busy |= hoods[idx]
     out = [i for i in index.order if i not in running and hoods[i].isdisjoint(busy)]
-    out.sort(key=lambda i: (waiting.get(i, 0), i))
+    if len(out) > 1:
+        out.sort(key=lambda i: (waiting.get(i, 0), i))
     return out
+
+
+def _ignore(event: TraceEvent) -> None:
+    pass
 
 
 def simulate_concurrent(
@@ -71,6 +76,7 @@ def simulate_concurrent(
     registry: ProcessRegistry,
     durations: Mapping[int, float] | None = None,
     limits: RunLimits = RunLimits(),
+    on_commit: Callable[[ScheduleEntry], object] | None = None,
 ) -> tuple[RunResult, list[ScheduleEntry]]:
     """Simulate with per-operator durations (default 1 time unit each).
 
@@ -78,18 +84,22 @@ def simulate_concurrent(
     Simultaneous completions commit in declaration order, and all completions
     due at an instant commit before anything new starts. A duration that is
     not a finite positive number, or one keyed by an index with no operator,
-    raises ValidationError before the run starts.
+    raises ValidationError before the run starts. on_commit, when given,
+    receives each ScheduleEntry as its firing commits, and the result's
+    trace and the returned schedule stay empty.
     """
     durs = {op.index: 1.0 for op in comp.operators} | check_durations(comp, durations)
 
-    run = Run(comp, initial, registry, limits)
-    state, index, hoods = run.state, run.index, run.index.hoods
+    schedule: list[ScheduleEntry] = []
+    emit = schedule.append if on_commit is None else on_commit
+    run = Run(comp, initial, registry, limits, None if on_commit is None else _ignore)
+    values, index, hoods = run.state.values, run.index, run.index.hoods
+    ops, enabled = comp.operators, index.enabled
     clock = 0.0
     # op index -> (start time, input snapshot)
-    running: dict[int, tuple[float, tuple[Value, ...]]] = {}
+    running: dict[int, tuple[float, list[Value]]] = {}
     completions: list[tuple[float, int]] = []  # heap of (end time, op index)
     waited: dict[int, float] = {idx: 0.0 for idx in index.order}
-    schedule: list[ScheduleEntry] = []
     truncated = False
 
     def start_pass() -> None:
@@ -97,8 +107,7 @@ def simulate_concurrent(
         for idx in startable_set(index, running, waited):
             if hoods[idx].isdisjoint(taken):
                 taken |= hoods[idx]
-                snapshot = tuple(state.values[d] for d in comp.operators[idx].inputs)
-                running[idx] = (clock, snapshot)
+                running[idx] = (clock, [values[d] for d in ops[idx].inputs])
                 heapq.heappush(completions, (clock + durs[idx], idx))
 
     start_pass()
@@ -108,20 +117,19 @@ def simulate_concurrent(
         while completions and completions[0][0] == clock:
             _, idx = heapq.heappop(completions)
             started, snapshot = running.pop(idx)
-            live = tuple(state.values[d] for d in comp.operators[idx].inputs)
-            if live != snapshot:
+            if [values[d] for d in ops[idx].inputs] != snapshot:
                 raise FlowError(
-                    f"exclusion rule violated: inputs of {comp.operators[idx].name!r}"
+                    f"exclusion rule violated: inputs of {ops[idx].name!r}"
                     f" moved mid-flight at time {clock}"
                 )
-            truncated = run.commit(idx)
+            event = run.commit(idx)
             touched.update(index.affects[idx])
-            event = run.trace[-1]
-            schedule.append(ScheduleEntry(started, clock, idx, event.op_name, event))
-            if truncated:
+            emit(ScheduleEntry(started, clock, idx, event.op_name, event))
+            if run.steps >= run.max_steps:
+                truncated = True
                 break
         for idx in touched:
-            if idx in index:
+            if idx in enabled:
                 waited.setdefault(idx, clock)
             else:
                 waited.pop(idx, None)
@@ -129,16 +137,18 @@ def simulate_concurrent(
             start_pass()
 
     converged = not truncated and not running and not index.order
-    return RunResult(state, run.trace, converged=converged), schedule
+    return run.result(converged), schedule
+
+
+def schedule_row(entry: ScheduleEntry) -> str:
+    """One schedule entry as a start/end/operator/writes TSV line."""
+    writes = ",".join([f"{n}={format_value(v)}" for n, v in entry.event.writes])
+    return (
+        f"{format_number(entry.start)}\t{format_number(entry.end)}"
+        f"\t{entry.op_name}\t{{{writes}}}\n"
+    )
 
 
 def schedule_tsv(schedule: Iterable[ScheduleEntry]) -> str:
     """Render a schedule as start/end/operator/writes TSV lines."""
-    lines = []
-    for entry in schedule:
-        writes = ",".join(f"{n}={format_value(v)}" for n, v in entry.event.writes)
-        lines.append(
-            f"{format_number(entry.start)}\t{format_number(entry.end)}"
-            f"\t{entry.op_name}\t{{{writes}}}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(map(schedule_row, schedule))

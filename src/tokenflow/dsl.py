@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import FlowError, ParseError, TypeMismatch, ValidationError
 from .model import (
@@ -31,7 +31,7 @@ from .model import (
     coerce_value,
     initial_state,
 )
-from .semantics import Trace
+from .semantics import Trace, TraceEvent
 
 _NUMBER = re.compile(r"-?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _DATA = re.compile(r"data\s+(\S+)(?:\s+(\S+))?\s*$")
@@ -55,12 +55,14 @@ _LINE_BREAKS = str.maketrans({c: f"\\u{ord(c):04x}" for c in "\x85\u2028\u2029"}
 
 def format_number(x: float) -> str:
     """Shortest decimal form; integral values print without a point."""
-    if math.isfinite(x) and x == int(x) and abs(x) < 1e16:
+    if x.is_integer() and -1e16 < x < 1e16:
         return str(int(x)) if x or math.copysign(1.0, x) > 0 else "-0"
     return repr(x)
 
 
 def format_value(value: Value) -> str:
+    if type(value) is float:  # the common case, tested first
+        return format_number(value)
     if value is None:
         return "-"
     if isinstance(value, bool):
@@ -262,27 +264,42 @@ def emit_composition(
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def serialize_trace(trace: Trace) -> str:
-    """One deterministic line per firing.
+def trace_renderer(
+    start: Sequence[tuple[str, TokenState]],
+) -> Callable[[TraceEvent], str]:
+    """A function rendering the events of one run, in firing order, as lines.
+
+    start is the marking the run began from, as (data name, marking) pairs
+    in declaration order (Trace.start). Each call takes the next event and
+    returns its line, newline included:
 
     step=<n> op=<name> reads={...} writes={...} marking=<name:V|O|N,...>
+
     The marking column is the post-firing marking of every data node,
-    rebuilt by replaying each event's marking delta over trace.start.
+    rebuilt by replaying each event's marking delta over start.
     """
+    # cell[d][m]: the marking cell of data node d under marking m
+    cell = [tuple(f"{name}:{m.code}" for m in TokenState) for name, _ in start]
+    cells = [cell[d][m] for d, (_, m) in enumerate(start)]
+    join = ",".join
+
+    def render(event: TraceEvent) -> str:
+        for d, m in event.marking_delta:
+            cells[d] = cell[d][m]
+        reads = join([f"{n}={format_value(v)}" for n, v in event.reads])
+        writes = join([f"{n}={format_value(v)}" for n, v in event.writes])
+        return (
+            f"step={event.step} op={event.op_name}"
+            f" reads={{{reads}}} writes={{{writes}}} marking={join(cells)}\n"
+        )
+
+    return render
+
+
+def serialize_trace(trace: Trace) -> str:
+    """One deterministic line per firing; see trace_renderer."""
     if not trace:
         return ""
     if not isinstance(trace, Trace):
         raise TypeError("serialize_trace needs a Trace, which holds the start marking")
-    names = [n for n, _ in trace.start]
-    cells = [f"{n}:{m.code}" for n, m in trace.start]
-    lines = []
-    for event in trace:
-        for d, m in event.marking_delta:
-            cells[d] = f"{names[d]}:{m.code}"
-        reads = ",".join(f"{n}={format_value(v)}" for n, v in event.reads)
-        writes = ",".join(f"{n}={format_value(v)}" for n, v in event.writes)
-        lines.append(
-            f"step={event.step} op={event.op_name}"
-            f" reads={{{reads}}} writes={{{writes}}} marking={','.join(cells)}"
-        )
-    return "\n".join(lines) + "\n"
+    return "".join(map(trace_renderer(trace.start), trace))

@@ -3,9 +3,10 @@
 The rule and effect of every operator kind live in model.KINDS. fire()
 checks the rule and commits the firing to a copy, so its input never
 changes. A Run copies its initial state once and commits every firing to
-that copy in place, through fire(owned=True), keeping its EnabledIndex,
-trace and step count current: Run.commit is the one firing path of both
-processors, which differ only in which enabled operator they pick.
+that copy in place, through fire(owned=True), keeping its EnabledIndex
+and step count current and handing each event to its commit hook (by
+default, its trace): Run.commit is the one firing path of both processors,
+which differ only in which enabled operator they pick.
 """
 from __future__ import annotations
 
@@ -167,13 +168,16 @@ def fire(
     the operator and the step.
 
     By default fire checks enablement and commits to a copy: the input
-    state is never mutated. A Run passes owned=True for the state it owns,
-    once its EnabledIndex holds the operator as enabled: the firing is then
-    committed to that state in place, in work bounded by the operator's
-    neighbourhood, with no second check and no copy.
+    state is never mutated. A Run passes owned=True, with the operator's
+    OperatorSpec, for the state it owns once its EnabledIndex holds the
+    operator as enabled: the firing is then committed to that state in
+    place, in work bounded by the operator's neighbourhood, with no second
+    check and no copy.
     """
-    spec = comp.operators[op] if isinstance(op, int) else op
-    if not owned:
+    if owned:
+        spec = op
+    else:
+        spec = comp.operators[op] if isinstance(op, int) else op
         if not can_fire(comp, spec, state.marking):
             raise NotEnabled(f"operator {spec.name!r} is not enabled")
         state = state.copy()
@@ -181,25 +185,27 @@ def fire(
     try:
         consumed, writes = KINDS[spec.kind].effect(spec, state, registry)
         for d, v in writes:
-            check_sort(data[d], v)
+            node = data[d]
+            if node.sort != "any":
+                check_sort(node, v)
     except FlowError as exc:
         exc.args = (f"operator {spec.name!r} at step {state.step}: {exc}",)
         raise
 
     values, marking = state.values, state.marking
-    event = TraceEvent(
-        state.step,
-        spec.index,
-        spec.name,
-        tuple([(data[d].name, values[d]) for d in consumed]),
-        tuple([(data[d].name, v) for d, v in writes]),
-        tuple([(d, OLD) for d in consumed] + [(d, NEW) for d, _ in writes]),
-    )
+    reads, wrote, delta = [], [], []
     for d in consumed:
+        reads.append((data[d].name, values[d]))
+        delta.append((d, OLD))
         marking[d] = OLD
     for d, v in writes:
+        wrote.append((data[d].name, v))
+        delta.append((d, NEW))
         values[d] = v
         marking[d] = NEW
+    event = TraceEvent(
+        state.step, spec.index, spec.name, tuple(reads), tuple(wrote), tuple(delta)
+    )
     state.exec_counts[spec.index] += 1
     state.step += 1
     state.scan_start = (spec.index + 1) % len(comp.operators)
@@ -221,16 +227,16 @@ class RunLimits:
 
 
 class RunResult:
-    __slots__ = ("final_state", "trace", "converged")
+    """How a run ended. steps_taken counts its firings, which trace holds
+    unless the run handed each one to a commit hook instead."""
 
-    def __init__(self, final_state, trace, converged=True):
+    __slots__ = ("final_state", "trace", "converged", "steps_taken")
+
+    def __init__(self, final_state, trace, converged=True, steps_taken=None):
         self.final_state: ExecutionState = final_state
         self.trace: Trace = trace
         self.converged = converged
-
-    @property
-    def steps_taken(self) -> int:
-        return len(self.trace)
+        self.steps_taken: int = len(trace) if steps_taken is None else steps_taken
 
 
 def enabled_set(comp: Composition, state: ExecutionState) -> list[int]:
@@ -243,10 +249,11 @@ def enabled_set(comp: Composition, state: ExecutionState) -> list[int]:
 class EnabledIndex:
     """The enabled operators of one run, kept current firing by firing.
 
-    order lists them in declaration order; it starts from a full
-    enabled_set scan. hoods[i] is the neighbourhood of operator i, and
-    affects[i] lists the operators sharing a data node with it (itself
-    included): the only ones whose enablement firing i can change.
+    order lists them in declaration order, and enabled holds the same
+    operators as a set; both start from a full enabled_set scan. hoods[i]
+    is the neighbourhood of operator i, and affects[i] lists the operators
+    sharing a data node with it (itself included): the only ones whose
+    enablement firing i can change.
     """
 
     def __init__(self, comp: Composition, state: ExecutionState):
@@ -261,22 +268,26 @@ class EnabledIndex:
             sorted({j for d in hood for j in touching[d]}) for hood in hoods
         ]
         self.order = enabled_set(comp, state)
-        self._on = set(self.order)
+        self.enabled = set(self.order)
 
-    def __contains__(self, idx: int) -> bool:
-        return idx in self._on
+    def update(
+        self, fired: int, marking: Mapping[int, TokenState], wrote: bool
+    ) -> None:
+        """Re-test the operators that firing `fired` can affect.
 
-    def update(self, fired: int, marking: Mapping[int, TokenState]) -> None:
-        """Re-test the operators that firing `fired` can affect."""
-        ops = self.comp.operators
+        A firing that wrote an output left a New token on it, which disables
+        the fired operator without a test; one that wrote nothing, which only
+        a hand-built operator with no outputs can do, is tested like the rest.
+        """
+        ops, enabled, order = self.comp.operators, self.enabled, self.order
         for j in self.affects[fired]:
-            if can_fire(self.comp, ops[j], marking):
-                if j not in self._on:
-                    self._on.add(j)
-                    insort(self.order, j)
-            elif j in self._on:
-                self._on.remove(j)
-                del self.order[bisect_left(self.order, j)]
+            if (j != fired or not wrote) and can_fire(self.comp, ops[j], marking):
+                if j not in enabled:
+                    enabled.add(j)
+                    insort(order, j)
+            elif j in enabled:
+                enabled.remove(j)
+                del order[bisect_left(order, j)]
 
 
 class Run:
@@ -284,31 +295,39 @@ class Run:
 
     The initial state is copied once, here; commit() is then the only way
     the run changes. The processors differ only in which operator they
-    commit next.
+    commit next. Each firing's event goes to on_commit, which by default
+    appends it to the trace; a run given a hook keeps no event itself.
+    steps counts the firings either way.
     """
 
-    def __init__(self, comp, initial, registry, limits):
+    def __init__(self, comp, initial, registry, limits, on_commit=None):
         self.comp = comp
         self.registry = registry
         self.max_steps = limits.max_steps
         self.state = initial.copy()
         self.index = EnabledIndex(comp, self.state)
         self.trace = Trace(comp, initial)
+        self.on_commit = self.trace.append if on_commit is None else on_commit
+        self.steps = 0
 
-    def commit(self, idx: int) -> bool:
-        """Fire enabled operator idx in place; True once the step limit is hit.
+    def commit(self, idx: int) -> TraceEvent:
+        """Fire enabled operator idx in place; returns its event.
 
         A FlowError from the firing leaves the state as it was before it and
         carries the run so far as its result, with converged=False.
         """
         spec = self.comp.operators[idx]
-        if idx not in self.index:
+        if idx not in self.index.enabled:
             raise NotEnabled(f"operator {spec.name!r} is not enabled")
         try:
             _, event = fire(self.comp, spec, self.state, self.registry, owned=True)
         except FlowError as exc:
-            exc.result = RunResult(self.state, self.trace, converged=False)
+            exc.result = self.result(converged=False)
             raise
-        self.index.update(idx, self.state.marking)
-        self.trace.append(event)
-        return len(self.trace) >= self.max_steps
+        self.index.update(idx, self.state.marking, bool(event.writes))
+        self.steps += 1
+        self.on_commit(event)
+        return event
+
+    def result(self, converged: bool) -> RunResult:
+        return RunResult(self.state, self.trace, converged, self.steps)

@@ -16,6 +16,7 @@ choice as the rotating scan, without visiting every operator.
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import Callable
 
 from .model import Composition, ExecutionState
 from .semantics import (  # enabled_set, fire: re-exported for callers of this module
@@ -56,16 +57,19 @@ def run_to_convergence(
     initial: ExecutionState,
     registry: ProcessRegistry,
     limits: RunLimits = RunLimits(),
+    on_commit: Callable[[TraceEvent], object] | None = None,
 ) -> RunResult:
     """Run until no operator is enabled or the step limit is hit.
 
     initial is never mutated. Hitting the limit is not an error: the result
     carries the partial trace, with converged=False while an operator is
     still enabled. A FlowError from a firing carries the run up to the
-    failure as its result.
+    failure as its result. on_commit, when given, receives each firing's
+    event as it commits, and the result's trace stays empty.
     """
-    run = Run(comp, initial, registry, limits)
+    run = Run(comp, initial, registry, limits, on_commit)
     while (choice := select_next(run.state, run.index)) is not None:
-        if run.commit(choice):
+        run.commit(choice)
+        if run.steps >= run.max_steps:
             break
-    return RunResult(run.state, run.trace, converged=not run.index.order)
+    return run.result(converged=not run.index.order)

@@ -5,13 +5,23 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from tokenflow import parse_composition
-from tokenflow.cli import _summary, main
+from tokenflow import (
+    ProcessError,
+    default_registry,
+    parse_composition,
+    run_to_convergence,
+    schedule_tsv,
+    serialize_trace,
+    simulate_concurrent,
+)
+from tokenflow.cli import CHUNK, _summary, main
 from conftest import FLOWS
 
 LOOP = str(FLOWS / "c1_loop.flow")
@@ -273,6 +283,113 @@ def test_failing_process_exits_one_without_a_traceback(tmp_path):
             assert done.returncode == 1, (command, text)
             assert done.stderr.startswith("error: operator 'q' at step 0: " + message)
             assert "Traceback" not in done.stderr
+
+
+def _third_call_fails(values, count):
+    if count == 2:
+        raise RuntimeError("third call")
+    return [values[0] + 1.0]
+
+
+def test_a_failing_run_leaves_the_lines_of_its_committed_firings(
+    tmp_path, capsys, monkeypatch
+):
+    # Trace lines go out as firings commit, so a run that fails mid-way
+    # leaves exactly the trace of its result, and no summary.
+    def failing_registry():
+        registry = default_registry()
+        registry.register("add1", _third_call_fails)
+        return registry
+
+    monkeypatch.setattr("tokenflow.cli.default_registry", failing_registry)
+    comp, state, durations = parse_composition(Path(LOOP).read_text(encoding="utf-8"))
+    target = tmp_path / "out.trace"
+    cases = (
+        (["run", LOOP], run_to_convergence, None),
+        (["run", LOOP, "--trace", str(target)], run_to_convergence, target),
+        (["simulate", LOOP], simulate_concurrent, None),
+    )
+    for argv, processor, trace_file in cases:
+        with pytest.raises(ProcessError) as exc:
+            args = (durations,) if processor is simulate_concurrent else ()
+            processor(comp, state, failing_registry(), *args)
+        result = exc.value.result
+        assert len(result.trace) > 0, argv
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith(f"error: operator 'p1' at step {len(result.trace)}: ")
+        written = out if trace_file is None else trace_file.read_text(encoding="utf-8")
+        assert written == serialize_trace(result.trace), argv
+        assert "final:" not in out + written
+        if trace_file is not None:
+            assert out == ""
+
+
+def _loop_document(tmp_path, bound: int) -> str:
+    """flows/c1_loop.flow counting to bound: 6 * bound + 2 firings."""
+    doc = tmp_path / f"loop{bound}.flow"
+    text = Path(LOOP).read_text(encoding="utf-8")
+    doc.write_text(text.replace("init d0 = 10\n", f"init d0 = {bound}\n"), encoding="utf-8")
+    return str(doc)
+
+
+class _Sink:
+    """A stdout that counts its writes and keeps no text."""
+
+    def __init__(self):
+        self.writes = self.size = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.size += len(text.encode("utf-8"))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_stdout_gets_few_large_writes(tmp_path, monkeypatch):
+    # One write per line would be one system call per firing on an
+    # unbuffered stdout.
+    doc = _loop_document(tmp_path, 1000)
+    for argv in (["run", doc], ["simulate", doc], ["step", doc, "--steps", "6002"]):
+        sink = _Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(argv) == 0, argv
+        assert sink.size > 10 * CHUNK, argv
+        assert sink.writes <= sink.size // CHUNK + 2, (argv, sink.writes, sink.size)
+
+
+def _peak_bytes(monkeypatch, argv) -> int:
+    """Peak traced memory of one CLI call, its output discarded."""
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    assert main(argv) == 0  # imports and caches before the measured call
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_streamed_run_holds_no_more_memory_for_more_firings(tmp_path, monkeypatch):
+    short, long = _loop_document(tmp_path, 100), _loop_document(tmp_path, 1000)
+    out = str(tmp_path / "out.trace")
+    for extra in (["--trace", out], ["--quiet"]):
+        grown = _peak_bytes(monkeypatch, ["run", long, *extra]) - _peak_bytes(
+            monkeypatch, ["run", short, *extra]
+        )
+        assert grown <= 64 * 1024, (extra, grown)
+    # simulate holds back its schedule rows, which come after the trace
+    rows = []
+    for doc in (short, long):
+        comp, state, durations = parse_composition(Path(doc).read_text(encoding="utf-8"))
+        _, schedule = simulate_concurrent(comp, state, default_registry(), durations)
+        rows.append(len(schedule_tsv(schedule)))
+    grown = _peak_bytes(monkeypatch, ["simulate", long]) - _peak_bytes(
+        monkeypatch, ["simulate", short]
+    )
+    assert grown <= 2 * (rows[1] - rows[0]), (grown, rows)
 
 
 def test_broken_exclusion_exits_one_without_a_traceback(tmp_path, capsys, monkeypatch):

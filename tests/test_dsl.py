@@ -38,6 +38,29 @@ def test_format_number():
     assert format_number(float("inf")) == "inf"
 
 
+def _format_number_rule(x: float) -> str:
+    """The rule format_number implements, written plainly."""
+    if math.isfinite(x) and x == int(x) and abs(x) < 1e16:
+        return str(int(x)) if x or math.copysign(1.0, x) > 0 else "-0"
+    return repr(x)
+
+
+_EDGES = [
+    0.0, 2.0**53, 2.0**53 + 2, 5e-324, 2.2250738585072014e-308, 1e-310,
+    1e16 - 1, 1e16 + 1, 1e16 - 2, math.nextafter(1e16, 0), math.nextafter(1e16, math.inf),
+    9999999999999998.0, 0.5, 1.5, 1e300, math.inf, math.nan,
+]
+
+
+@settings(max_examples=500)
+@given(x=st.floats())
+def test_format_number_follows_its_rule(x):
+    assert format_number(x) == _format_number_rule(x)
+    for v in _EDGES:
+        assert format_number(v) == _format_number_rule(v), v
+        assert format_number(-v) == _format_number_rule(-v), -v
+
+
 def test_format_value():
     assert format_value(None) == "-"
     assert format_value(True) == "true"

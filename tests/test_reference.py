@@ -4,15 +4,18 @@ import hypothesis.strategies as st
 
 import reference
 from tokenflow import (
+    Composition,
     FlowError,
     RunLimits,
     default_registry,
+    initial_state,
     parse_composition,
     run_to_convergence,
     schedule_tsv,
     serialize_trace,
     simulate_concurrent,
 )
+from tokenflow.model import OperatorSpec
 from conftest import marked_states, small_compositions
 
 # Step limits that bind on most drawn runs, and one that binds only on runs
@@ -89,3 +92,18 @@ def test_reenabled_operator_keeps_its_wait_time():
     engine = _engine_simulate(comp, state, durations, 100)
     assert engine == _reference_simulate(comp, state, durations, 100)
     assert engine[3] == "0\t2\tA\t{ao=1}\n0\t2\tB\t{j=3}\n2\t3\tX\t{xo=4}\n"
+
+
+def test_an_operator_without_outputs_stays_enabled():
+    # Only a hand-built composition can hold an operator with no outputs.
+    # Its firings write nothing, so nothing disables it, and the step limit
+    # ends both runs.
+    comp = Composition((), (OperatorSpec(0, "p", "process", (), (), "identity"),))
+    state = initial_state(comp)
+    engine = _engine_run(comp, state, 5)
+    assert engine == reference.run(comp, state, default_registry(), 5)
+    assert engine[1].count("step=") == 5 and not engine[2]
+    durations = {0: 1.0}
+    engine = _engine_simulate(comp, state, durations, 5)
+    assert engine == _reference_simulate(comp, state, durations, 5)
+    assert engine[3] == "".join(f"{t}\t{t + 1}\tp\t{{}}\n" for t in range(5))
