@@ -5,8 +5,8 @@ operators may fire. A sequential processor fires one operator per step with
 a rotating scan; a concurrent processor overlaps operators with disjoint
 neighborhoods over virtual time. Both produce identical final states.
 
-The names of the concurrent processor and the patterns load on first use,
-so a command that does not use them does not import them.
+The names of the processors, their firing semantics and the patterns load
+on first use, so a command that fires nothing does not import them.
 """
 from importlib import import_module
 
@@ -33,20 +33,15 @@ from .model import (
     initial_state,
     neighborhood,
 )
-from .semantics import (
-    ProcessRegistry,
-    Trace,
-    TraceEvent,
-    can_fire,
-    const,
-    default_registry,
-    fire,
-)
-from .sequential import RunLimits, RunResult, run_to_convergence, step
 
 __version__ = "0.1.0"
 
 _LAZY = {
+    "semantics": (
+        "ProcessRegistry", "Trace", "TraceEvent", "can_fire", "const",
+        "default_registry", "fire",
+    ),
+    "sequential": ("RunLimits", "RunResult", "run_to_convergence", "step"),
     "concurrent": ("ScheduleEntry", "schedule_tsv", "simulate_concurrent"),
     "patterns": ("PatternInstance", "build_ifelse_pattern", "build_loop_pattern"),
 }

@@ -12,8 +12,6 @@ from pathlib import Path
 from .dsl import CompositionDocument, format_value, parse_literal, trace_renderer
 from .errors import FlowError, ParseError, ValidationError
 from .model import Composition, ExecutionState
-from .semantics import Trace, default_registry
-from .sequential import RunLimits, RunResult, run_to_convergence
 
 
 class _UsageError(Exception):
@@ -47,9 +45,7 @@ def _build_parser() -> _Parser:
             help="replace an init value (repeatable)",
         )
         if runnable:
-            p.add_argument(
-                "--max-steps", type=positive_int, default=RunLimits().max_steps
-            )
+            p.add_argument("--max-steps", type=positive_int)
             p.add_argument("--quiet", action="store_true", help="summary only")
 
     p = sub.add_parser("validate", help="parse and structurally check a document")
@@ -79,8 +75,8 @@ def _build_parser() -> _Parser:
 def _load(path: str, overrides: list[str]):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
+    except UnicodeDecodeError as exc:  # the line the parser would have named
+        line = len((exc.object[: exc.start].decode() + "x").splitlines())
         raise ParseError(
             line, f"not UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
         ) from None
@@ -145,11 +141,13 @@ def _discard(item) -> None:
 
 def _lines_to(batch: _Batch, comp: Composition, state: ExecutionState):
     """Commit hook adding each firing's trace line to batch as it commits."""
+    from .semantics import Trace
+
     render, add = trace_renderer(Trace(comp, state).start), batch.add
     return lambda event: add(render(event))
 
 
-def _finish(comp, result: RunResult, out: _Batch) -> int:
+def _finish(comp, result, out: _Batch) -> int:
     out.add(_summary(comp, result.final_state) + "\n")
     return 0 if result.converged else 2
 
@@ -191,8 +189,10 @@ def _command(args, out: _Batch) -> int:
         out.add(to_dot(comp, state.marking))
         return 0
 
-    registry = default_registry()
+    from .semantics import default_registry
+    from .sequential import RunLimits, run_to_convergence
 
+    registry = default_registry()
     if args.command == "step":
         if args.steps >= 1:
             limits = RunLimits(args.steps)
@@ -201,7 +201,7 @@ def _command(args, out: _Batch) -> int:
         out.add(_summary(comp, state) + "\n")
         return 0
 
-    limits = RunLimits(max_steps=args.max_steps)
+    limits = RunLimits(args.max_steps) if args.max_steps else RunLimits()
     if args.command == "run":
         if args.trace == "-":
             hook = _discard if args.quiet else _lines_to(out, comp, state)

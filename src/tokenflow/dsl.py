@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Callable, Iterator, Mapping, Sequence
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from .errors import FlowError, ParseError, TypeMismatch, ValidationError
 from .model import (
+    NEW,
+    OLD,
     Composition,
     ExecutionState,
     TokenState,
@@ -31,10 +34,10 @@ from .model import (
     coerce_value,
     initial_state,
 )
-from .semantics import Trace, TraceEvent
+if TYPE_CHECKING:  # loaded only by commands that fire
+    from .semantics import Trace, TraceEvent
 
 _NUMBER = re.compile(r"-?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-_DATA = re.compile(r"data\s+(\S+)(?:\s+(\S+))?\s*$")
 _OP = re.compile(
     r"op\s+(\S+)\s+([A-Za-z_][\w-]*)(?::(\S+))?\s*"
     r"\(\s*([^()]*?)\s*\)\s*->\s*\(\s*([^()]*?)\s*\)\s*$"
@@ -44,8 +47,8 @@ _DUR = re.compile(r"dur\s+(\S+)\s*=\s*(\S+)\s*$")
 # A double-quoted text literal with backslash escapes. Group "end" holds its
 # closing quote and is empty for a literal left open, which runs to the end
 # of the line.
-_TEXT = r'"(?:[^"\\]|\\.)*(?P<end>"?)'
-_CODE = re.compile(rf'(?:[^"#]|{_TEXT})*', re.S)  # a line up to its comment
+_TEXT = r'"[^"\\]*(?:\\.[^"\\]*)*(?P<end>"?)'
+_CODE = re.compile(rf'[^"#]*(?:{_TEXT}[^"#]*)*', re.S)  # a line up to its comment
 _LITERAL = re.compile(rf"{_TEXT}|\S*", re.S)  # the literal of an init line
 
 
@@ -99,18 +102,6 @@ def parse_literal(token: str) -> Value:
         raise ValueError(str(exc)) from None
 
 
-def _split_init_rhs(rhs: str, lineno: int) -> tuple[str, bool]:
-    """Split an init right-hand side into (literal token, old flag)."""
-    rhs = rhs.strip()
-    m = _LITERAL.match(rhs)
-    if m["end"] == "":
-        raise ParseError(lineno, "unterminated text literal")
-    rest = rhs[m.end() :].strip()
-    if rest not in ("", "old"):
-        raise ParseError(lineno, f"unexpected trailing {rest!r}")
-    return m.group(), rest == "old"
-
-
 class CompositionDocument:
     """Parsed document: declarations plus seed values and durations.
 
@@ -118,9 +109,10 @@ class CompositionDocument:
     initial state, and the duration map (operator index -> duration); the
     model's errors there become ParseErrors naming the declaration's line,
     chained to the model's error. Seed entries map a data name to its value
-    and an old flag. lines maps ("data" or "op", position) and ("init" or
-    "dur", name) to document lines; an overridden seed maps to the source
-    its override names, or None, and errors about it name that instead.
+    and an old flag. lines["data"] and lines["op"] list the document line of
+    each declaration in order; lines["init"] and lines["dur"] map a name to
+    its line. An overridden seed maps to the source its override names, or
+    None, and errors about it name that instead.
     """
 
     __slots__ = ("data_decls", "op_decls", "inits", "durations", "lines")
@@ -130,59 +122,66 @@ class CompositionDocument:
         self.op_decls: list[tuple] = []
         self.inits: dict[str, tuple[Value, bool]] = {}
         self.durations: dict[str, float] = {}
-        self.lines: dict[tuple[str, int | str], int | str | None] = {}
+        self.lines: dict[str, list | dict] = {"data": [], "op": [], "init": {}, "dur": {}}
 
     @classmethod
     def parse(cls, text: str) -> "CompositionDocument":
         doc = cls()
+        data, ops, inits, durations = doc.data_decls, doc.op_decls, doc.inits, doc.durations
+        data_lines, op_lines, init_lines, dur_lines = doc.lines.values()
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = _CODE.match(raw).group().strip()
-            if not line:
+            # only a # can start a comment, and a line without one is code
+            code = _CODE.match(raw).group() if "#" in raw else raw
+            words = code.split()
+            if not words:
                 continue
-            head = line.split(None, 1)[0]
+            head = words[0]
             if head == "data":
-                m = _DATA.match(line)
-                if not m:
+                if not 1 < len(words) < 4:
                     raise ParseError(lineno, f"bad data declaration: {raw.strip()}")
-                doc.lines["data", len(doc.data_decls)] = lineno
-                doc.data_decls.append((m.group(1), m.group(2) or "any"))
+                data_lines.append(lineno)
+                data.append((words[1], words[2] if len(words) == 3 else "any"))
             elif head == "op":
-                m = _OP.match(line)
+                m = _OP.match(code.strip())
                 if not m:
                     raise ParseError(lineno, f"bad operator declaration: {raw.strip()}")
-                name, kind, process, *refs = m.groups()
-                ins, outs = (
-                    tuple(map(str.strip, r.split(","))) if r else () for r in refs
-                )
-                doc.lines["op", len(doc.op_decls)] = lineno
-                doc.op_decls.append((name, kind, ins, outs, process))
+                name, kind, process, ins, outs = m.groups()
+                op_lines.append(lineno)
+                ins = tuple(map(str.strip, ins.split(","))) if ins else ()
+                outs = tuple(map(str.strip, outs.split(","))) if outs else ()
+                ops.append((name, kind, ins, outs, process))
             elif head == "init":
-                m = _INIT.match(line)
+                m = _INIT.match(code.strip())
                 if not m:
                     raise ParseError(lineno, f"bad init line: {raw.strip()}")
-                name = m.group(1)
-                if name in doc.inits:
+                name, rhs = m.groups()
+                if name in inits:
                     raise ParseError(lineno, f"duplicate init for {name!r}")
-                literal, old = _split_init_rhs(m.group(2), lineno)
+                m = _LITERAL.match(rhs)  # rhs starts and ends with non-space
+                if m["end"] == "":
+                    raise ParseError(lineno, "unterminated text literal")
+                rest = rhs[m.end() :].strip()
+                if rest and rest != "old":
+                    raise ParseError(lineno, f"unexpected trailing {rest!r}")
                 try:
-                    doc.inits[name] = (parse_literal(literal), old)
+                    inits[name] = (parse_literal(m.group()), rest == "old")
                 except ValueError as exc:
                     raise ParseError(lineno, str(exc)) from None
-                doc.lines["init", name] = lineno
+                init_lines[name] = lineno
             elif head == "dur":
-                m = _DUR.match(line)
+                m = _DUR.match(code.strip())
                 if not m:
                     raise ParseError(lineno, f"bad dur line: {raw.strip()}")
                 name, token = m.groups()
-                if name in doc.durations:
+                if name in durations:
                     raise ParseError(lineno, f"duplicate dur for {name!r}")
                 try:
-                    doc.durations[name] = check_duration(
+                    durations[name] = check_duration(
                         name, float(token) if _NUMBER.match(token) else token
                     )
                 except ValidationError as exc:
                     raise ParseError(lineno, str(exc)) from exc
-                doc.lines["dur", name] = lineno
+                dur_lines[name] = lineno
             else:
                 raise ParseError(lineno, f"unknown declaration {head!r}")
         return doc
@@ -195,32 +194,32 @@ class CompositionDocument:
         """
         _, old = self.inits.get(name, (None, False))
         self.inits[name] = (value, old)
-        self.lines["init", name] = source
+        self.lines["init"][name] = source
 
     def build(self) -> tuple[Composition, ExecutionState, dict[int, float]]:
         line = None  # where the declaration in hand came from, if known
 
-        def handed(kind: str, decls: list) -> Iterator:
+        def handed(decls: list, where: list) -> Iterator:
             nonlocal line
-            for pos, decl in enumerate(decls):
-                line = self.lines.get((kind, pos))
+            for decl, line in zip(decls, chain(where, repeat(None))):
                 yield decl
 
         try:
             comp = build_composition(
-                handed("data", self.data_decls), handed("op", self.op_decls)
+                handed(self.data_decls, self.lines["data"]),
+                handed(self.op_decls, self.lines["op"]),
             )
             marks: dict[int, TokenState] = {}
             values: dict[int, Value] = {}
             for name, (value, old) in self.inits.items():
-                line = self.lines.get(("init", name))
+                line = self.lines["init"].get(name)
                 node = comp.data_named(name)
                 check_sort(node, value)
-                marks[node.index] = TokenState.OLD if old else TokenState.NEW
+                marks[node.index] = OLD if old else NEW
                 values[node.index] = value
             durs: dict[int, float] = {}
             for name, d in self.durations.items():
-                line = self.lines.get(("dur", name))
+                line = self.lines["dur"].get(name)
                 durs[comp.operator_named(name).index] = d
         except FlowError as exc:
             if line is None:
@@ -298,6 +297,8 @@ def trace_renderer(
 
 def serialize_trace(trace: Trace) -> str:
     """One deterministic line per firing; see trace_renderer."""
+    from .semantics import Trace
+
     if not trace:
         return ""
     if not isinstance(trace, Trace):

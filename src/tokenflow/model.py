@@ -67,6 +67,8 @@ def coerce_value(value) -> Value:
     Numbers must be finite: documents and traces have no literal for the
     others. Text must be encodable as UTF-8, so lone surrogates are refused.
     """
+    if type(value) is float and math.isfinite(value):  # the common case
+        return value
     if isinstance(value, str):
         try:
             value.encode("utf-8")
@@ -88,11 +90,15 @@ def coerce_value(value) -> Value:
     raise TypeMismatch(f"unsupported value type {type(value).__name__!r}")
 
 
+_SORT_OF = {bool: "bool", float: "num", str: "text"}  # exact types; see value_sort
+
+
 def check_sort(node: "DataNode", value: Value) -> None:
-    if node.sort == "any" or value is None:
+    sort = node.sort
+    if sort == "any" or value is None or _SORT_OF.get(type(value)) == sort:
         return
     actual = value_sort(value)
-    if actual != node.sort:
+    if actual != sort:
         raise TypeMismatch(
             f"data {node.name!r} is declared {node.sort} but got a {actual} value"
         )
@@ -254,6 +260,30 @@ def _check_name(role: str, name) -> None:
         raise ValidationError(f"bad {role} name {name!r}")
 
 
+def _resolve(op: str, role: str, names: Sequence[str], by_name: dict) -> tuple[int, ...]:
+    """Indices of the data nodes an operator's inputs or outputs name."""
+    out = []
+    try:
+        if isinstance(names, str):  # not to be split into letters
+            raise TypeError
+        for ref in names:
+            if not isinstance(ref, str):
+                raise ValidationError(
+                    f"operator {op!r} {role} reference {ref!r} is not a name"
+                )
+            index = by_name.get(ref)
+            if index is None:
+                raise ValidationError(
+                    f"operator {op!r} {role} references unknown data {ref!r}"
+                )
+            out.append(index)
+    except TypeError:  # from iterating something that is not a list
+        raise ValidationError(
+            f"operator {op!r}: {role}s {names!r} are not a list of names"
+        ) from None
+    return tuple(out)
+
+
 def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
     """Validate declarations and assemble a Composition.
 
@@ -267,7 +297,7 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
     """
     nodes: list[DataNode] = []
     by_name: dict[str, int] = {}
-    for decl in data_decls:
+    for index, decl in enumerate(data_decls):
         if isinstance(decl, str):
             decl = (decl,)
         try:
@@ -279,14 +309,13 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
         _check_name("data", name)
         if sort not in SORTS:
             raise ValidationError(f"data {name!r}: unknown sort {sort!r}")
-        if name in by_name:
+        if by_name.setdefault(name, index) != index:
             raise ValidationError(f"data name {name!r} declared twice")
-        by_name[name] = len(nodes)
-        nodes.append(DataNode(len(nodes), name, sort))
+        nodes.append(DataNode(index, name, sort))
 
     ops: list[OperatorSpec] = []
     op_names: set[str] = set()
-    for decl in op_decls:
+    for index, decl in enumerate(op_decls):
         try:
             name, kind, in_names, out_names, process_name = (
                 decl if len(decl) == 5 else (*decl, None)
@@ -300,9 +329,9 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
         if name in op_names:
             raise ValidationError(f"operator name {name!r} declared twice")
         op_names.add(name)
-        if not (isinstance(kind, str) and kind in KINDS):
+        entry = KINDS.get(kind) if isinstance(kind, str) else None
+        if entry is None:
             raise ValidationError(f"operator {name!r}: unknown kind {kind!r}")
-        entry = KINDS[kind]
         if entry.takes_process != bool(process_name):
             takes = "needs" if entry.takes_process else "does not take"
             raise ValidationError(
@@ -314,32 +343,8 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
             raise ValidationError(
                 f"operator {name!r}: bad process name {process_name!r}"
             )
-
-        def resolve(names: Sequence[str], role: str) -> tuple[int, ...]:
-            if isinstance(names, str):  # not to be split into letters
-                raise ValidationError(
-                    f"operator {name!r}: {role}s {names!r} are not a list of names"
-                )
-            out = []
-            try:
-                for ref in names:
-                    if not isinstance(ref, str):
-                        raise ValidationError(
-                            f"operator {name!r} {role} reference {ref!r} is not a name"
-                        )
-                    if ref not in by_name:
-                        raise ValidationError(
-                            f"operator {name!r} {role} references unknown data {ref!r}"
-                        )
-                    out.append(by_name[ref])
-            except TypeError:  # from iterating something that is not a list
-                raise ValidationError(
-                    f"operator {name!r}: {role}s {names!r} are not a list of names"
-                ) from None
-            return tuple(out)
-
-        inputs = resolve(in_names, "input")
-        outputs = resolve(out_names, "output")
+        inputs = _resolve(name, "input", in_names, by_name)
+        outputs = _resolve(name, "output", out_names, by_name)
         if entry.inputs is not None and len(inputs) != entry.inputs:
             raise ValidationError(
                 f"operator {name!r}: kind {kind!r} takes {entry.inputs} inputs, got {len(inputs)}"
@@ -352,13 +357,12 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
             raise ValidationError(f"operator {name!r}: needs at least one output")
         if len(set(outputs)) != len(outputs):
             raise ValidationError(f"operator {name!r}: duplicate output data node")
-        overlap = set(inputs) & set(outputs)
-        if overlap:
-            names = ", ".join(nodes[i].name for i in sorted(overlap))
+        if not set(inputs).isdisjoint(outputs):
+            names = ", ".join(nodes[i].name for i in sorted(set(inputs) & set(outputs)))
             raise ValidationError(
                 f"operator {name!r} reads and writes the same data: {names}"
             )
-        ops.append(OperatorSpec(len(ops), name, kind, inputs, outputs, process_name))
+        ops.append(OperatorSpec(index, name, kind, inputs, outputs, process_name))
 
     return Composition(tuple(nodes), tuple(ops))
 
@@ -436,15 +440,15 @@ def initial_state(
     markings = dict(markings or {})
     values = dict(values or {})
     n = len(comp.data)
-    for idx in list(markings) + list(values):
+    for idx in (*markings, *values):
         if not (0 <= idx < n):
             raise ValidationError(f"no data node with index {idx}")
 
-    marking = {node.index: TokenState.VOID for node in comp.data}
-    vals: dict[int, Value] = {node.index: None for node in comp.data}
+    marking = dict.fromkeys(range(n), VOID)
+    vals: dict[int, Value] = dict.fromkeys(range(n))
     for idx, mark in markings.items():
         try:
-            marking[idx] = TokenState(mark)
+            marking[idx] = mark if type(mark) is TokenState else TokenState(mark)
         except ValueError:
             raise ValidationError(
                 f"data {comp.data[idx].name!r}: {mark!r} is not a marking"
@@ -452,7 +456,7 @@ def initial_state(
     for idx, value in values.items():
         node = comp.data[idx]
         value = coerce_value(value)
-        if marking[idx] == TokenState.VOID:
+        if marking[idx] == VOID:
             if value is not None:
                 raise ValidationError(
                     f"data {node.name!r} is Void and cannot carry a value"
@@ -461,9 +465,9 @@ def initial_state(
         check_sort(node, value)
         vals[idx] = value
     for idx, mark in marking.items():
-        if mark != TokenState.VOID and vals[idx] is None:
+        if mark and vals[idx] is None:
             raise ValidationError(
                 f"data {comp.data[idx].name!r} holds a token but no value"
             )
 
-    return ExecutionState(marking, vals, {op.index: 0 for op in comp.operators})
+    return ExecutionState(marking, vals, dict.fromkeys(range(len(comp.operators)), 0))

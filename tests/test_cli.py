@@ -137,7 +137,7 @@ def test_step_equals_a_bounded_run(capsys, name):
 def test_graph_emits_dot(capsys, monkeypatch):
     # graph fires nothing, so it needs no process registry
     monkeypatch.setattr(
-        "tokenflow.cli.default_registry", lambda: pytest.fail("registry built")
+        "tokenflow.semantics.default_registry", lambda: pytest.fail("registry built")
     )
     code, out, _ = run_cli(capsys, "graph", BRANCH)
     assert code == 0
@@ -211,9 +211,15 @@ def test_a_run_imports_only_what_it_uses():
         set(json.loads(_python(script).stdout)) for script in (modules, run + modules)
     )
     assert heavy & (loaded - bare) == set()
+    # A command that fires nothing loads neither the firing rules nor a processor.
+    for command in ("validate", "graph"):
+        script = run.replace("'run'", repr(command)).replace(", '--quiet'", "")
+        loaded = set(json.loads(_python(script + modules).stdout))
+        assert {"tokenflow.semantics", "tokenflow.sequential"} & loaded == set(), command
     _python(
         "import tokenflow\n"
         "from tokenflow import build_loop_pattern\n"
+        "assert tokenflow.fire is tokenflow.semantics.fire\n"
         "from tokenflow import *\n"
         "assert build_loop_pattern is tokenflow.build_loop_pattern\n"
         "assert all(name in globals() for name in tokenflow.__all__)\n"
@@ -301,7 +307,7 @@ def test_a_failing_run_leaves_the_lines_of_its_committed_firings(
         registry.register("add1", _third_call_fails)
         return registry
 
-    monkeypatch.setattr("tokenflow.cli.default_registry", failing_registry)
+    monkeypatch.setattr("tokenflow.semantics.default_registry", failing_registry)
     comp, state, durations = parse_composition(Path(LOOP).read_text(encoding="utf-8"))
     target = tmp_path / "out.trace"
     cases = (
@@ -420,6 +426,25 @@ def test_non_utf8_document_exits_one_without_a_traceback(tmp_path, capsys):
         assert code == 1, command
         assert out == ""
         assert err.startswith("error: line 2: not UTF-8: byte 0xe9"), err
+
+
+def test_a_non_utf8_byte_is_named_at_the_parsers_line(tmp_path, capsys):
+    # Lines break where str.splitlines breaks them: at \r, and at U+2028 in a
+    # comment, as well as at \n. The same document with valid text in place
+    # of the bad byte fails on the same line.
+    doc = tmp_path / "breaks.flow"
+    cases = (
+        (b'data a\rdata b\ninit a = "\xff"\n', 3),
+        ('# c\u2028\ndata a\ninit a = "'.encode() + b'\xff"\n', 4),
+    )
+    for data, line in cases:
+        doc.write_bytes(data)
+        code, out, err = run_cli(capsys, "validate", str(doc))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: line {line}: not UTF-8: byte 0xff"), err
+        doc.write_bytes(data.replace(b'\xff"', b"x"))
+        err = run_cli(capsys, "validate", str(doc))[2]
+        assert err == f"error: line {line}: unterminated text literal\n", err
 
 
 def test_lone_surrogate_text_exits_one_without_a_traceback(tmp_path):

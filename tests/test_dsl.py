@@ -265,6 +265,51 @@ def test_emit_parse_round_trip(data):
     assert emit_composition(comp2, state2) == text
 
 
+# Whitespace that may or must stand between tokens, and trailing comments
+# holding the characters that open text literals and comments.
+_GAP = st.text(" \t", max_size=3)
+_SPACE = st.text(" \t", min_size=1, max_size=3)
+_COMMENT = st.text('#" \\a\t', max_size=8).map("#".__add__)
+
+
+def _decorated(draw, text: str) -> str:
+    """text with spaces and tabs around its tokens, blank and comment lines,
+    trailing comments and CRLF line ends; text literals are left whole."""
+    lines = []
+    for line in text.splitlines():
+        literal = ""
+        if line.startswith("init "):
+            line, literal = line.split(" = ", 1)
+            line += " = "
+            if literal.endswith(" old"):
+                literal = literal[:-4] + draw(_SPACE) + "old"
+        line = re.sub("[(),]", lambda m: draw(_GAP) + m.group() + draw(_GAP), line)
+        line = re.sub(" ", lambda m: draw(_SPACE), line)
+        line = draw(_GAP) + line + literal + draw(_GAP)
+        if draw(st.booleans()):
+            line += draw(_COMMENT)
+        lines += draw(st.lists(_GAP | _COMMENT, max_size=2))
+        lines.append(line)
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_formatting_does_not_change_what_a_document_means(data):
+    comp = data.draw(small_compositions())
+    state = data.draw(marked_states(comp, with_text=True))
+    values = {  # some text seeds hold the characters comments are found by
+        i: data.draw(st.text('#" \\a', max_size=5) | st.just(v)) if isinstance(v, str) else v
+        for i, v in state.values.items()
+    }
+    state = initial_state(comp, state.marking, values)
+    durations = data.draw(
+        st.dictionaries(st.integers(0, len(comp.operators) - 1), st.floats(0.5, 9.5))
+    )
+    text = emit_composition(comp, state, durations)
+    assert parse_composition(_decorated(data.draw, text)) == (comp, state, durations)
+
+
 def _same_number(a: float, b: float) -> bool:
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
