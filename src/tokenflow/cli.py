@@ -167,10 +167,7 @@ def main(argv=None) -> int:
         finally:  # what the run committed, also when it failed mid-way
             out.flush()
             stdout.flush()
-    except FlowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -216,31 +213,29 @@ def _command(args, out: _Batch) -> int:
                     trace.flush()
         return _finish(comp, result, out)
 
-    if args.command == "simulate":
-        from .concurrent import schedule_row, simulate_concurrent
+    # simulate, the one command left
+    from .concurrent import schedule_row, simulate_concurrent
 
-        # The schedule, printed after the trace, is held joined in pieces of
-        # 4 KiB: one short row alone takes several times its text in memory.
-        held: list[str] = []
-        rows = _Batch(held.append, 1 << 12)
-        if args.quiet:
-            hook = _discard
-        else:
-            line = _lines_to(out, comp, state)
+    # The schedule, printed after the trace, is held joined in pieces of
+    # 4 KiB: one short row alone takes several times its text in memory.
+    held: list[str] = []
+    rows = _Batch(held.append, 1 << 12)
+    if args.quiet:
+        hook = _discard
+    else:
+        line = _lines_to(out, comp, state)
 
-            def hook(entry):
-                line(entry.event)
-                rows.add(schedule_row(entry))
+        def hook(entry):
+            line(entry.event)
+            rows.add(schedule_row(entry))
 
-        result, _ = simulate_concurrent(
-            comp, state, registry, durations, limits, hook
-        )
-        rows.flush()
-        for text in held:
-            out.add(text)
-        return _finish(comp, result, out)
-
-    raise _UsageError(f"unknown command {args.command!r}")
+    result, _ = simulate_concurrent(
+        comp, state, registry, durations, limits, hook
+    )
+    rows.flush()
+    for text in held:
+        out.add(text)
+    return _finish(comp, result, out)
 
 
 def entry() -> None:

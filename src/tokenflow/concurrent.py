@@ -100,7 +100,6 @@ def simulate_concurrent(
     running: dict[int, tuple[float, list[Value]]] = {}
     completions: list[tuple[float, int]] = []  # heap of (end time, op index)
     waited: dict[int, float] = {idx: 0.0 for idx in index.order}
-    truncated = False
 
     def start_pass() -> None:
         taken: set[int] = set()  # data of the operators this pass starts
@@ -111,7 +110,7 @@ def simulate_concurrent(
                 heapq.heappush(completions, (clock + durs[idx], idx))
 
     start_pass()
-    while completions and not truncated:
+    while completions:
         clock = completions[0][0]
         touched: set[int] = set()
         while completions and completions[0][0] == clock:
@@ -126,18 +125,16 @@ def simulate_concurrent(
             touched.update(index.affects[idx])
             emit(ScheduleEntry(started, clock, idx, event.op_name, event))
             if run.steps >= run.max_steps:
-                truncated = True
-                break
+                return run.result(converged=False), schedule
         for idx in touched:
             if idx in enabled:
                 waited.setdefault(idx, clock)
             else:
                 waited.pop(idx, None)
-        if not truncated:
-            start_pass()
+        start_pass()
 
-    converged = not truncated and not running and not index.order
-    return run.result(converged), schedule
+    # every running operator has a completion, so none is left running here
+    return run.result(converged=not index.order), schedule
 
 
 def schedule_row(entry: ScheduleEntry) -> str:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import chain, repeat
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from .errors import FlowError, ParseError, TypeMismatch, ValidationError
@@ -108,27 +107,26 @@ class CompositionDocument:
     parse() checks the grammar only. build() assembles the composition, the
     initial state, and the duration map (operator index -> duration); the
     model's errors there become ParseErrors naming the declaration's line,
-    chained to the model's error. Seed entries map a data name to its value
-    and an old flag. lines["data"] and lines["op"] list the document line of
-    each declaration in order; lines["init"] and lines["dur"] map a name to
-    its line. An overridden seed maps to the source its override names, or
-    None, and errors about it name that instead.
+    chained to the model's error. Every entry carries the line it came from:
+    data_decls and op_decls list (line, declaration) pairs in document
+    order, inits maps a data name to (value, old flag, where) and durations
+    maps an operator name to (duration, line). The where of an overridden
+    seed is the source its override names, or None, and errors about it
+    name that instead of a line.
     """
 
-    __slots__ = ("data_decls", "op_decls", "inits", "durations", "lines")
+    __slots__ = ("data_decls", "op_decls", "inits", "durations")
 
     def __init__(self):
-        self.data_decls: list[tuple[str, str]] = []
-        self.op_decls: list[tuple] = []
-        self.inits: dict[str, tuple[Value, bool]] = {}
-        self.durations: dict[str, float] = {}
-        self.lines: dict[str, list | dict] = {"data": [], "op": [], "init": {}, "dur": {}}
+        self.data_decls: list[tuple[int, tuple[str, str]]] = []
+        self.op_decls: list[tuple[int, tuple]] = []
+        self.inits: dict[str, tuple[Value, bool, int | str | None]] = {}
+        self.durations: dict[str, tuple[float, int]] = {}
 
     @classmethod
     def parse(cls, text: str) -> "CompositionDocument":
         doc = cls()
         data, ops, inits, durations = doc.data_decls, doc.op_decls, doc.inits, doc.durations
-        data_lines, op_lines, init_lines, dur_lines = doc.lines.values()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             # only a # can start a comment, and a line without one is code
             code = _CODE.match(raw).group() if "#" in raw else raw
@@ -139,17 +137,15 @@ class CompositionDocument:
             if head == "data":
                 if not 1 < len(words) < 4:
                     raise ParseError(lineno, f"bad data declaration: {raw.strip()}")
-                data_lines.append(lineno)
-                data.append((words[1], words[2] if len(words) == 3 else "any"))
+                data.append((lineno, (words[1], words[2] if len(words) == 3 else "any")))
             elif head == "op":
                 m = _OP.match(code.strip())
                 if not m:
                     raise ParseError(lineno, f"bad operator declaration: {raw.strip()}")
                 name, kind, process, ins, outs = m.groups()
-                op_lines.append(lineno)
                 ins = tuple(map(str.strip, ins.split(","))) if ins else ()
                 outs = tuple(map(str.strip, outs.split(","))) if outs else ()
-                ops.append((name, kind, ins, outs, process))
+                ops.append((lineno, (name, kind, ins, outs, process)))
             elif head == "init":
                 m = _INIT.match(code.strip())
                 if not m:
@@ -164,10 +160,9 @@ class CompositionDocument:
                 if rest and rest != "old":
                     raise ParseError(lineno, f"unexpected trailing {rest!r}")
                 try:
-                    inits[name] = (parse_literal(m.group()), rest == "old")
+                    inits[name] = (parse_literal(m.group()), rest == "old", lineno)
                 except ValueError as exc:
                     raise ParseError(lineno, str(exc)) from None
-                init_lines[name] = lineno
             elif head == "dur":
                 m = _DUR.match(code.strip())
                 if not m:
@@ -176,12 +171,12 @@ class CompositionDocument:
                 if name in durations:
                     raise ParseError(lineno, f"duplicate dur for {name!r}")
                 try:
-                    durations[name] = check_duration(
+                    duration = check_duration(
                         name, float(token) if _NUMBER.match(token) else token
                     )
                 except ValidationError as exc:
                     raise ParseError(lineno, str(exc)) from exc
-                dur_lines[name] = lineno
+                durations[name] = (duration, lineno)
             else:
                 raise ParseError(lineno, f"unknown declaration {head!r}")
         return doc
@@ -192,34 +187,28 @@ class CompositionDocument:
         source says where the value came from, such as a command-line
         argument; build() errors about this seed name it.
         """
-        _, old = self.inits.get(name, (None, False))
-        self.inits[name] = (value, old)
-        self.lines["init"][name] = source
+        _, old, _ = self.inits.get(name, (None, False, None))
+        self.inits[name] = (value, old, source)
 
     def build(self) -> tuple[Composition, ExecutionState, dict[int, float]]:
         line = None  # where the declaration in hand came from, if known
 
-        def handed(decls: list, where: list) -> Iterator:
+        def handed(decls: list) -> Iterator:
             nonlocal line
-            for decl, line in zip(decls, chain(where, repeat(None))):
+            for line, decl in decls:
                 yield decl
 
         try:
-            comp = build_composition(
-                handed(self.data_decls, self.lines["data"]),
-                handed(self.op_decls, self.lines["op"]),
-            )
+            comp = build_composition(handed(self.data_decls), handed(self.op_decls))
             marks: dict[int, TokenState] = {}
             values: dict[int, Value] = {}
-            for name, (value, old) in self.inits.items():
-                line = self.lines["init"].get(name)
+            for name, (value, old, line) in self.inits.items():
                 node = comp.data_named(name)
                 check_sort(node, value)
                 marks[node.index] = OLD if old else NEW
                 values[node.index] = value
             durs: dict[int, float] = {}
-            for name, d in self.durations.items():
-                line = self.lines["dur"].get(name)
+            for name, (d, line) in self.durations.items():
                 durs[comp.operator_named(name).index] = d
         except FlowError as exc:
             if line is None:

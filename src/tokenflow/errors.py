@@ -25,10 +25,11 @@ class ParseError(FlowError):
 
 
 class ValidationError(FlowError):
-    """A declaration, state or lookup that breaks a rule of the model.
+    """A declaration, state, lookup or limit that breaks a rule of the model.
 
     Duplicate or unknown names, kinds and processes, wrong arities, an input
-    that is also an output, a token with no value.
+    that is also an output, a token with no value, a step limit that is not
+    an int of at least 1.
     """
 
 

@@ -221,8 +221,10 @@ class RunLimits:
     __slots__ = ("max_steps",)
 
     def __init__(self, max_steps: int = 100_000):
-        if max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        if type(max_steps) is not int or max_steps < 1:  # bool is no step count
+            raise ValidationError(
+                f"max_steps must be an int of at least 1, got {max_steps!r}"
+            )
         self.max_steps = max_steps
 
 

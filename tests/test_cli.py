@@ -226,6 +226,33 @@ def test_a_run_imports_only_what_it_uses():
     )
 
 
+# AST nodes of the tokenflow modules a command loads. Every CLI process
+# compiles them from source when no bytecode is cached, so this bounds the
+# fixed cost of each run. A budget only goes down: lower it when a change
+# shrinks the path, and never raise it.
+RUN_PATH_BUDGETS = {"run": 8_585, "simulate": 9_470}
+
+
+def test_the_run_path_stays_within_its_budget():
+    count = (
+        "import ast, sys\n"
+        "from pathlib import Path\n"
+        "mods = [m for n, m in sys.modules.items() if n.split('.')[0] == 'tokenflow']\n"
+        "print(sum(\n"
+        "    len(list(ast.walk(ast.parse(Path(m.__file__).read_text(encoding='utf-8')))))\n"
+        "    for m in mods\n"
+        "))\n"
+    )
+    for command, budget in RUN_PATH_BUDGETS.items():
+        script = (
+            "import contextlib, io\n"
+            "from tokenflow import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main([{command!r}, {LOOP!r}, '--quiet']) == 0\n"
+        )
+        assert int(_python(script + count).stdout) <= budget, command
+
+
 def _python(script: str) -> subprocess.CompletedProcess:
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

@@ -111,12 +111,12 @@ def test_parse_literal_forms():
         'init h = "x # y"  # a comment after a # inside text\n'
         'init q = "\\"#"  # an escaped quote before a #\n'
     )
-    assert doc.inits["t"] == ('a#b "quoted"', True)
-    assert doc.inits["f"] == (False, False)
-    assert doc.inits["x"] == (-1500.0, False)
-    assert doc.inits["y"] == (0.5, False)
-    assert doc.inits["h"] == ("x # y", False)
-    assert doc.inits["q"] == ('"#', False)
+    assert doc.inits["t"] == ('a#b "quoted"', True, 5)
+    assert doc.inits["f"] == (False, False, 6)
+    assert doc.inits["x"] == (-1500.0, False, 7)
+    assert doc.inits["y"] == (0.5, False, 8)
+    assert doc.inits["h"] == ("x # y", False, 11)
+    assert doc.inits["q"] == ('"#', False, 12)
 
 
 def test_parse_errors_carry_line_numbers():
@@ -139,6 +139,9 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as exc:
         CompositionDocument.parse('data t\ninit t = "a"b old\n')
     assert exc.value.line == 2 and "unexpected trailing 'b old'" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        CompositionDocument.parse('data t\ninit t = "\\q"\n')
+    assert exc.value.line == 2 and str(exc.value) == 'line 2: bad text literal "\\q"'
     with pytest.raises(ParseError) as exc:
         CompositionDocument.parse("init a = maybe\n")
     assert "bad literal" in str(exc.value)
@@ -170,7 +173,7 @@ def test_parse_errors_carry_line_numbers():
     assert exc.value.line == 3 and "lone surrogate" in str(exc.value)
     # an escaped surrogate pair is one code point, not a lone surrogate
     doc = CompositionDocument.parse('data t\ninit t = "\\ud83d\\ude00"\n')
-    assert doc.inits["t"] == ("\U0001f600", False)
+    assert doc.inits["t"] == ("\U0001f600", False, 2)
 
 
 def test_parse_unknown_kind():
@@ -214,11 +217,17 @@ def test_override_keeps_the_old_flag():
     doc = CompositionDocument.parse("data a\ndata b\ninit a = 1 old\n")
     doc.override("a", 9.0)
     doc.override("b", 2.0)
-    assert doc.inits["a"] == (9.0, True)
-    assert doc.inits["b"] == (2.0, False)
+    assert doc.inits["a"] == (9.0, True, None)
+    assert doc.inits["b"] == (2.0, False, None)
     _, state, _ = doc.build()
     assert state.marking[0] == O and state.values[0] == 9.0
     assert state.marking[1] == N
+    # an override with no source leaves the model's error as it is
+    doc.override("zz", 1.0)
+    with pytest.raises(ValidationError) as exc:
+        doc.build()
+    assert type(exc.value) is ValidationError
+    assert str(exc.value) == "no data node named 'zz'"
 
 
 # ---------------------------------------------------------------- emission

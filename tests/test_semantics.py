@@ -484,27 +484,40 @@ def test_a_run_never_touches_the_callers_state():
 
 
 def test_a_failing_run_keeps_its_partial_result():
-    comp = build_loop_pattern("add1").composition
-    body = comp.operator_named("p1").index
+    loop = build_loop_pattern("add1").composition
+    lone = build_composition(["a", "b"], [("p", "process", ("a",), ("b",), "nest")])
     failing = default_registry()
     failing.register("add1", _third_call_fails)
-    # (seed, registry, error, message, firings of the body before the failure)
+    nesting = ProcessRegistry({"nest": lambda values, count: [[1.0]]})
+
+    def seeded(seed):
+        return state_of(loop, {"d0": N, "d3": N}, {"d0": 10.0, "d3": seed})
+
+    # (composition, seed state, registry, error, message, failing operator,
+    #  its firings before the failure)
     cases = (
-        (0.0, failing, ProcessError, "third call", 2),
-        ("x", default_registry(), TypeMismatch, "add1 needs number operands", 0),
+        (loop, seeded(0.0), failing, ProcessError, "third call", "p1", 2),
+        (loop, seeded("x"), default_registry(), TypeMismatch,
+         "add1 needs number operands", "p1", 0),
+        (lone, state_of(lone, {"a": N}, {"a": 1.0}), nesting, TypeMismatch,
+         "unsupported value type 'list'", "p", 0),
     )
-    for seed, registry, error, message, done in cases:
-        state = state_of(comp, {"d0": N, "d3": N}, {"d0": 10.0, "d3": seed})
+    for comp, state, registry, error, message, op, done in cases:
+        index = comp.operator_named(op).index
         for processor in (_sequential, _concurrent):
             with pytest.raises(error, match=message) as exc:
                 processor(comp, state, registry)
             result = exc.value.result
             assert str(exc.value).startswith(
-                f"operator 'p1' at step {len(result.trace)}: "
+                f"operator {op!r} at step {len(result.trace)}: "
             )
             assert not result.converged
-            assert [e.op_index for e in result.trace].count(body) == done
-            assert result.final_state.exec_counts[body] == done
+            assert result.steps_taken == len(result.trace)
+            assert [e.op_index for e in result.trace].count(index) == done
+            assert result.final_state.exec_counts[index] == done
+            if not result.trace:  # failed at the first firing
+                assert result.final_state == state
+                continue
             # the run up to the failing firing, as a run stopped just before it
             limits = RunLimits(len(result.trace))
             stopped = processor(comp, state, default_registry(), limits)

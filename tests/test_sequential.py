@@ -1,9 +1,12 @@
 """Sequential scheduler: rotating scan, convergence, step limits."""
+import re
+
 import pytest
 
 from tokenflow import (
     RunLimits,
     TokenState,
+    ValidationError,
     build_composition,
     build_loop_pattern,
     default_registry,
@@ -27,8 +30,9 @@ from conftest import (
 
 def test_run_limits_validation():
     assert RunLimits().max_steps == 100_000
-    with pytest.raises(ValueError):
-        RunLimits(max_steps=0)
+    for bad in (0, 1.5, True, "3"):
+        with pytest.raises(ValidationError, match=f"got {re.escape(repr(bad))}$"):
+            RunLimits(max_steps=bad)
 
 
 def test_enabled_set_on_fresh_loop():
