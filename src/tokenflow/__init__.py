@@ -5,14 +5,13 @@ operators may fire. A sequential processor fires one operator per step with
 a rotating scan; a concurrent processor overlaps operators with disjoint
 neighborhoods over virtual time. Both produce identical final states.
 
-The names of the processors, their firing semantics and the patterns load
-on first use, so a command that fires nothing does not import them.
+The names of the processors, their firing semantics, the patterns and the
+document writer load on first use, so a command loads only what it uses.
 """
 from importlib import import_module
 
 from .dsl import (
     CompositionDocument,
-    emit_composition,
     format_value,
     parse_composition,
     serialize_trace,
@@ -43,6 +42,7 @@ _LAZY = {
     ),
     "sequential": ("RunLimits", "RunResult", "run_to_convergence", "step"),
     "concurrent": ("ScheduleEntry", "schedule_tsv", "simulate_concurrent"),
+    "emit": ("emit_composition",),
     "patterns": ("PatternInstance", "build_ifelse_pattern", "build_loop_pattern"),
 }
 

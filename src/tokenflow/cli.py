@@ -5,71 +5,84 @@ run stops at the step limit before converging.
 """
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .dsl import CompositionDocument, format_value, parse_literal, trace_renderer
 from .errors import FlowError, ParseError, ValidationError
 from .model import Composition, ExecutionState
 
+# Each command's help line, the help of its file argument, and its options in
+# the order --help lists them, as (option, kind, default, metavar, help). The
+# kind says what an option does with the word after it: "flag" takes none and
+# stores True, "list" appends it, "text" stores it, "int" stores it as an int
+# and "limit" as an int of at least 1. _read and the argparse parser in
+# tokenflow.usage are both built from this table.
+_SEEDS = ("--seed-override", "list", (), "NAME=LITERAL", "replace an init value (repeatable)")
+_LIMIT = ("--max-steps", "limit", None, None, None)
+_QUIET = ("--quiet", "flag", False, None, "summary only")
+_DOC = "composition document"
+COMMANDS = {
+    "validate": ("parse and structurally check a document", None, ()),
+    "run": ("run sequentially to convergence", _DOC, (
+        _SEEDS, _LIMIT, _QUIET,
+        ("--trace", "text", "-", "PATH", "write the trace to PATH instead of stdout"),
+    )),
+    "step": ("fire a bounded number of steps", _DOC, (
+        _SEEDS, ("--steps", "int", 1, None, None),
+    )),
+    "simulate": ("concurrent run over virtual time", _DOC, (_SEEDS, _LIMIT, _QUIET)),
+    "graph": ("print the composition as Graphviz dot", _DOC, (_SEEDS,)),
+}
 
-class _UsageError(Exception):
-    pass
 
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """What argparse makes of argv when every option in it is spelled out.
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # keep exit code 2 reserved for step limits
-        raise _UsageError(message)
-
-
-def positive_int(text: str) -> int:
-    """argparse type for step limits: RunLimits wants at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="tokenflow", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, runnable=True):
-        p.add_argument("file", help="composition document")
-        p.add_argument(
-            "--seed-override",
-            action="append",
-            default=[],
-            metavar="NAME=LITERAL",
-            help="replace an init value (repeatable)",
-        )
-        if runnable:
-            p.add_argument("--max-steps", type=positive_int)
-            p.add_argument("--quiet", action="store_true", help="summary only")
-
-    p = sub.add_parser("validate", help="parse and structurally check a document")
-    p.add_argument("file")
-
-    p = sub.add_parser("run", help="run sequentially to convergence")
-    add_common(p)
-    p.add_argument(
-        "--trace",
-        default="-",
-        metavar="PATH",
-        help="write the trace to PATH instead of stdout",
-    )
-
-    p = sub.add_parser("step", help="fire a bounded number of steps")
-    add_common(p, runnable=False)
-    p.add_argument("--steps", type=int, default=1)
-
-    p = sub.add_parser("simulate", help="concurrent run over virtual time")
-    add_common(p)
-
-    p = sub.add_parser("graph", help="print the composition as Graphviz dot")
-    add_common(p, runnable=False)
-    return parser
+    That is a command, then its file and its options in any order, each
+    option named in full and followed by its value as the next word. For
+    anything else (-h, an abbreviated option, --opt=value, --, a word
+    starting with - where a value belongs, a missing or bad value, an extra
+    word) the answer is None, and argparse reads argv.
+    """
+    spec = COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    args = {"command": argv[0], "file": None}
+    options = {}
+    for option, kind, default, _, _ in spec[2]:
+        dest = option[2:].replace("-", "_")
+        options[option] = dest, kind
+        args[dest] = list(default) if kind == "list" else default
+    words = iter(argv[1:])
+    for word in words:
+        if word[:1] != "-":
+            if args["file"] is not None:
+                return None
+            args["file"] = word
+            continue
+        if word not in options:
+            return None
+        dest, kind = options[word]
+        if kind == "flag":
+            args[dest] = True
+            continue
+        value = next(words, "-")  # a missing value falls back like a -word
+        if value[:1] == "-":
+            return None
+        if kind == "list":
+            args[dest].append(value)
+            continue
+        if kind != "text":
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+            if kind == "limit" and value < 1:
+                return None
+        args[dest] = value
+    return None if args["file"] is None else SimpleNamespace(**args)
 
 
 def _load(path: str, overrides: list[str]):
@@ -153,12 +166,16 @@ def _finish(comp, result, out: _Batch) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv)
+    if args is None:
+        from .usage import UsageError, parse_args
+
+        try:
+            args = parse_args(argv)
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
     stdout = sys.stdout
     out = _Batch(stdout.write)
     try:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import FlowError, ParseError, TypeMismatch, ValidationError
 from .model import (
@@ -28,7 +28,6 @@ from .model import (
     Value,
     build_composition,
     check_duration,
-    check_durations,
     check_sort,
     coerce_value,
     initial_state,
@@ -226,32 +225,6 @@ def parse_composition(
     return CompositionDocument.parse(text).build()
 
 
-def emit_composition(
-    comp: Composition,
-    seed: ExecutionState | None = None,
-    durations: Mapping[int, float] | None = None,
-) -> str:
-    """Canonical document for a composition, inverse of parse_composition."""
-    lines = [f"data {node.name} {node.sort}" for node in comp.data]
-    for op in comp.operators:
-        kind = f"{op.kind}:{op.process_name}" if op.process_name else op.kind
-        ins = ", ".join(comp.data[d].name for d in op.inputs)
-        outs = ", ".join(comp.data[d].name for d in op.outputs)
-        lines.append(f"op {op.name} {kind} ({ins}) -> ({outs})")
-    if seed is not None:
-        for node in comp.data:
-            mark = seed.marking[node.index]
-            if mark == TokenState.VOID:
-                continue
-            suffix = " old" if mark == TokenState.OLD else ""
-            lines.append(
-                f"init {node.name} = {format_value(seed.values[node.index])}{suffix}"
-            )
-    for idx, d in sorted(check_durations(comp, durations).items()):
-        lines.append(f"dur {comp.operators[idx].name} = {format_number(d)}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def trace_renderer(
     start: Sequence[tuple[str, TokenState]],
 ) -> Callable[[TraceEvent], str]:
@@ -267,7 +240,8 @@ def trace_renderer(
     rebuilt by replaying each event's marking delta over start.
     """
     # cell[d][m]: the marking cell of data node d under marking m
-    cell = [tuple(f"{name}:{m.code}" for m in TokenState) for name, _ in start]
+    void, old, new = (m.code for m in TokenState)
+    cell = [(f"{name}:{void}", f"{name}:{old}", f"{name}:{new}") for name, _ in start]
     cells = [cell[d][m] for d, (_, m) in enumerate(start)]
     join = ",".join
 

@@ -255,8 +255,18 @@ KINDS: dict[str, Kind] = {
 }
 
 
+def _is_name(name) -> bool:
+    """Whether name is text that NAME matches in full.
+
+    Every ASCII identifier does, so the common name skips the regex.
+    """
+    return isinstance(name, str) and (
+        name.isascii() and name.isidentifier() or NAME.fullmatch(name) is not None
+    )
+
+
 def _check_name(role: str, name) -> None:
-    if not (isinstance(name, str) and NAME.fullmatch(name)):
+    if not _is_name(name):
         raise ValidationError(f"bad {role} name {name!r}")
 
 
@@ -337,9 +347,7 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
             raise ValidationError(
                 f"operator {name!r}: kind {kind!r} {takes} a process name"
             )
-        if process_name and not (
-            isinstance(process_name, str) and NAME.fullmatch(process_name)
-        ):
+        if process_name and not _is_name(process_name):
             raise ValidationError(
                 f"operator {name!r}: bad process name {process_name!r}"
             )

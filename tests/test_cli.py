@@ -9,7 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from tokenflow import (
@@ -21,7 +21,8 @@ from tokenflow import (
     serialize_trace,
     simulate_concurrent,
 )
-from tokenflow.cli import CHUNK, _summary, main
+from tokenflow.cli import CHUNK, COMMANDS, _read, _summary, main
+from tokenflow.usage import parse_args
 from conftest import FLOWS
 
 LOOP = str(FLOWS / "c1_loop.flow")
@@ -165,17 +166,152 @@ def test_simulate_quiet_matches_sequential_summary(capsys):
     assert out == LOOP_FINAL + "\n"
 
 
+RUN_HELP = """\
+usage: tokenflow run [-h] [--seed-override NAME=LITERAL]
+                     [--max-steps MAX_STEPS] [--quiet] [--trace PATH]
+                     file
+
+positional arguments:
+  file                  composition document
+
+options:
+  -h, --help            show this help message and exit
+  --seed-override NAME=LITERAL
+                        replace an init value (repeatable)
+  --max-steps MAX_STEPS
+  --quiet               summary only
+  --trace PATH          write the trace to PATH instead of stdout
+"""
+
+
+def test_help_and_abbreviated_options_are_read_by_argparse(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    for argv, help_start in (
+        (["-h"], "usage: tokenflow [-h] {validate,run,step,simulate,graph} ...\n"),
+        (["run", "-h"], RUN_HELP),
+        (["run", LOOP, "--he"], RUN_HELP),
+        (["validate", "--help"], "usage: tokenflow validate [-h] file\n"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(help_start), argv
+    target = tmp_path / "out.trace"
+    code, out, _ = run_cli(capsys, "run", LOOP, "--max", "5", f"--trace={target}")
+    assert (code, out.startswith("final: ")) == (2, True)
+    assert len(target.read_text(encoding="utf-8").splitlines()) == 5
+
+
 def test_usage_errors_exit_one(capsys):
-    assert run_cli(capsys, "frobnicate", LOOP)[0] == 1
-    assert run_cli(capsys)[0] == 1
-    code, _, err = run_cli(capsys, "run")
-    assert code == 1
-    assert err.startswith("usage error:")
-    for command, limit in (("run", "0"), ("simulate", "-3")):
-        code, out, err = run_cli(capsys, command, LOOP, "--max-steps", limit)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("usage error: argument --max-steps: must be at least 1")
+    for argv, message in (
+        ([], "the following arguments are required: command"),
+        (["frobnicate", LOOP], "argument command: invalid choice: 'frobnicate'"
+         " (choose from 'validate', 'run', 'step', 'simulate', 'graph')"),
+        (["run"], "the following arguments are required: file"),
+        (["run", LOOP, "--max-steps", "0"], "argument --max-steps: must be at least 1, got 0"),
+        (
+            ["simulate", LOOP, "--max-steps", "-3"],
+            "argument --max-steps: must be at least 1, got -3",
+        ),
+        (
+            ["run", LOOP, "--max-steps", "x"],
+            "argument --max-steps: invalid positive_int value: 'x'",
+        ),
+        (["step", LOOP, "--steps", "x"], "argument --steps: invalid int value: 'x'"),
+        (["run", LOOP, "--trace"], "argument --trace: expected one argument"),
+        (["run", LOOP, "extra"], "unrecognized arguments: extra"),
+        (["graph", LOOP, "--quiet"], "unrecognized arguments: --quiet"),
+    ):
+        assert run_cli(capsys, *argv) == (1, "", f"usage error: {message}\n"), argv
+
+
+_VALUES = st.text(max_size=6).filter(lambda word: not word.startswith("-"))
+_ODD_VALUES = st.one_of(
+    st.integers(-5, 5).map(str),
+    st.sampled_from(
+        ["", "x", "+2", " 7", "1_0", "\u0663", "2.5", "-", "--", "-x", "-h", "--quiet"]
+    ),
+)
+_LONE_WORDS = st.sampled_from(["--", "-", "-h", "--help", "-x", "--bogus", "extra", "run"])
+_ALL_OPTIONS = sorted({o[:2] for _, _, options in COMMANDS.values() for o in options})
+
+
+@st.composite
+def _command_line(draw, spelled_out: bool) -> list[str]:
+    """A command, then its file and options in any order, options repeated.
+
+    Spelled out, each option is one of the command's, named in full and
+    followed by a value it takes. Otherwise the command may be unknown, and
+    options of other commands, abbreviated options, --opt=value, options
+    without their value, odd values, lone words such as -- and -h, and a
+    missing or second file come in as well.
+    """
+    commands = [*COMMANDS] if spelled_out else [*COMMANDS, "frob", "-h", ""]
+    command = draw(st.sampled_from(commands))
+    options = [option[:2] for option in COMMANDS.get(command, ("", "", ()))[2]]
+    if not spelled_out and draw(st.booleans()):
+        options += _ALL_OPTIONS
+    items = [[draw(_VALUES)]]  # the file
+    chosen = draw(st.lists(st.sampled_from(options), max_size=5)) if options else ()
+    for option, kind in chosen:
+        if kind == "flag":
+            value = []
+        elif kind == "limit":
+            value = [str(draw(st.integers(1, 10**6)))]
+        elif kind == "int":  # a negative count starts with -, which argparse reads
+            value = [str(draw(st.integers(0, 99)))]
+        else:
+            value = [draw(_VALUES)]
+        odd = "" if spelled_out else draw(
+            st.sampled_from(["", "", "", "value", "none", "short", "="])
+        )
+        if odd == "value":
+            value = [draw(_ODD_VALUES)]
+        elif odd == "none":
+            value = []
+        elif odd == "short":
+            option = option[: draw(st.integers(3, len(option) - 1))]
+        elif odd == "=" and value:
+            option, value = f"{option}={value[0]}", []
+        items.append([option, *value])
+    if not spelled_out:
+        items += [[word] for word in draw(st.lists(_LONE_WORDS | _VALUES, max_size=2))]
+        if draw(st.integers(0, 3)) == 0:
+            items.pop(0)  # no file
+    return [command, *(word for item in draw(st.permutations(items)) for word in item)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=_command_line(spelled_out=False))
+@example(argv=["run", "F", "--max-steps", "0"])
+@example(argv=["simulate", "F", "--max-steps", "-3"])
+@example(argv=["run", "F", "--max-steps", "x"])
+@example(argv=["step", "F", "--steps", "x"])
+@example(argv=["step", "F", "--steps", "-2"])
+@example(argv=["run", "F", "--trace", "-x"])
+@example(argv=["run", "F", "--seed-override", "-"])
+@example(argv=["run", "F", "--trace"])
+@example(argv=["run", "F", "--max", "5"])
+@example(argv=["run", "F", "--trace=G"])
+@example(argv=["run", "--", "F"])
+@example(argv=["run", "-", "F"])
+@example(argv=["run", "F", "-h"])
+@example(argv=["run", "F", "G"])
+@example(argv=["graph", "F", "--quiet"])
+@example(argv=["validate"])
+def test_the_reader_reads_as_argparse_does(argv):
+    # What _read does not pass on, argparse reads the same.
+    args = _read(argv)
+    if args is not None:
+        assert vars(args) == vars(parse_args(argv))
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_command_line(spelled_out=True))
+def test_the_reader_reads_every_command_spelled_out(argv):
+    args = _read(argv)
+    assert args is not None
+    assert vars(args) == vars(parse_args(argv))
 
 
 def test_bad_seed_override_exits_one(capsys):
@@ -196,26 +332,38 @@ def test_seed_override_errors_name_the_argument(capsys):
         assert err == f"error: --seed-override {item!r}: {message}\n"
 
 
-def test_a_run_imports_only_what_it_uses():
+def test_a_run_imports_only_what_it_uses(tmp_path):
     # A module a bare interpreter already loads (through site, say) is not
-    # charged to tokenflow.
-    heavy = {"dataclasses", "inspect", "tokenflow.patterns", "tokenflow.dot"}
+    # charged to tokenflow. A command spelled out in full is read without
+    # argparse, which brings gettext and locale with it.
+    heavy = {
+        "dataclasses", "inspect", "argparse", "gettext", "locale",
+        "tokenflow.patterns", "tokenflow.dot", "tokenflow.emit", "tokenflow.usage",
+    }
     modules = "import json, sys; print(json.dumps(sorted(sys.modules)))"
-    run = (
-        "import contextlib, io\n"
-        "from tokenflow import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.main(['run', {LOOP!r}, '--quiet']) == 0\n"
-    )
-    bare, loaded = (
-        set(json.loads(_python(script).stdout)) for script in (modules, run + modules)
-    )
-    assert heavy & (loaded - bare) == set()
-    # A command that fires nothing loads neither the firing rules nor a processor.
-    for command in ("validate", "graph"):
-        script = run.replace("'run'", repr(command)).replace(", '--quiet'", "")
-        loaded = set(json.loads(_python(script + modules).stdout))
-        assert {"tokenflow.semantics", "tokenflow.sequential"} & loaded == set(), command
+    bare = set(json.loads(_python(modules).stdout))
+    trace = str(tmp_path / "out.trace")
+    for argv in (
+        ["run", LOOP, "--quiet"],
+        ["run", LOOP, "--trace", trace, "--max-steps", "100"],
+        ["simulate", LOOP],
+        ["step", LOOP, "--steps", "3"],
+        ["validate", LOOP],
+        ["graph", LOOP],
+    ):
+        script = (
+            "import contextlib, io\n"
+            "from tokenflow import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n"
+        )
+        loaded = set(json.loads(_python(script + modules).stdout)) - bare
+        unused = heavy - {"tokenflow.dot"} if argv[0] == "graph" else heavy
+        assert unused & loaded == set(), argv
+        if argv[0] in ("validate", "graph"):
+            # A command that fires nothing loads neither the firing rules
+            # nor a processor.
+            assert {"tokenflow.semantics", "tokenflow.sequential"} & loaded == set(), argv
     _python(
         "import tokenflow\n"
         "from tokenflow import build_loop_pattern\n"
@@ -230,7 +378,7 @@ def test_a_run_imports_only_what_it_uses():
 # compiles them from source when no bytecode is cached, so this bounds the
 # fixed cost of each run. A budget only goes down: lower it when a change
 # shrinks the path, and never raise it.
-RUN_PATH_BUDGETS = {"run": 8_585, "simulate": 9_470}
+RUN_PATH_BUDGETS = {"run": 8_519, "simulate": 9_404}
 
 
 def test_the_run_path_stays_within_its_budget():

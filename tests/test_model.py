@@ -1,5 +1,7 @@
 """Structure building, validation, graph views, and state construction."""
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from tokenflow import (
     TokenState,
@@ -10,7 +12,7 @@ from tokenflow import (
     initial_state,
     neighborhood,
 )
-from tokenflow.model import coerce_value, value_sort
+from tokenflow.model import NAME, _check_name, coerce_value, value_sort
 from tokenflow.sequential import enabled_set
 
 from conftest import N, O, V, branch_structure, state_of
@@ -89,6 +91,29 @@ def test_names_must_fit_a_document_line():
             build_composition(data, ops)
     comp = build_composition(["x.1", "_y-2"], [("op.z", "incr", (), ("x.1",))])
     assert [n.name for n in comp.data] == ["x.1", "_y-2"]
+
+
+# Text at the edges of NAME: ASCII identifiers, names with . and -, and
+# non-ASCII letters, digits and marks, which \w and isidentifier judge apart.
+_NAME_LIKE = st.text(
+    st.sampled_from("aZ_09.-\u00e9\u0663\u2168\u00b7\u1885\u2118\u0301 \n"), max_size=6
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(name=st.one_of(st.text(), _NAME_LIKE, st.from_regex(NAME, fullmatch=True)))
+def test_name_checks_accept_exactly_what_NAME_matches(name):
+    matches = NAME.fullmatch(name) is not None
+    for check in (
+        lambda: _check_name("data", name),
+        lambda: build_composition(["a"], [("op", "process", (), ("a",), name)]),
+    ):
+        try:
+            check()
+        except ValidationError:
+            assert not matches
+        else:
+            assert matches
 
 
 def test_duplicate_data_name_rejected():
