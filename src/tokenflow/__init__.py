@@ -37,13 +37,15 @@ __version__ = "0.1.0"
 
 _LAZY = {
     "semantics": (
-        "ProcessRegistry", "Trace", "TraceEvent", "can_fire", "const",
-        "default_registry", "fire",
+        "ProcessRegistry", "Trace", "TraceEvent", "can_fire", "default_registry",
+        "fire",
     ),
     "sequential": ("RunLimits", "RunResult", "run_to_convergence", "step"),
     "concurrent": ("ScheduleEntry", "schedule_tsv", "simulate_concurrent"),
     "emit": ("emit_composition",),
-    "patterns": ("PatternInstance", "build_ifelse_pattern", "build_loop_pattern"),
+    "patterns": (
+        "PatternInstance", "build_ifelse_pattern", "build_loop_pattern", "const",
+    ),
 }
 
 

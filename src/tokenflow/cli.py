@@ -6,10 +6,15 @@ run stops at the step limit before converging.
 from __future__ import annotations
 
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
-from .dsl import CompositionDocument, format_value, parse_literal, trace_renderer
+from .dsl import (
+    CompositionDocument,
+    format_pairs,
+    format_value,
+    parse_literal,
+    trace_renderer,
+)
 from .errors import FlowError, ParseError, ValidationError
 from .model import Composition, ExecutionState
 
@@ -87,7 +92,8 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
 
 def _load(path: str, overrides: list[str]):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:  # the line the parser would have named
         line = len((exc.object[: exc.start].decode() + "x").splitlines())
         raise ParseError(
@@ -153,11 +159,15 @@ def _discard(item) -> None:
 
 
 def _lines_to(batch: _Batch, comp: Composition, state: ExecutionState):
-    """Commit hook adding each firing's trace line to batch as it commits."""
+    """Commit hook adding each firing's trace line to batch as it commits.
+
+    A caller holding the event's writes as format_pairs made them passes
+    that text too, and the line uses it.
+    """
     from .semantics import Trace
 
     render, add = trace_renderer(Trace(comp, state).start), batch.add
-    return lambda event: add(render(event))
+    return lambda event, writes="": add(render(event, writes))
 
 
 def _finish(comp, result, out: _Batch) -> int:
@@ -240,11 +250,12 @@ def _command(args, out: _Batch) -> int:
     if args.quiet:
         hook = _discard
     else:
-        line = _lines_to(out, comp, state)
+        line, keep = _lines_to(out, comp, state), rows.add
 
-        def hook(entry):
-            line(entry.event)
-            rows.add(schedule_row(entry))
+        def hook(entry):  # the writes are formatted once, for both lines
+            writes = format_pairs(entry.event.writes)
+            line(entry.event, writes)
+            keep(schedule_row(entry, writes))
 
     result, _ = simulate_concurrent(
         comp, state, registry, durations, limits, hook

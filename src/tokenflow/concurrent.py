@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Collection, Iterable, Mapping, NamedTuple
 
-from .dsl import format_number, format_value
+from .dsl import format_number, format_pairs
 from .errors import FlowError
 from .model import Composition, ExecutionState, Value, check_durations
 from .semantics import (
@@ -56,13 +56,15 @@ def startable_set(
     excluded. Ordered by (waiting key, declaration index); an operator
     missing from waiting counts as 0. running must support `in`.
     """
-    hoods = index.hoods
-    busy: set[int] = set()
-    for idx in running:
-        busy |= hoods[idx]
-    out = [i for i in index.order if i not in running and hoods[i].isdisjoint(busy)]
-    if len(out) > 1:
-        out.sort(key=lambda i: (waiting.get(i, 0), i))
+    out = index.order[:]
+    if running:
+        hoods = index.hoods
+        busy: set[int] = set()
+        for idx in running:
+            busy |= hoods[idx]
+        out = [i for i in out if i not in running and hoods[i].isdisjoint(busy)]
+    if len(out) > 1:  # a stable sort keeps declaration order among equals
+        out.sort(key=lambda i: waiting.get(i, 0))
     return out
 
 
@@ -94,55 +96,54 @@ def simulate_concurrent(
     emit = schedule.append if on_commit is None else on_commit
     run = Run(comp, initial, registry, limits, None if on_commit is None else _ignore)
     values, index, hoods = run.state.values, run.index, run.index.hoods
-    ops, enabled = comp.operators, index.enabled
+    ops, enabled, affects, commit = comp.operators, index.enabled, index.affects, run.commit
+    # new(ScheduleEntry, fields) builds an entry without the frame of its __new__
+    push, pop, new = heapq.heappush, heapq.heappop, tuple.__new__
     clock = 0.0
     # op index -> (start time, input snapshot)
     running: dict[int, tuple[float, list[Value]]] = {}
     completions: list[tuple[float, int]] = []  # heap of (end time, op index)
-    waited: dict[int, float] = {idx: 0.0 for idx in index.order}
-
-    def start_pass() -> None:
+    waited = dict.fromkeys(index.order, 0.0)
+    touched: list[int] = []  # operators the last instant's commits may affect
+    while True:
+        for idx in touched:
+            if idx in enabled:
+                waited.setdefault(idx, clock)
+            else:
+                waited.pop(idx, None)
         taken: set[int] = set()  # data of the operators this pass starts
         for idx in startable_set(index, running, waited):
             if hoods[idx].isdisjoint(taken):
                 taken |= hoods[idx]
                 running[idx] = (clock, [values[d] for d in ops[idx].inputs])
-                heapq.heappush(completions, (clock + durs[idx], idx))
-
-    start_pass()
-    while completions:
+                push(completions, (clock + durs[idx], idx))
+        if not completions:  # so nothing is running either
+            return run.result(converged=not index.order), schedule
         clock = completions[0][0]
-        touched: set[int] = set()
+        touched = []
         while completions and completions[0][0] == clock:
-            _, idx = heapq.heappop(completions)
+            idx = pop(completions)[1]
             started, snapshot = running.pop(idx)
             if [values[d] for d in ops[idx].inputs] != snapshot:
                 raise FlowError(
                     f"exclusion rule violated: inputs of {ops[idx].name!r}"
                     f" moved mid-flight at time {clock}"
                 )
-            event = run.commit(idx)
-            touched.update(index.affects[idx])
-            emit(ScheduleEntry(started, clock, idx, event.op_name, event))
+            event = commit(idx)
+            touched += affects[idx]
+            emit(new(ScheduleEntry, (started, clock, idx, event.op_name, event)))
             if run.steps >= run.max_steps:
                 return run.result(converged=False), schedule
-        for idx in touched:
-            if idx in enabled:
-                waited.setdefault(idx, clock)
-            else:
-                waited.pop(idx, None)
-        start_pass()
-
-    # every running operator has a completion, so none is left running here
-    return run.result(converged=not index.order), schedule
 
 
-def schedule_row(entry: ScheduleEntry) -> str:
-    """One schedule entry as a start/end/operator/writes TSV line."""
-    writes = ",".join([f"{n}={format_value(v)}" for n, v in entry.event.writes])
+def schedule_row(entry: ScheduleEntry, writes: str = "") -> str:
+    """One schedule entry as a start/end/operator/writes TSV line.
+
+    writes, when given, is format_pairs(entry.event.writes), already made.
+    """
     return (
         f"{format_number(entry.start)}\t{format_number(entry.end)}"
-        f"\t{entry.op_name}\t{{{writes}}}\n"
+        f"\t{entry.op_name}\t{{{writes or format_pairs(entry.event.writes)}}}\n"
     )
 
 

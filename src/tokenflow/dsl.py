@@ -225,9 +225,14 @@ def parse_composition(
     return CompositionDocument.parse(text).build()
 
 
+def format_pairs(pairs: Sequence[tuple[str, Value]]) -> str:
+    """(name, value) pairs as traces and schedules print them: a=1,b="x"."""
+    return ",".join([f"{n}={format_value(v)}" for n, v in pairs])
+
+
 def trace_renderer(
     start: Sequence[tuple[str, TokenState]],
-) -> Callable[[TraceEvent], str]:
+) -> Callable[..., str]:
     """A function rendering the events of one run, in firing order, as lines.
 
     start is the marking the run began from, as (data name, marking) pairs
@@ -236,6 +241,8 @@ def trace_renderer(
 
     step=<n> op=<name> reads={...} writes={...} marking=<name:V|O|N,...>
 
+    A caller that has already formatted the event's writes with
+    format_pairs passes that text as a second argument, to format them once.
     The marking column is the post-firing marking of every data node,
     rebuilt by replaying each event's marking delta over start.
     """
@@ -245,14 +252,12 @@ def trace_renderer(
     cells = [cell[d][m] for d, (_, m) in enumerate(start)]
     join = ",".join
 
-    def render(event: TraceEvent) -> str:
+    def render(event: TraceEvent, writes: str = "") -> str:
         for d, m in event.marking_delta:
             cells[d] = cell[d][m]
-        reads = join([f"{n}={format_value(v)}" for n, v in event.reads])
-        writes = join([f"{n}={format_value(v)}" for n, v in event.writes])
         return (
-            f"step={event.step} op={event.op_name}"
-            f" reads={{{reads}}} writes={{{writes}}} marking={join(cells)}\n"
+            f"step={event.step} op={event.op_name} reads={{{format_pairs(event.reads)}}}"
+            f" writes={{{writes or format_pairs(event.writes)}}} marking={join(cells)}\n"
         )
 
     return render

@@ -47,17 +47,16 @@ SORTS = ("bool", "num", "text", "any")
 # Data and operator names: what a document line can carry as one name.
 NAME = re.compile(r"[A-Za-z_][\w.-]*")
 
+_SORT_OF = {bool: "bool", float: "num", str: "text"}  # Python type -> sort tag
+
 
 def value_sort(value: Value) -> str | None:
     """Sort tag of a value, or None for the absent value."""
     if value is None:
         return None
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, float):
-        return "num"
-    if isinstance(value, str):
-        return "text"
+    for cls, sort in _SORT_OF.items():
+        if isinstance(value, cls):
+            return sort
     raise TypeMismatch(f"unsupported value type {type(value).__name__!r}")
 
 
@@ -90,9 +89,6 @@ def coerce_value(value) -> Value:
     raise TypeMismatch(f"unsupported value type {type(value).__name__!r}")
 
 
-_SORT_OF = {bool: "bool", float: "num", str: "text"}  # exact types; see value_sort
-
-
 def check_sort(node: "DataNode", value: Value) -> None:
     sort = node.sort
     if sort == "any" or value is None or _SORT_OF.get(type(value)) == sort:
@@ -102,6 +98,13 @@ def check_sort(node: "DataNode", value: Value) -> None:
         raise TypeMismatch(
             f"data {node.name!r} is declared {node.sort} but got a {actual} value"
         )
+
+
+def _same_slots(self, other):
+    """__eq__ of a __slots__ class: same class, and every slot equal."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
 class DataNode(NamedTuple):
@@ -133,10 +136,7 @@ class Composition:
         self._data_by_name = {node.name: node for node in data}
         self._operator_by_name = {op.name: op for op in operators}
 
-    def __eq__(self, other):
-        if not isinstance(other, Composition):
-            return NotImplemented
-        return self.data == other.data and self.operators == other.operators
+    __eq__ = _same_slots
 
     def data_named(self, name: str) -> DataNode:
         node = self._data_by_name.get(name)
@@ -420,10 +420,7 @@ class ExecutionState:
         self.step = step
         self.scan_start = scan_start
 
-    def __eq__(self, other):
-        if not isinstance(other, ExecutionState):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+    __eq__ = _same_slots
 
     def copy(self) -> "ExecutionState":
         return ExecutionState(

@@ -1,10 +1,13 @@
-"""Canonical composition patterns: branch-and-merge and the counted loop."""
+"""Canonical composition patterns: branch-and-merge and the counted loop.
+
+Also const, a factory of process functions that emit a fixed value.
+"""
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .model import Composition, build_composition
-from .semantics import ProcessRegistry
+from .model import Composition, Value, build_composition, coerce_value
+from .semantics import ProcessFn, ProcessRegistry
 
 
 class PatternInstance(NamedTuple):
@@ -12,6 +15,16 @@ class PatternInstance(NamedTuple):
 
     composition: Composition
     role_map: dict[str, int]
+
+
+def const(value: Value) -> ProcessFn:
+    """Process factory: ignore the inputs and emit a fixed value."""
+    value = coerce_value(value)
+
+    def fn(values, count):
+        return [value]
+
+    return fn
 
 
 def _check_registered(registry: ProcessRegistry | None, *names: str) -> None:

@@ -24,7 +24,6 @@ from .model import (
     TokenState,
     Value,
     check_sort,
-    coerce_value,
     neighborhood,
     want_numbers,
 )
@@ -83,16 +82,6 @@ def _negate(values, count):
     if not isinstance(a, bool):
         raise TypeMismatch(f"not needs a boolean operand, got {a!r}")
     return [not a]
-
-
-def const(value: Value) -> ProcessFn:
-    """Process factory: ignore the inputs and emit a fixed value."""
-    value = coerce_value(value)
-
-    def fn(values, count):
-        return [value]
-
-    return fn
 
 
 def default_registry() -> ProcessRegistry:
@@ -203,8 +192,9 @@ def fire(
         delta.append((d, NEW))
         values[d] = v
         marking[d] = NEW
-    event = TraceEvent(
-        state.step, spec.index, spec.name, tuple(reads), tuple(wrote), tuple(delta)
+    event = tuple.__new__(  # TraceEvent(...) without the frame of its __new__
+        TraceEvent,
+        (state.step, spec.index, spec.name, tuple(reads), tuple(wrote), tuple(delta)),
     )
     state.exec_counts[spec.index] += 1
     state.step += 1

@@ -8,13 +8,16 @@ from tokenflow import (
     default_registry,
     emit_composition,
     neighborhood,
+    parse_composition,
     run_to_convergence,
     schedule_tsv,
     simulate_concurrent,
 )
+from tokenflow import concurrent
 from tokenflow.concurrent import startable_set
 from tokenflow.sequential import EnabledIndex
 from conftest import (
+    FLOWS,
     N,
     branch_state,
     branch_structure,
@@ -172,6 +175,29 @@ def test_bad_durations_are_refused_before_the_run(durations, named):
     # documents refuse these values, so emission refuses them too
     with pytest.raises(ValidationError, match=named):
         emit_composition(comp, state, durations)
+
+
+def test_one_start_pass_at_time_zero_and_one_per_completion_instant(monkeypatch):
+    # A start pass runs after all the completions of an instant, never
+    # between them, and none is skipped: an exact count, so a change that
+    # adds or drops a pass fails here.
+    passes = []
+
+    def counted(index, running, waiting):
+        passes.append(bool(running))
+        return startable_set(index, running, waiting)
+
+    monkeypatch.setattr(concurrent, "startable_set", counted)
+    comp, state, durations = parse_composition(
+        (FLOWS / "c1_loop.flow").read_text(encoding="utf-8")
+    )
+    varied = {op.index: (0.5, 3.0, 1.0, 2.0)[op.index % 4] for op in comp.operators}
+    for durs in (durations, varied):
+        passes.clear()
+        result, schedule = simulate_concurrent(comp, state, default_registry(), durs)
+        assert result.converged
+        assert len(passes) == 1 + len({entry.end for entry in schedule})
+    assert any(passes)  # the varied durations start next to running operators
 
 
 def test_simulation_truncates_at_the_step_limit():
