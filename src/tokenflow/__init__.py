@@ -37,10 +37,10 @@ __version__ = "0.1.0"
 
 _LAZY = {
     "semantics": (
-        "ProcessRegistry", "Trace", "TraceEvent", "can_fire", "default_registry",
-        "fire",
+        "ProcessRegistry", "RunLimits", "RunResult", "Trace", "TraceEvent",
+        "can_fire", "default_registry", "fire",
     ),
-    "sequential": ("RunLimits", "RunResult", "run_to_convergence", "step"),
+    "sequential": ("run_to_convergence", "step"),
     "concurrent": ("ScheduleEntry", "schedule_tsv", "simulate_concurrent"),
     "emit": ("emit_composition",),
     "patterns": (

@@ -213,10 +213,11 @@ def _command(args, out: _Batch) -> int:
         out.add(to_dot(comp, state.marking))
         return 0
 
-    from .semantics import default_registry
-    from .sequential import RunLimits, run_to_convergence
+    from .semantics import RunLimits, default_registry
 
     registry = default_registry()
+    if args.command != "simulate":
+        from .sequential import run_to_convergence
     if args.command == "step":
         if args.steps >= 1:
             limits = RunLimits(args.steps)

@@ -11,13 +11,15 @@ completion, keep starting the enabled operator that has waited longest
 
 A run is a semantics.Run: it owns a copy of the initial state and commits
 each completion to it through Run.commit, as the sequential processor does,
-so only the selection differs. Its EnabledIndex also holds each operator's
+so only the selection differs. The run also holds each operator's
 neighborhood. Completions wait in a heap ordered by (end time, declaration
 index). After each commit only the operators sharing a data node with the
 committed one are re-tested, and the wait times of exactly those are
-brought up to date once all commits of the instant are in. A start pass is
-one sweep, in (wait time, index) order, over the startable_set of the
-index: enabled operators that are not running and touch no data in flight.
+brought up to date once all commits of the instant are in. The data of the
+running operators is kept in one busy set, grown when an operator starts
+and shrunk when it completes. A start pass is one sweep, in (wait time,
+index) order, over the startable_set of the run (the enabled operators
+that are not running), starting each one that touches no busy data.
 """
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ from .dsl import format_number, format_pairs
 from .errors import FlowError
 from .model import Composition, ExecutionState, Value, check_durations
 from .semantics import (
-    EnabledIndex,
     ProcessRegistry,
     Run,
     RunLimits,
@@ -48,23 +49,16 @@ class ScheduleEntry(NamedTuple):
 
 
 def startable_set(
-    index: EnabledIndex, running: Collection[int], waiting: Mapping[int, float]
+    run: Run, running: Collection[int], waiting: Mapping[int, float]
 ) -> list[int]:
-    """Enabled operators that may start next to the running ones.
+    """The candidates of a start pass: enabled operators that are not running.
 
-    Running operators and anything sharing a data node with them are
-    excluded. Ordered by (waiting key, declaration index); an operator
-    missing from waiting counts as 0. running must support `in`.
+    Ordered by (waiting key, declaration index); waiting must hold a key for
+    every enabled operator, and running must support `in`.
     """
-    out = index.order[:]
-    if running:
-        hoods = index.hoods
-        busy: set[int] = set()
-        for idx in running:
-            busy |= hoods[idx]
-        out = [i for i in out if i not in running and hoods[i].isdisjoint(busy)]
+    out = [i for i in run.order if i not in running]
     if len(out) > 1:  # a stable sort keeps declaration order among equals
-        out.sort(key=lambda i: waiting.get(i, 0))
+        out.sort(key=waiting.__getitem__)
     return out
 
 
@@ -95,15 +89,16 @@ def simulate_concurrent(
     schedule: list[ScheduleEntry] = []
     emit = schedule.append if on_commit is None else on_commit
     run = Run(comp, initial, registry, limits, None if on_commit is None else _ignore)
-    values, index, hoods = run.state.values, run.index, run.index.hoods
-    ops, enabled, affects, commit = comp.operators, index.enabled, index.affects, run.commit
+    values, hoods = run.state.values, run.hoods
+    ops, enabled, affects, commit = comp.operators, run.enabled, run.affects, run.commit
     # new(ScheduleEntry, fields) builds an entry without the frame of its __new__
     push, pop, new = heapq.heappush, heapq.heappop, tuple.__new__
     clock = 0.0
     # op index -> (start time, input snapshot)
     running: dict[int, tuple[float, list[Value]]] = {}
     completions: list[tuple[float, int]] = []  # heap of (end time, op index)
-    waited = dict.fromkeys(index.order, 0.0)
+    busy: set[int] = set()  # the data of the running operators
+    waited = dict.fromkeys(run.order, 0.0)
     touched: list[int] = []  # operators the last instant's commits may affect
     while True:
         for idx in touched:
@@ -111,19 +106,19 @@ def simulate_concurrent(
                 waited.setdefault(idx, clock)
             else:
                 waited.pop(idx, None)
-        taken: set[int] = set()  # data of the operators this pass starts
-        for idx in startable_set(index, running, waited):
-            if hoods[idx].isdisjoint(taken):
-                taken |= hoods[idx]
+        for idx in startable_set(run, running, waited):
+            if hoods[idx].isdisjoint(busy):
+                busy |= hoods[idx]
                 running[idx] = (clock, [values[d] for d in ops[idx].inputs])
                 push(completions, (clock + durs[idx], idx))
         if not completions:  # so nothing is running either
-            return run.result(converged=not index.order), schedule
+            return run.result(converged=not run.order), schedule
         clock = completions[0][0]
         touched = []
         while completions and completions[0][0] == clock:
             idx = pop(completions)[1]
             started, snapshot = running.pop(idx)
+            busy -= hoods[idx]
             if [values[d] for d in ops[idx].inputs] != snapshot:
                 raise FlowError(
                     f"exclusion rule violated: inputs of {ops[idx].name!r}"
@@ -133,7 +128,9 @@ def simulate_concurrent(
             touched += affects[idx]
             emit(new(ScheduleEntry, (started, clock, idx, event.op_name, event)))
             if run.steps >= run.max_steps:
-                return run.result(converged=False), schedule
+                # An operator in flight is still enabled, since nothing has
+                # touched its neighbourhood since it started: run.order holds it.
+                return run.result(converged=not run.order), schedule
 
 
 def schedule_row(entry: ScheduleEntry, writes: str = "") -> str:

@@ -3,10 +3,10 @@
 The rule and effect of every operator kind live in model.KINDS. fire()
 checks the rule and commits the firing to a copy, so its input never
 changes. A Run copies its initial state once and commits every firing to
-that copy in place, through fire(owned=True), keeping its EnabledIndex
-and step count current and handing each event to its commit hook (by
-default, its trace): Run.commit is the one firing path of both processors,
-which differ only in which enabled operator they pick.
+that copy in place, through fire(owned=True), keeping its set of enabled
+operators and its step count current and handing each event to its commit
+hook (by default, its trace): Run.commit is the one firing path of both
+processors, which differ only in which enabled operator they pick.
 """
 from __future__ import annotations
 
@@ -158,10 +158,10 @@ def fire(
 
     By default fire checks enablement and commits to a copy: the input
     state is never mutated. A Run passes owned=True, with the operator's
-    OperatorSpec, for the state it owns once its EnabledIndex holds the
-    operator as enabled: the firing is then committed to that state in
-    place, in work bounded by the operator's neighbourhood, with no second
-    check and no copy.
+    OperatorSpec, for the state it owns once it holds the operator as
+    enabled: the firing is then committed to that state in place, in work
+    bounded by the operator's neighbourhood, with no second check and no
+    copy.
     """
     if owned:
         spec = op
@@ -238,58 +238,20 @@ def enabled_set(comp: Composition, state: ExecutionState) -> list[int]:
     ]
 
 
-class EnabledIndex:
-    """The enabled operators of one run, kept current firing by firing.
-
-    order lists them in declaration order, and enabled holds the same
-    operators as a set; both start from a full enabled_set scan. hoods[i]
-    is the neighbourhood of operator i, and affects[i] lists the operators
-    sharing a data node with it (itself included): the only ones whose
-    enablement firing i can change.
-    """
-
-    def __init__(self, comp: Composition, state: ExecutionState):
-        hoods = [neighborhood(comp, op) for op in comp.operators]
-        touching: dict[int, list[int]] = {}
-        for i, hood in enumerate(hoods):
-            for d in hood:
-                touching.setdefault(d, []).append(i)
-        self.comp = comp
-        self.hoods = hoods
-        self.affects = [
-            sorted({j for d in hood for j in touching[d]}) for hood in hoods
-        ]
-        self.order = enabled_set(comp, state)
-        self.enabled = set(self.order)
-
-    def update(
-        self, fired: int, marking: Mapping[int, TokenState], wrote: bool
-    ) -> None:
-        """Re-test the operators that firing `fired` can affect.
-
-        A firing that wrote an output left a New token on it, which disables
-        the fired operator without a test; one that wrote nothing, which only
-        a hand-built operator with no outputs can do, is tested like the rest.
-        """
-        ops, enabled, order = self.comp.operators, self.enabled, self.order
-        for j in self.affects[fired]:
-            if (j != fired or not wrote) and can_fire(self.comp, ops[j], marking):
-                if j not in enabled:
-                    enabled.add(j)
-                    insort(order, j)
-            elif j in enabled:
-                enabled.remove(j)
-                del order[bisect_left(order, j)]
-
-
 class Run:
-    """One run: the state it owns, its EnabledIndex and its trace.
+    """One run: the state it owns, its enabled operators and its trace.
 
     The initial state is copied once, here; commit() is then the only way
     the run changes. The processors differ only in which operator they
     commit next. Each firing's event goes to on_commit, which by default
     appends it to the trace; a run given a hook keeps no event itself.
     steps counts the firings either way.
+
+    order lists the enabled operators in declaration order, and enabled
+    holds the same operators as a set; both start from one enabled_set scan
+    and commit() keeps them current. hoods[i] is the neighbourhood of
+    operator i, and affects[i] lists the operators sharing a data node with
+    it (itself included): the only ones whose enablement firing i can change.
     """
 
     def __init__(self, comp, initial, registry, limits, on_commit=None):
@@ -297,26 +259,49 @@ class Run:
         self.registry = registry
         self.max_steps = limits.max_steps
         self.state = initial.copy()
-        self.index = EnabledIndex(comp, self.state)
         self.trace = Trace(comp, initial)
         self.on_commit = self.trace.append if on_commit is None else on_commit
         self.steps = 0
+        hoods = [neighborhood(comp, op) for op in comp.operators]
+        touching: dict[int, list[int]] = {}
+        for i, hood in enumerate(hoods):
+            for d in hood:
+                touching.setdefault(d, []).append(i)
+        self.hoods = hoods
+        self.affects = [
+            sorted({j for d in hood for j in touching[d]}) for hood in hoods
+        ]
+        self.order = enabled_set(comp, self.state)
+        self.enabled = set(self.order)
 
     def commit(self, idx: int) -> TraceEvent:
         """Fire enabled operator idx in place; returns its event.
 
         A FlowError from the firing leaves the state as it was before it and
-        carries the run so far as its result, with converged=False.
+        carries the run so far as its result, with converged=False. Only the
+        operators the firing can affect are re-tested. A firing that wrote
+        an output left a New token on it, which disables the fired operator
+        without a test; one that wrote nothing, which only a hand-built
+        operator with no outputs can do, is tested like the rest.
         """
-        spec = self.comp.operators[idx]
-        if idx not in self.index.enabled:
-            raise NotEnabled(f"operator {spec.name!r} is not enabled")
+        comp, enabled, order = self.comp, self.enabled, self.order
+        ops = comp.operators
+        if idx not in enabled:
+            raise NotEnabled(f"operator {ops[idx].name!r} is not enabled")
         try:
-            _, event = fire(self.comp, spec, self.state, self.registry, owned=True)
+            _, event = fire(comp, ops[idx], self.state, self.registry, owned=True)
         except FlowError as exc:
             exc.result = self.result(converged=False)
             raise
-        self.index.update(idx, self.state.marking, bool(event.writes))
+        wrote, marking = event.writes, self.state.marking
+        for j in self.affects[idx]:
+            if (j != idx or not wrote) and can_fire(comp, ops[j], marking):
+                if j not in enabled:
+                    enabled.add(j)
+                    insort(order, j)
+            elif j in enabled:
+                enabled.remove(j)
+                del order[bisect_left(order, j)]
         self.steps += 1
         self.on_commit(event)
         return event

@@ -9,8 +9,8 @@ which makes simultaneously enabled operators resolve to the lowest index.
 
 The firing itself is semantics.Run.commit, shared with the concurrent
 processor: the run owns a copy of the initial state and keeps its enabled
-operators in an EnabledIndex. select_next takes the first enabled index at
-or after the scan position by bisection, wrapping to the lowest: the same
+operators in declaration order. select_next takes the first of them at or
+after the scan position by bisection, wrapping to the lowest: the same
 choice as the rotating scan, without visiting every operator.
 """
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Callable
 
 from .model import Composition, ExecutionState
 from .semantics import (  # enabled_set, fire: re-exported for callers of this module
-    EnabledIndex,
     ProcessRegistry,
     Run,
     RunLimits,
@@ -31,16 +30,16 @@ from .semantics import (  # enabled_set, fire: re-exported for callers of this m
 )
 
 
-def select_next(state: ExecutionState, index: EnabledIndex) -> int | None:
+def select_next(run: Run) -> int | None:
     """Operator the scheduler will fire next, or None at convergence.
 
-    The first enabled index at or after state.scan_start, else the lowest
-    enabled index, taken from the run's EnabledIndex.
+    The first enabled index at or after the scan_start of the run's state,
+    else the lowest enabled index.
     """
-    enabled = index.order
+    enabled = run.order
     if not enabled:
         return None
-    pos = bisect_left(enabled, state.scan_start)
+    pos = bisect_left(enabled, run.state.scan_start)
     return enabled[pos] if pos < len(enabled) else enabled[0]
 
 
@@ -68,8 +67,8 @@ def run_to_convergence(
     event as it commits, and the result's trace stays empty.
     """
     run = Run(comp, initial, registry, limits, on_commit)
-    while (choice := select_next(run.state, run.index)) is not None:
+    while (choice := select_next(run)) is not None:
         run.commit(choice)
         if run.steps >= run.max_steps:
             break
-    return run.result(converged=not run.index.order)
+    return run.result(converged=not run.order)

@@ -1,12 +1,20 @@
 """Shared builders, oracles, and hypothesis strategies for the test suite."""
 from __future__ import annotations
 
+import os
+import sys
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 
-from tokenflow import (
+# Bytecode cached under src/ would make the checkout measure as a different
+# program from a clean one, so neither this process nor the CLI processes the
+# tests start write any. This runs before tokenflow is first imported.
+sys.dont_write_bytecode = True
+os.environ.setdefault("PYTHONDONTWRITEBYTECODE", "1")
+
+from tokenflow import (  # noqa: E402
     Composition,
     ExecutionState,
     ParseError,
@@ -25,7 +33,8 @@ from tokenflow import (
     parse_composition,
     run_to_convergence,
 )
-from tokenflow.model import KINDS
+from tokenflow.model import KINDS  # noqa: E402
+from tokenflow.semantics import Run  # noqa: E402
 
 REPO = Path(__file__).resolve().parent.parent
 FLOWS = REPO / "flows"
@@ -55,6 +64,11 @@ def state_of(comp: Composition, marks: dict, values: dict) -> ExecutionState:
         {to_idx[k]: v for k, v in marks.items()},
         {to_idx[k]: v for k, v in values.items()},
     )
+
+
+def run_of(comp: Composition, state: ExecutionState) -> Run:
+    """A fresh run of comp from a copy of state, with nothing committed yet."""
+    return Run(comp, state, default_registry(), RunLimits())
 
 
 def branch_structure(op2_reads: str = "d2") -> Composition:

@@ -112,5 +112,5 @@ def simulate(
             waited.setdefault(idx, clock)
         if not truncated:
             start_pass()
-    converged = not truncated and not running and not _enabled(comp, state)
+    converged = not running and not _enabled(comp, state)
     return state, "".join(lines), converged, schedule

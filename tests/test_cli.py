@@ -105,6 +105,11 @@ def test_run_exit_code_two_at_the_step_limit(capsys):
     code, out, _ = run_cli(capsys, "run", LOOP, "--max-steps", "5", "--quiet")
     assert code == 2
     assert out.startswith("final: ")
+    # The loop converges after 62 firings, so a limit of 62 does not cut it.
+    for command in ("run", "simulate"):
+        for limit, expected in (("61", 2), ("62", 0)):
+            code, _, _ = run_cli(capsys, command, LOOP, "--max-steps", limit, "--quiet")
+            assert code == expected, (command, limit)
 
 
 def test_step_fires_a_bounded_number(capsys):
@@ -431,6 +436,8 @@ def test_a_run_imports_only_what_it_uses(tmp_path):
             # A command that fires nothing loads neither the firing rules
             # nor a processor.
             assert {"tokenflow.semantics", "tokenflow.sequential"} & loaded == set(), argv
+        if argv[0] == "simulate":
+            assert "tokenflow.sequential" not in loaded
     _python(
         "import tokenflow\n"
         "from tokenflow import build_loop_pattern\n"
@@ -445,7 +452,7 @@ def test_a_run_imports_only_what_it_uses(tmp_path):
 # compiles them from source when no bytecode is cached, so this bounds the
 # fixed cost of each run. A budget only goes down: lower it when a change
 # shrinks the path, and never raise it.
-RUN_PATH_BUDGETS = {"run": 8_500, "simulate": 9_389}
+RUN_PATH_BUDGETS = {"run": 8_432, "simulate": 9_019}
 
 
 def test_the_run_path_stays_within_its_budget():

@@ -15,7 +15,6 @@ from tokenflow import (
 )
 from tokenflow import concurrent
 from tokenflow.concurrent import startable_set
-from tokenflow.sequential import EnabledIndex
 from conftest import (
     FLOWS,
     N,
@@ -23,6 +22,7 @@ from conftest import (
     branch_structure,
     build_ifelse_pattern,
     loop_state,
+    run_of,
     state_of,
 )
 
@@ -44,18 +44,21 @@ def test_startable_set_orders_by_waiting_time():
     pattern = build_loop_pattern("add1")
     comp = pattern.composition
     state = loop_state(pattern, 10.0, 0.0)
-    index = EnabledIndex(comp, state)
-    assert startable_set(index, (), {}) == [0, 2]  # merge then incr
-    assert startable_set(index, (), {0: 5.0, 2: 0.0}) == [2, 0]
+    run = run_of(comp, state)
+    assert startable_set(run, (), {0: 0.0, 2: 0.0}) == [0, 2]  # merge then incr
+    assert startable_set(run, (), {0: 5.0, 2: 0.0}) == [2, 0]
+    assert startable_set(run, [0], {0: 0.0, 2: 0.0}) == [2]
 
 
-def test_startable_set_excludes_overlapping_neighborhoods():
+def test_a_start_pass_excludes_overlapping_neighborhoods():
     comp = branch_structure()  # op1 and op2 both read d2
     state = state_of(comp, {"d2": N}, {"d2": 5.0})
-    index = EnabledIndex(comp, state)
-    assert startable_set(index, (), {}) == [1, 2]
-    assert startable_set(index, [1], {}) == []
     assert neighborhood(comp, 1) & neighborhood(comp, 2) == {2}
+    assert startable_set(run_of(comp, state), (), {1: 0.0, 2: 0.0}) == [1, 2]
+    # Only op1 starts at time 0; its firing consumes d2, so op2 never fires.
+    result, schedule = simulate_concurrent(comp, state, default_registry())
+    assert [(e.start, e.end, e.op_name) for e in schedule] == [(0.0, 1.0, "op1")]
+    assert result.converged
 
 
 def test_simulated_branch_serializes_on_shared_data():
@@ -183,9 +186,9 @@ def test_one_start_pass_at_time_zero_and_one_per_completion_instant(monkeypatch)
     # adds or drops a pass fails here.
     passes = []
 
-    def counted(index, running, waiting):
+    def counted(run, running, waiting):
         passes.append(bool(running))
-        return startable_set(index, running, waiting)
+        return startable_set(run, running, waiting)
 
     monkeypatch.setattr(concurrent, "startable_set", counted)
     comp, state, durations = parse_composition(
@@ -205,6 +208,19 @@ def test_simulation_truncates_at_the_step_limit():
     assert not result.converged
     assert result.steps_taken == 7
     assert len(schedule) == 7
+
+
+def test_exactly_enough_steps_still_converges():
+    pattern = build_ifelse_pattern("add1", "identity")
+    result, schedule = simulate_concurrent(
+        pattern.composition,
+        branch_state(pattern, True, 5.0),
+        default_registry(),
+        None,
+        RunLimits(3),
+    )
+    assert result.converged
+    assert result.steps_taken == len(schedule) == 3
 
 
 def test_simulation_is_deterministic():

@@ -16,6 +16,7 @@ from tokenflow import (
     simulate_concurrent,
 )
 from tokenflow.model import OperatorSpec
+from tokenflow.semantics import enabled_set
 from conftest import marked_states, small_compositions
 
 # Step limits that bind on most drawn runs, and one that binds only on runs
@@ -75,6 +76,27 @@ def test_processors_match_the_reference_interpreters(data):
     ) == _outcome(lambda: _reference_simulate(comp, state, durations, max_steps))
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_run_has_converged_exactly_when_nothing_is_enabled(data):
+    # Also at the step limit: an operator still in flight there has not
+    # committed, and nothing has touched its neighbourhood since it started,
+    # so it is still enabled.
+    comp = data.draw(small_compositions())
+    state = data.draw(marked_states(comp, with_text=True))
+    limits = RunLimits(data.draw(st.sampled_from(STEP_LIMITS)))
+    registry = default_registry()
+    for processor in (
+        lambda: run_to_convergence(comp, state, registry, limits),
+        lambda: simulate_concurrent(comp, state, registry, None, limits)[0],
+    ):
+        try:
+            result = processor()
+        except FlowError:  # a failed firing ends the run unconverged
+            continue
+        assert result.converged == (enabled_set(comp, result.final_state) == [])
+
+
 def test_reenabled_operator_keeps_its_wait_time():
     # At time 2, A consumes i, which disables X, and B writes j, which
     # enables X again. X has waited since time 0, so it starts ahead of Y,
@@ -107,3 +129,12 @@ def test_an_operator_without_outputs_stays_enabled():
     engine = _engine_simulate(comp, state, durations, 5)
     assert engine == _reference_simulate(comp, state, durations, 5)
     assert engine[3] == "".join(f"{t}\t{t + 1}\tp\t{{}}\n" for t in range(5))
+    # With an empty neighbourhood no busy data holds p back, so only being
+    # in flight keeps it from starting again while q completes around it.
+    q = OperatorSpec(1, "q", "process", (), (), "identity")
+    comp = Composition((), (*comp.operators, q))
+    state = initial_state(comp)
+    durations = {0: 2.0, 1: 1.0}
+    engine = _engine_simulate(comp, state, durations, 5)
+    assert engine == _reference_simulate(comp, state, durations, 5)
+    assert engine[3] == "0\t1\tq\t{}\n0\t2\tp\t{}\n1\t2\tq\t{}\n2\t3\tq\t{}\n2\t4\tp\t{}\n"

@@ -21,8 +21,8 @@ from tokenflow import (
 )
 from tokenflow import concurrent, semantics, sequential
 from tokenflow.concurrent import startable_set
-from tokenflow.sequential import EnabledIndex, enabled_set, select_next
-from conftest import N, O, V, branch_structure, state_of
+from tokenflow.sequential import enabled_set, select_next
+from conftest import N, O, V, branch_structure, run_of, state_of
 
 
 def _lone(kind: str, n_in: int, n_out: int, process: str | None = None):
@@ -201,8 +201,8 @@ def test_fire_requires_enablement():
     state = initial_state(comp, {}, {})
     with pytest.raises(NotEnabled):
         fire(comp, 0, state, default_registry())
-    # inside a run the index is the test
-    run = semantics.Run(comp, state, default_registry(), RunLimits())
+    # inside a run its set of enabled operators is the test
+    run = run_of(comp, state)
     with pytest.raises(NotEnabled):
         run.commit(0)
     assert run.state == state and not run.trace
@@ -363,7 +363,7 @@ def test_enabled_since_is_kept_across_unrelated_firings():
     after, _ = fire(comp, 0, state, default_registry())
     assert enabled_set(comp, after) == [2]  # incr stays enabled, merge does not
     # a waiting map stamped before the merge firing still orders incr first
-    assert startable_set(EnabledIndex(comp, after), (), {2: 0.0, 0: 0.0}) == [2]
+    assert startable_set(run_of(comp, after), (), {2: 0.0, 0: 0.0}) == [2]
 
 
 def _many_loops(count: int):
@@ -405,8 +405,8 @@ def test_fire_checks_enablement_and_copies_the_state_once(monkeypatch):
     comp, initial = _many_loops(16)
     registry = default_registry()
     state, firings = initial, 0
-    while (choice := select_next(state, EnabledIndex(comp, state))) is not None:
-        calls.update(can_fire=0, copy=0)  # after the index's own scan
+    while (choice := select_next(run_of(comp, state))) is not None:
+        calls.update(can_fire=0, copy=0)  # after the run's own copy and scan
         state, _ = fire(comp, choice, state, registry)
         assert calls == {"can_fire": 1, "copy": 1}
         firings += 1
@@ -423,7 +423,7 @@ def test_fire_checks_enablement_and_copies_the_state_once(monkeypatch):
 # operators at the start of the run, then 50 re-tests over its 26 firings.
 # A firing re-tests the operators sharing a data node with the fired one,
 # but not the fired one, which its own New output disables untested. The
-# run's index is its only enablement test.
+# run's set of enabled operators is its only enablement test.
 CAN_FIRE_PER_LOOP = 6 + 50
 
 

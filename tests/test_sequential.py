@@ -15,7 +15,7 @@ from tokenflow import (
     serialize_trace,
     step,
 )
-from tokenflow.sequential import EnabledIndex, enabled_set, select_next
+from tokenflow.sequential import enabled_set, select_next
 from conftest import (
     N,
     O,
@@ -24,6 +24,7 @@ from conftest import (
     loop_state,
     run_branch,
     run_loop,
+    run_of,
     state_of,
 )
 
@@ -48,17 +49,16 @@ def test_select_next_scans_from_the_cursor():
         ["a", "b"],
         [("inc_a", "incr", (), ("a",)), ("inc_b", "incr", (), ("b",))],
     )
-    state = initial_state(comp, {}, {})
-    index = EnabledIndex(comp, state)
-    assert select_next(state, index) == 0
-    state.scan_start = 1
-    assert select_next(state, index) == 1
-    state.marking[1] = N  # inc_b blocked, the scan wraps around
-    state.values[1] = 1.0
-    assert select_next(state, EnabledIndex(comp, state)) == 0
+    run = run_of(comp, initial_state(comp, {}, {}))
+    assert select_next(run) == 0
+    run.state.scan_start = 1
+    assert select_next(run) == 1
+    state = initial_state(comp, {1: N}, {1: 1.0})  # inc_b blocked
+    state.scan_start = 1  # so the scan wraps around
+    assert select_next(run_of(comp, state)) == 0
     state.marking[0] = N
     state.values[0] = 1.0
-    assert select_next(state, EnabledIndex(comp, state)) is None
+    assert select_next(run_of(comp, state)) is None
 
 
 def test_step_returns_none_at_convergence():
