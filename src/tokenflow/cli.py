@@ -5,6 +5,7 @@ run stops at the step limit before converging.
 """
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 
@@ -154,10 +155,6 @@ class _Batch:
             self.write(text)
 
 
-def _discard(item) -> None:
-    pass
-
-
 def _lines_to(batch: _Batch, comp: Composition, state: ExecutionState):
     """Commit hook adding each firing's trace line to batch as it commits.
 
@@ -213,7 +210,7 @@ def _command(args, out: _Batch) -> int:
         out.add(to_dot(comp, state.marking))
         return 0
 
-    from .semantics import RunLimits, default_registry
+    from .semantics import RunLimits, default_registry, discard
 
     registry = default_registry()
     if args.command != "simulate":
@@ -229,7 +226,7 @@ def _command(args, out: _Batch) -> int:
     limits = RunLimits(args.max_steps) if args.max_steps else RunLimits()
     if args.command == "run":
         if args.trace == "-":
-            hook = _discard if args.quiet else _lines_to(out, comp, state)
+            hook = discard if args.quiet else _lines_to(out, comp, state)
             result = run_to_convergence(comp, state, registry, limits, hook)
         else:
             with open(args.trace, "w", encoding="utf-8") as fh:
@@ -246,10 +243,10 @@ def _command(args, out: _Batch) -> int:
 
     # The schedule, printed after the trace, is held joined in pieces of
     # 4 KiB: one short row alone takes several times its text in memory.
-    held: list[str] = []
+    held = []
     rows = _Batch(held.append, 1 << 12)
     if args.quiet:
-        hook = _discard
+        hook = discard
     else:
         line, keep = _lines_to(out, comp, state), rows.add
 
@@ -268,4 +265,19 @@ def _command(args, out: _Batch) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    # The console script and python -m tokenflow. Once stdout and stderr are
+    # flushed, os._exit ends the process without the interpreter's teardown
+    # (module clean-up, a last collection, atexit handlers), which has no
+    # output to give. sys.exit keeps that teardown where something waits for
+    # it: a trace or profile hook (cProfile writes its report after the run)
+    # and python -i. An exception out of main, such as argparse's -h, takes
+    # the normal way out too.
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:  # main has reported it; the teardown must not flush again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.stderr.flush()
+    if sys.gettrace() or sys.getprofile() or sys.flags.inspect:
+        sys.exit(code)
+    os._exit(code)

@@ -27,14 +27,15 @@ import heapq
 from typing import Callable, Collection, Iterable, Mapping, NamedTuple
 
 from .dsl import format_number, format_pairs
-from .errors import FlowError
-from .model import Composition, ExecutionState, Value, check_durations
+from .errors import FlowError, ValidationError
+from .model import Composition, ExecutionState, Value, check_duration
 from .semantics import (
     ProcessRegistry,
     Run,
     RunLimits,
     RunResult,
     TraceEvent,
+    discard,
 )
 
 
@@ -62,8 +63,14 @@ def startable_set(
     return out
 
 
-def _ignore(event: TraceEvent) -> None:
-    pass
+def check_durations(comp: Composition, durations: Mapping | None) -> dict[int, float]:
+    """Validate an operator index -> duration map; see check_duration."""
+    out: dict[int, float] = {}
+    for idx, d in (durations or {}).items():
+        if not (isinstance(idx, int) and 0 <= idx < len(comp.operators)):
+            raise ValidationError(f"duration for unknown operator index {idx!r}")
+        out[idx] = check_duration(comp.operators[idx].name, d)
+    return out
 
 
 def simulate_concurrent(
@@ -88,7 +95,7 @@ def simulate_concurrent(
 
     schedule: list[ScheduleEntry] = []
     emit = schedule.append if on_commit is None else on_commit
-    run = Run(comp, initial, registry, limits, None if on_commit is None else _ignore)
+    run = Run(comp, initial, registry, limits, None if on_commit is None else discard)
     values, hoods = run.state.values, run.hoods
     ops, enabled, affects, commit = comp.operators, run.enabled, run.affects, run.commit
     # new(ScheduleEntry, fields) builds an entry without the frame of its __new__

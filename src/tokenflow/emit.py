@@ -7,7 +7,8 @@ from __future__ import annotations
 from typing import Mapping
 
 from .dsl import format_number, format_value
-from .model import Composition, ExecutionState, TokenState, check_durations
+from .concurrent import check_durations
+from .model import Composition, ExecutionState, TokenState
 
 
 def emit_composition(

@@ -29,10 +29,8 @@ class TokenState(IntEnum):
 
     @property
     def code(self) -> str:
-        return _CODES[self]
+        return "VON"[self]
 
-
-_CODES = {TokenState.VOID: "V", TokenState.OLD: "O", TokenState.NEW: "N"}
 
 # Module-level names for the markings: the firing rules read them on every
 # enablement test, and a global is much cheaper than an enum attribute.
@@ -388,20 +386,10 @@ def check_duration(op_name: str, d) -> float:
     return x
 
 
-def check_durations(comp: Composition, durations: Mapping | None) -> dict[int, float]:
-    """Validate an operator index -> duration map; see check_duration."""
-    out: dict[int, float] = {}
-    for idx, d in (durations or {}).items():
-        if not (isinstance(idx, int) and 0 <= idx < len(comp.operators)):
-            raise ValidationError(f"duration for unknown operator index {idx!r}")
-        out[idx] = check_duration(comp.operators[idx].name, d)
-    return out
-
-
 def neighborhood(comp: Composition, op: OperatorSpec | int) -> frozenset[int]:
     """All data indices an operator touches: inputs plus outputs."""
     spec = comp.operators[op] if isinstance(op, int) else op
-    return frozenset(spec.inputs) | frozenset(spec.outputs)
+    return frozenset(spec.inputs + spec.outputs)
 
 
 class ExecutionState:
@@ -442,8 +430,8 @@ def initial_state(
     Every tokened node needs a value of its declared sort; putting a value on
     a Void node is rejected.
     """
-    markings = dict(markings or {})
-    values = dict(values or {})
+    markings = markings or {}
+    values = values or {}
     n = len(comp.data)
     for idx in (*markings, *values):
         if not (0 <= idx < n):

@@ -11,6 +11,7 @@ processors, which differ only in which enabled operator they pick.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from math import prod
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import FlowError, NotEnabled, TypeMismatch, ValidationError
@@ -71,10 +72,7 @@ def _add(values, count):
 
 
 def _mul(values, count):
-    out = 1.0
-    for v in want_numbers(values, "mul"):
-        out *= v
-    return [out]
+    return [prod(want_numbers(values, "mul"), start=1.0)]
 
 
 def _negate(values, count):
@@ -136,7 +134,6 @@ class Trace(list):
     """
 
     def __init__(self, comp: Composition, initial: ExecutionState):
-        super().__init__()
         self.start = tuple((n.name, initial.marking[n.index]) for n in comp.data)
 
 
@@ -224,11 +221,15 @@ class RunResult:
 
     __slots__ = ("final_state", "trace", "converged", "steps_taken")
 
-    def __init__(self, final_state, trace, converged=True, steps_taken=None):
+    def __init__(self, final_state, trace, converged, steps_taken):
         self.final_state: ExecutionState = final_state
         self.trace: Trace = trace
         self.converged = converged
-        self.steps_taken: int = len(trace) if steps_taken is None else steps_taken
+        self.steps_taken: int = steps_taken
+
+
+def discard(event) -> None:
+    """A commit hook that keeps nothing."""
 
 
 def enabled_set(comp: Composition, state: ExecutionState) -> list[int]:
@@ -279,10 +280,12 @@ class Run:
 
         A FlowError from the firing leaves the state as it was before it and
         carries the run so far as its result, with converged=False. Only the
-        operators the firing can affect are re-tested. A firing that wrote
-        an output left a New token on it, which disables the fired operator
-        without a test; one that wrote nothing, which only a hand-built
-        operator with no outputs can do, is tested like the rest.
+        operators the firing can affect are re-tested, and not the fired
+        one, which its firing disables. A firing that wrote an output left a
+        New token on it. One that wrote nothing, which only a hand-built
+        process or sync operator with no outputs can do, consumed every
+        input, so its rule no longer holds. An operator with neither inputs
+        nor outputs affects no operator, itself included, and stays enabled.
         """
         comp, enabled, order = self.comp, self.enabled, self.order
         ops = comp.operators
@@ -293,9 +296,9 @@ class Run:
         except FlowError as exc:
             exc.result = self.result(converged=False)
             raise
-        wrote, marking = event.writes, self.state.marking
+        marking = self.state.marking
         for j in self.affects[idx]:
-            if (j != idx or not wrote) and can_fire(comp, ops[j], marking):
+            if j != idx and can_fire(comp, ops[j], marking):
                 if j not in enabled:
                     enabled.add(j)
                     insort(order, j)

@@ -2,6 +2,8 @@
 import contextlib
 import io
 import json
+import os
+import pstats
 import re
 import subprocess
 import sys
@@ -24,6 +26,7 @@ from tokenflow import (
     serialize_trace,
     simulate_concurrent,
 )
+from tokenflow import cli
 from tokenflow.cli import CHUNK, COMMANDS, _read, _summary, main
 from tokenflow.usage import parse_args
 from conftest import FLOWS, marked_states, small_compositions
@@ -452,7 +455,7 @@ def test_a_run_imports_only_what_it_uses(tmp_path):
 # compiles them from source when no bytecode is cached, so this bounds the
 # fixed cost of each run. A budget only goes down: lower it when a change
 # shrinks the path, and never raise it.
-RUN_PATH_BUDGETS = {"run": 8_432, "simulate": 9_019}
+RUN_PATH_BUDGETS = {"run": 8_324, "simulate": 9_017}
 
 
 def test_the_run_path_stays_within_its_budget():
@@ -502,6 +505,110 @@ def test_cli_output_is_byte_deterministic():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.endswith(LOOP_FINAL.encode() + b"\n")
+
+
+def _tokenflow(argv, stdout, **options) -> subprocess.CompletedProcess:
+    """python -m tokenflow argv, its stdout going to the given file."""
+    cmd = [sys.executable, *options.pop("python", ()), "-m", "tokenflow", *argv]
+    return subprocess.run(cmd, stdout=stdout, stderr=subprocess.PIPE, **options)
+
+
+def test_a_cli_process_prints_what_main_prints(tmp_path, capsys):
+    # The process ends by os._exit once main has returned: what it leaves on
+    # stdout, on stderr and in a trace file, and its exit code, are main's.
+    doc = tmp_path / "bad.flow"
+    doc.write_text('data a\ndata c\nop q process:add1 (a) -> (c)\ninit a = "x"\n', encoding="utf-8")
+    cases = (
+        (["run", LOOP], 0),
+        (["run", LOOP, "--trace", "TRACE"], 0),
+        (["simulate", LOOP], 0),
+        (["step", LOOP, "--steps", "3"], 0),
+        (["validate", LOOP], 0),
+        (["run", LOOP, "--max-steps", "7"], 2),
+        (["simulate", LOOP, "--max-steps", "7", "--quiet"], 2),
+        (["run", str(doc)], 1),
+        (["simulate", str(doc)], 1),
+    )
+    out = tmp_path / "out"
+    for argv, code in cases:
+        made = []
+        for side in ("main", "process"):
+            trace = tmp_path / f"{side}.trace"
+            args = [str(trace) if a == "TRACE" else a for a in argv]
+            if side == "main":
+                made.append((main(args), *capsys.readouterr()))
+            else:
+                with open(out, "wb") as fh:
+                    done = _tokenflow(args, fh)
+                made.append((done.returncode, out.read_text("utf-8"), done.stderr.decode()))
+            if "TRACE" in argv:
+                made[-1] += (trace.read_text("utf-8"),)
+        assert made[0] == made[1], argv
+        assert made[0][0] == code, argv
+
+
+def test_stdout_on_a_full_device_exits_one(tmp_path):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    for argv in (["run", LOOP], ["validate", LOOP]):
+        with open("/dev/full", "w") as full:
+            done = _tokenflow(argv, full)
+        assert done.returncode == 1, argv
+        assert re.fullmatch(rb"error: \[Errno 28\] [^\n]*\n", done.stderr), done.stderr
+
+
+def test_a_broken_pipe_exits_one_with_one_error_line(tmp_path):
+    # The trace is far longer than a pipe holds, so the process is still
+    # writing when the reader goes. Buffered, the unwritten bytes must not
+    # be flushed again once main has reported the error.
+    doc = _loop_document(tmp_path, 2000)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for extra in ({}, {"PYTHONUNBUFFERED": "1"}):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tokenflow", "run", doc],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env | extra,
+        )
+        assert proc.stdout.read(10) == b"step=0 op="
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1, extra
+        assert err == b"error: [Errno 32] Broken pipe\n", extra
+
+
+def test_entry_skips_the_teardown_only_without_a_hook(monkeypatch):
+    ended = []
+    monkeypatch.setattr(cli.os, "_exit", ended.append)
+    monkeypatch.setattr(sys, "argv", ["tokenflow", "run", LOOP, "--max-steps", "3"])
+    for hooks in ((None, None), (print, None), (None, print)):
+        monkeypatch.setattr(sys, "gettrace", lambda: hooks[0])
+        monkeypatch.setattr(sys, "getprofile", lambda: hooks[1])
+        if hooks == (None, None):
+            cli.entry()  # os._exit, here a list's append, returns
+            assert ended == [2]
+        else:
+            with pytest.raises(SystemExit) as exc:
+                cli.entry()
+            assert exc.value.code == 2 and ended == [2]
+
+
+def test_a_profiled_or_inspected_process_ends_normally(tmp_path):
+    # cProfile writes its report after the run, and python -i reads on from
+    # stdin after it; os._exit would end the process before either.
+    report = tmp_path / "profile.out"
+    done = _tokenflow(
+        ["run", LOOP, "--quiet"],
+        subprocess.PIPE,
+        python=("-m", "cProfile", "-o", str(report)),
+    )
+    assert done.stdout == (LOOP_FINAL + "\n").encode()
+    assert report.stat().st_size > 0
+    assert pstats.Stats(str(report)).total_calls > 0
+    done = _tokenflow(
+        ["validate", LOOP], subprocess.PIPE, python=("-i",), input=b"print('read on')\n"
+    )
+    assert done.stdout == b"ok: 10 data nodes, 6 operators\nread on\n"
 
 
 def test_failing_process_exits_one_without_a_traceback(tmp_path):
