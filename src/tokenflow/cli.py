@@ -5,19 +5,18 @@ run stops at the step limit before converging.
 """
 from __future__ import annotations
 
+import errno
 import os
 import sys
 from types import SimpleNamespace
 
 from .dsl import (
     CompositionDocument,
-    format_pairs,
     format_value,
     parse_literal,
     trace_renderer,
 )
 from .errors import FlowError, ParseError, ValidationError
-from .model import Composition, ExecutionState
 
 # Each command's help line, the help of its file argument, and its options in
 # the order --help lists them, as (option, kind, default, metavar, help). The
@@ -43,7 +42,7 @@ COMMANDS = {
 }
 
 
-def _read(argv: list[str]) -> SimpleNamespace | None:
+def _read(argv):
     """What argparse makes of argv when every option in it is spelled out.
 
     That is a command, then its file and its options in any order, each
@@ -91,7 +90,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     return None if args["file"] is None else SimpleNamespace(**args)
 
 
-def _load(path: str, overrides: list[str]):
+def _load(path, overrides):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -114,7 +113,7 @@ def _load(path: str, overrides: list[str]):
     return doc.build()
 
 
-def _summary(comp: Composition, state: ExecutionState) -> str:
+def _summary(comp, state):
     parts = [
         f"{n.name}={format_value(state.values[n.index])}({state.marking[n.index].code})"
         for n in comp.data
@@ -127,140 +126,137 @@ def _summary(comp: Composition, state: ExecutionState) -> str:
 CHUNK = 1 << 16
 
 
-class _Batch:
-    """Text handed to write in pieces of `chunk` characters or more.
-
-    flush() hands over what is left, however little.
+def _batch(write, chunk=CHUNK):
+    """(add, flush): add gathers text that write is handed in pieces of
+    chunk characters or more; flush hands over what is left, however little.
     """
+    parts = []
+    room = chunk
 
-    __slots__ = ("write", "chunk", "parts", "size")
+    def add(text):
+        nonlocal room
+        parts.append(text)
+        room -= len(text)
+        if room <= 0:
+            flush()
 
-    def __init__(self, write, chunk: int = CHUNK):
-        self.write = write
-        self.chunk = chunk
-        self.parts: list[str] = []
-        self.size = 0
+    def flush():
+        nonlocal room
+        if parts:
+            text = "".join(parts)
+            parts.clear()
+            room = chunk
+            write(text)
 
-    def add(self, text: str) -> None:
-        self.parts.append(text)
-        self.size += len(text)
-        if self.size >= self.chunk:
-            self.flush()
-
-    def flush(self) -> None:
-        if self.parts:
-            text = "".join(self.parts)
-            self.parts.clear()
-            self.size = 0
-            self.write(text)
+    return add, flush
 
 
-def _lines_to(batch: _Batch, comp: Composition, state: ExecutionState):
-    """Commit hook adding each firing's trace line to batch as it commits.
-
-    A caller holding the event's writes as format_pairs made them passes
-    that text too, and the line uses it.
-    """
-    from .semantics import Trace
-
-    render, add = trace_renderer(Trace(comp, state).start), batch.add
-    return lambda event, writes="": add(render(event, writes))
+def _lines_to(add, render):
+    """A commit hook adding each firing's line, as render makes it."""
+    return lambda event: add(render(event))
 
 
-def _finish(comp, result, out: _Batch) -> int:
-    out.add(_summary(comp, result.final_state) + "\n")
+def _finish(comp, result, out):
+    out(_summary(comp, result.final_state) + "\n")
     return 0 if result.converged else 2
+
+
+def _closed(text):
+    """The write of a stdout that is not there, such as one closed at start."""
+    raise OSError(errno.EBADF, "stdout is closed")
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read(argv)
-    if args is None:
-        from .usage import UsageError, parse_args
-
-        try:
-            args = parse_args(argv)
-        except UsageError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 1
     stdout = sys.stdout
-    out = _Batch(stdout.write)
+    out, flush = _batch(stdout.write if stdout else _closed)
     try:
+        args = _read(argv)
+        if args is None:
+            from .usage import UsageError, parse_args
+
+            try:
+                args = parse_args(argv)  # -h prints the help and raises SystemExit
+            except UsageError as exc:
+                print(f"usage error: {exc}", file=sys.stderr)
+                return 1
         try:
             return _command(args, out)
         finally:  # what the run committed, also when it failed mid-way
-            out.flush()
-            stdout.flush()
+            flush()
+            if stdout:
+                stdout.flush()
     except (FlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
-def _command(args, out: _Batch) -> int:
-    """Carry out one parsed command; trace lines go out as firings commit."""
+def _command(args, out):
+    """Carry out one parsed command, handing its output to out, an add of
+    _batch; trace lines go out as firings commit."""
     if args.command == "validate":
         comp, _, _ = _load(args.file, [])
-        out.add(f"ok: {len(comp.data)} data nodes, {len(comp.operators)} operators\n")
+        out(f"ok: {len(comp.data)} data nodes, {len(comp.operators)} operators\n")
         return 0
 
     comp, state, durations = _load(args.file, args.seed_override)
     if args.command == "graph":
         from .dot import to_dot
 
-        out.add(to_dot(comp, state.marking))
+        out(to_dot(comp, state.marking))
         return 0
 
-    from .semantics import RunLimits, default_registry, discard
+    from .semantics import RunLimits, Trace, default_registry, discard
 
-    registry = default_registry()
+    registry, render = default_registry(), trace_renderer(Trace(comp, state).start)
     if args.command != "simulate":
         from .sequential import run_to_convergence
     if args.command == "step":
         if args.steps >= 1:
-            limits = RunLimits(args.steps)
-            hook = _lines_to(out, comp, state)
+            limits, hook = RunLimits(args.steps), _lines_to(out, render)
             state = run_to_convergence(comp, state, registry, limits, hook).final_state
-        out.add(_summary(comp, state) + "\n")
+        out(_summary(comp, state) + "\n")
         return 0
 
     limits = RunLimits(args.max_steps) if args.max_steps else RunLimits()
     if args.command == "run":
         if args.trace == "-":
-            hook = discard if args.quiet else _lines_to(out, comp, state)
+            hook = discard if args.quiet else _lines_to(out, render)
             result = run_to_convergence(comp, state, registry, limits, hook)
         else:
             with open(args.trace, "w", encoding="utf-8") as fh:
-                trace = _Batch(fh.write)
+                add, flush = _batch(fh.write)
                 try:
-                    hook = _lines_to(trace, comp, state)
+                    hook = _lines_to(add, render)
                     result = run_to_convergence(comp, state, registry, limits, hook)
                 finally:
-                    trace.flush()
+                    flush()
         return _finish(comp, result, out)
 
     # simulate, the one command left
-    from .concurrent import schedule_row, simulate_concurrent
+    from .concurrent import schedule_renderer, simulate_concurrent
 
     # The schedule, printed after the trace, is held joined in pieces of
     # 4 KiB: one short row alone takes several times its text in memory.
     held = []
-    rows = _Batch(held.append, 1 << 12)
+    keep, flush_rows = _batch(held.append, 1 << 12)
     if args.quiet:
         hook = discard
     else:
-        line, keep = _lines_to(out, comp, state), rows.add
+        pairs, row = render.pairs, schedule_renderer()
 
         def hook(entry):  # the writes are formatted once, for both lines
-            writes = format_pairs(entry.event.writes)
-            line(entry.event, writes)
-            keep(schedule_row(entry, writes))
+            event = entry.event
+            writes = pairs(event.writes)
+            out(render(event, writes))
+            keep(row(entry, writes))
 
     result, _ = simulate_concurrent(
         comp, state, registry, durations, limits, hook
     )
-    rows.flush()
+    flush_rows()
     for text in held:
-        out.add(text)
+        out(text)
     return _finish(comp, result, out)
 
 
@@ -274,7 +270,8 @@ def entry() -> None:
     # the normal way out too.
     code = main()
     try:
-        sys.stdout.flush()
+        if sys.stdout:  # None when the process started with stdout closed
+            sys.stdout.flush()
     except OSError:  # main has reported it; the teardown must not flush again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.stderr.flush()

@@ -11,11 +11,12 @@ completion, keep starting the enabled operator that has waited longest
 
 A run is a semantics.Run: it owns a copy of the initial state and commits
 each completion to it through Run.commit, as the sequential processor does,
-so only the selection differs. The run also holds each operator's
-neighborhood. Completions wait in a heap ordered by (end time, declaration
-index). After each commit only the operators sharing a data node with the
-committed one are re-tested, and the wait times of exactly those are
-brought up to date once all commits of the instant are in. The data of the
+so only the selection differs. The run's plans hold each operator's
+neighborhood and the operators its firing can affect. Completions wait in a
+heap ordered by (end time, declaration index). After each commit only the
+operators sharing a data node with the committed one are re-tested, and the
+wait times of exactly those are brought up to date once all commits of the
+instant are in. The data of the
 running operators is kept in one busy set, grown when an operator starts
 and shrunk when it completes. A start pass is one sweep, in (wait time,
 index) order, over the startable_set of the run (the enabled operators
@@ -24,11 +25,12 @@ that are not running), starting each one that touches no busy data.
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, Mapping, NamedTuple
 
-from .dsl import format_number, format_pairs
+from .dsl import format_pairs, value_texts
 from .errors import FlowError, ValidationError
-from .model import Composition, ExecutionState, Value, check_duration
+from .model import Composition, ExecutionState, check_duration
 from .semantics import (
     ProcessRegistry,
     Run,
@@ -65,7 +67,7 @@ def startable_set(
 
 def check_durations(comp: Composition, durations: Mapping | None) -> dict[int, float]:
     """Validate an operator index -> duration map; see check_duration."""
-    out: dict[int, float] = {}
+    out = {}
     for idx, d in (durations or {}).items():
         if not (isinstance(idx, int) and 0 <= idx < len(comp.operators)):
             raise ValidationError(f"duration for unknown operator index {idx!r}")
@@ -93,20 +95,22 @@ def simulate_concurrent(
     """
     durs = {op.index: 1.0 for op in comp.operators} | check_durations(comp, durations)
 
-    schedule: list[ScheduleEntry] = []
+    schedule = []
     emit = schedule.append if on_commit is None else on_commit
     run = Run(comp, initial, registry, limits, None if on_commit is None else discard)
-    values, hoods = run.state.values, run.hoods
-    ops, enabled, affects, commit = comp.operators, run.enabled, run.affects, run.commit
+    values, plans, enabled, commit = run.state.values, run.plans, run.enabled, run.commit
+    # inputs[i](values): the values of operator i's inputs, to compare at its
+    # end; len, which gives the same for any state of one run, if it has none
+    inputs = [itemgetter(*op.inputs) if op.inputs else len for op in comp.operators]
     # new(ScheduleEntry, fields) builds an entry without the frame of its __new__
     push, pop, new = heapq.heappush, heapq.heappop, tuple.__new__
     clock = 0.0
     # op index -> (start time, input snapshot)
-    running: dict[int, tuple[float, list[Value]]] = {}
-    completions: list[tuple[float, int]] = []  # heap of (end time, op index)
-    busy: set[int] = set()  # the data of the running operators
+    running = {}
+    completions = []  # heap of (end time, op index)
+    busy = set()  # the data of the running operators
     waited = dict.fromkeys(run.order, 0.0)
-    touched: list[int] = []  # operators the last instant's commits may affect
+    touched = []  # operators the last instant's commits may affect
     while True:
         for idx in touched:
             if idx in enabled:
@@ -114,9 +118,10 @@ def simulate_concurrent(
             else:
                 waited.pop(idx, None)
         for idx in startable_set(run, running, waited):
-            if hoods[idx].isdisjoint(busy):
-                busy |= hoods[idx]
-                running[idx] = (clock, [values[d] for d in ops[idx].inputs])
+            plan = plans[idx]
+            if plan.hood.isdisjoint(busy):
+                busy |= plan.hood
+                running[idx] = (clock, inputs[idx](values))
                 push(completions, (clock + durs[idx], idx))
         if not completions:  # so nothing is running either
             return run.result(converged=not run.order), schedule
@@ -125,32 +130,43 @@ def simulate_concurrent(
         while completions and completions[0][0] == clock:
             idx = pop(completions)[1]
             started, snapshot = running.pop(idx)
-            busy -= hoods[idx]
-            if [values[d] for d in ops[idx].inputs] != snapshot:
+            plan = plans[idx]
+            spec = plan.spec
+            busy -= plan.hood
+            if inputs[idx](values) != snapshot:
                 raise FlowError(
-                    f"exclusion rule violated: inputs of {ops[idx].name!r}"
+                    f"exclusion rule violated: inputs of {spec.name!r}"
                     f" moved mid-flight at time {clock}"
                 )
             event = commit(idx)
-            touched += affects[idx]
-            emit(new(ScheduleEntry, (started, clock, idx, event.op_name, event)))
+            touched.append(idx)
+            touched += plan.others
+            emit(new(ScheduleEntry, (started, clock, idx, spec.name, event)))
             if run.steps >= run.max_steps:
                 # An operator in flight is still enabled, since nothing has
                 # touched its neighbourhood since it started: run.order holds it.
                 return run.result(converged=not run.order), schedule
 
 
-def schedule_row(entry: ScheduleEntry, writes: str = "") -> str:
-    """One schedule entry as a start/end/operator/writes TSV line.
+def schedule_renderer() -> Callable[..., str]:
+    """A function rendering schedule entries as start/end/operator/writes TSV lines.
 
     writes, when given, is format_pairs(entry.event.writes), already made.
+    The rows that start or end at one instant share its clock object, and
+    the text of each clock object is made once (see value_texts).
     """
-    return (
-        f"{format_number(entry.start)}\t{format_number(entry.end)}"
-        f"\t{entry.op_name}\t{{{writes or format_pairs(entry.event.writes)}}}\n"
-    )
+    said, make = value_texts()
+
+    def row(entry, writes=""):
+        start, end, _, name, event = entry
+        return (
+            f"{said(id(start)) or make(start)}\t{said(id(end)) or make(end)}"
+            f"\t{name}\t{{{writes or format_pairs(event.writes)}}}\n"
+        )
+
+    return row
 
 
 def schedule_tsv(schedule: Iterable[ScheduleEntry]) -> str:
     """Render a schedule as start/end/operator/writes TSV lines."""
-    return "".join(map(schedule_row, schedule))
+    return "".join(map(schedule_renderer(), schedule))

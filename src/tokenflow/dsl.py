@@ -33,7 +33,7 @@ from .model import (
     initial_state,
 )
 if TYPE_CHECKING:  # loaded only by commands that fire
-    from .semantics import Trace, TraceEvent
+    from .semantics import Trace
 
 _NUMBER = re.compile(r"-?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _OP = re.compile(
@@ -117,10 +117,10 @@ class CompositionDocument:
     __slots__ = ("data_decls", "op_decls", "inits", "durations")
 
     def __init__(self):
-        self.data_decls: list[tuple[int, tuple[str, str]]] = []
-        self.op_decls: list[tuple[int, tuple]] = []
-        self.inits: dict[str, tuple[Value, bool, int | str | None]] = {}
-        self.durations: dict[str, tuple[float, int]] = {}
+        self.data_decls: list = []
+        self.op_decls: list = []
+        self.inits: dict = {}
+        self.durations: dict = {}
 
     @classmethod
     def parse(cls, text: str) -> "CompositionDocument":
@@ -199,14 +199,13 @@ class CompositionDocument:
 
         try:
             comp = build_composition(handed(self.data_decls), handed(self.op_decls))
-            marks: dict[int, TokenState] = {}
-            values: dict[int, Value] = {}
+            marks, values = {}, {}
             for name, (value, old, line) in self.inits.items():
                 node = comp.data_named(name)
                 check_sort(node, value)
                 marks[node.index] = OLD if old else NEW
                 values[node.index] = value
-            durs: dict[int, float] = {}
+            durs = {}
             for name, (d, line) in self.durations.items():
                 durs[comp.operator_named(name).index] = d
         except FlowError as exc:
@@ -230,6 +229,30 @@ def format_pairs(pairs: Sequence[tuple[str, Value]]) -> str:
     return ",".join([f"{n}={format_value(v)}" for n, v in pairs])
 
 
+def value_texts() -> tuple[Callable, Callable]:
+    """A memo of format_value over value objects: (get, make).
+
+    get(id(value)) is the text of value if the memo keeps it, else None;
+    make(value) makes the text and keeps it. So get(id(value)) or
+    make(value) is format_value(value), made once per object while the
+    memo keeps it. It keeps the last 64 objects made at most, and holds
+    each, so no other object can have its id meanwhile. Equal values need
+    not be the same object, nor print the same: 0.0 and -0.0, True and 1.0.
+    """
+    said = {}  # id of a kept object -> its text
+    kept = []
+
+    def make(value):
+        if len(kept) >= 64:
+            said.clear()
+            kept.clear()
+        kept.append(value)
+        text = said[id(value)] = format_value(value)
+        return text
+
+    return said.get, make
+
+
 def trace_renderer(
     start: Sequence[tuple[str, TokenState]],
 ) -> Callable[..., str]:
@@ -241,8 +264,11 @@ def trace_renderer(
 
     step=<n> op=<name> reads={...} writes={...} marking=<name:V|O|N,...>
 
-    A caller that has already formatted the event's writes with
-    format_pairs passes that text as a second argument, to format them once.
+    reads and writes print as format_pairs prints them. The text of each
+    value object is made once, through one value_texts memo: a value one
+    firing writes is most often one it read, or one the next firing reads.
+    The function's pairs attribute formats pairs through the same memo; a
+    caller that has the event's writes so passes them as a second argument.
     The marking column is the post-firing marking of every data node,
     rebuilt by replaying each event's marking delta over start.
     """
@@ -250,16 +276,25 @@ def trace_renderer(
     void, old, new = (m.code for m in TokenState)
     cell = [(f"{name}:{void}", f"{name}:{old}", f"{name}:{new}") for name, _ in start]
     cells = [cell[d][m] for d, (_, m) in enumerate(start)]
+    said, make = value_texts()
     join = ",".join
 
-    def render(event: TraceEvent, writes: str = "") -> str:
-        for d, m in event.marking_delta:
+    def pairs(pairs):
+        out = []
+        for name, value in pairs:
+            out.append(f"{name}={said(id(value)) or make(value)}")
+        return join(out)
+
+    def render(event, writes=""):
+        step, _, name, reads, wrote, delta = event
+        for d, m in delta:
             cells[d] = cell[d][m]
         return (
-            f"step={event.step} op={event.op_name} reads={{{format_pairs(event.reads)}}}"
-            f" writes={{{writes or format_pairs(event.writes)}}} marking={join(cells)}\n"
+            f"step={step} op={name} reads={{{pairs(reads)}}}"
+            f" writes={{{writes or pairs(wrote)}}} marking={join(cells)}\n"
         )
 
+    render.pairs = pairs
     return render
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from enum import IntEnum
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import FlowError, ProcessError, TypeMismatch, ValidationError
 
@@ -161,24 +161,24 @@ def want_numbers(values: Iterable[Value], ctx: str) -> list[float]:
     return out
 
 
-def _ready(marks: list[TokenState]) -> bool:
+def _ready(marks):
     """Every input holds a token and one is New; true without inputs."""
     return not marks or (VOID not in marks and NEW in marks)
 
 
-def _any_new(marks: list[TokenState]) -> bool:
+def _any_new(marks):
     return NEW in marks
 
 
-def _all_new(marks: list[TokenState]) -> bool:
+def _all_new(marks):
     return marks.count(NEW) == len(marks)
 
 
-def _inputs(spec: OperatorSpec, state: ExecutionState) -> list[Value]:
+def _inputs(spec, state):
     return [state.values[d] for d in spec.inputs]
 
 
-def _process(spec: OperatorSpec, state: ExecutionState, registry):
+def _process(spec, state, registry):
     """Run the registered function over the inputs; it writes every output."""
     fn = registry.resolve(spec.process_name)
     try:
@@ -197,7 +197,7 @@ def _process(spec: OperatorSpec, state: ExecutionState, registry):
     return spec.inputs, tuple(zip(spec.outputs, map(coerce_value, result)))
 
 
-def _ifelse(spec: OperatorSpec, state: ExecutionState, registry):
+def _ifelse(spec, state, registry):
     """Input 0 goes to output 0 when input 1 holds, else to output 1."""
     value, condition = _inputs(spec, state)
     if not isinstance(condition, bool):
@@ -205,22 +205,22 @@ def _ifelse(spec: OperatorSpec, state: ExecutionState, registry):
     return spec.inputs, ((spec.outputs[0 if condition else 1], value),)
 
 
-def _merge(spec: OperatorSpec, state: ExecutionState, registry):
+def _merge(spec, state, registry):
     """Forward and consume the New input, input 0 on a tie."""
     first, second = spec.inputs
     src = first if state.marking[first] == NEW else second
     return (src,), ((spec.outputs[0], state.values[src]),)
 
 
-def _sync(spec: OperatorSpec, state: ExecutionState, registry):
+def _sync(spec, state, registry):
     return spec.inputs, tuple(zip(spec.outputs, _inputs(spec, state)))
 
 
-def _incr(spec: OperatorSpec, state: ExecutionState, registry):
+def _incr(spec, state, registry):
     return (), ((spec.outputs[0], float(state.exec_counts[spec.index] + 1)),)
 
 
-def _lt(spec: OperatorSpec, state: ExecutionState, registry):
+def _lt(spec, state, registry):
     x, y = want_numbers(_inputs(spec, state), "less-than")
     return spec.inputs, ((spec.outputs[0], x < y),)
 
@@ -238,12 +238,12 @@ class Kind(NamedTuple):
 
     inputs: int | None
     outputs: int | None
-    rule: Callable[[list[TokenState]], bool]
-    effect: Callable[..., tuple]
+    rule: Callable
+    effect: Callable
     takes_process: bool = False
 
 
-KINDS: dict[str, Kind] = {
+KINDS = {
     "process": Kind(None, None, _ready, _process, takes_process=True),
     "ifelse": Kind(2, 2, _ready, _ifelse),
     "merge": Kind(2, 1, _any_new, _merge),
@@ -253,7 +253,7 @@ KINDS: dict[str, Kind] = {
 }
 
 
-def _is_name(name) -> bool:
+def _is_name(name):
     """Whether name is text that NAME matches in full.
 
     Every ASCII identifier does, so the common name skips the regex.
@@ -263,12 +263,12 @@ def _is_name(name) -> bool:
     )
 
 
-def _check_name(role: str, name) -> None:
+def _check_name(role, name):
     if not _is_name(name):
         raise ValidationError(f"bad {role} name {name!r}")
 
 
-def _resolve(op: str, role: str, names: Sequence[str], by_name: dict) -> tuple[int, ...]:
+def _resolve(op, role, names, by_name):
     """Indices of the data nodes an operator's inputs or outputs name."""
     out = []
     try:
@@ -303,8 +303,8 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
     data before any operator, so when an error is raised the declaration
     taken last is the one at fault.
     """
-    nodes: list[DataNode] = []
-    by_name: dict[str, int] = {}
+    nodes = []
+    by_name = {}  # data name -> index
     for index, decl in enumerate(data_decls):
         if isinstance(decl, str):
             decl = (decl,)
@@ -321,8 +321,8 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
             raise ValidationError(f"data name {name!r} declared twice")
         nodes.append(DataNode(index, name, sort))
 
-    ops: list[OperatorSpec] = []
-    op_names: set[str] = set()
+    ops = []
+    op_names = set()
     for index, decl in enumerate(op_decls):
         try:
             name, kind, in_names, out_names, process_name = (
@@ -438,7 +438,7 @@ def initial_state(
             raise ValidationError(f"no data node with index {idx}")
 
     marking = dict.fromkeys(range(n), VOID)
-    vals: dict[int, Value] = dict.fromkeys(range(n))
+    vals = dict.fromkeys(range(n))
     for idx, mark in markings.items():
         try:
             marking[idx] = mark if type(mark) is TokenState else TokenState(mark)

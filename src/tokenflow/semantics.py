@@ -1,12 +1,16 @@
 """Process registry, the firing of one operator, and runs.
 
-The rule and effect of every operator kind live in model.KINDS. fire()
-checks the rule and commits the firing to a copy, so its input never
-changes. A Run copies its initial state once and commits every firing to
-that copy in place, through fire(owned=True), keeping its set of enabled
-operators and its step count current and handing each event to its commit
-hook (by default, its trace): Run.commit is the one firing path of both
-processors, which differ only in which enabled operator they pick.
+The rule and effect of every operator kind live in model.KINDS. A Plan
+holds what firing one operator takes: its spec and effect, the outputs a
+write is sort-checked on, its neighbourhood and the other operators its
+firing can affect. fire() makes every firing from a plan. Called on its
+own, it checks the rule, copies the state and makes a plan, so its input
+never changes. A Run makes one plan per operator and copies its initial
+state once, and commits every firing to that copy in place by handing
+fire() the operator's plan; it keeps its set of enabled operators and its
+step count current and hands each event to its commit hook (by default,
+its trace). Run.commit is the one firing path of both processors, which
+differ only in which enabled operator they pick.
 """
 from __future__ import annotations
 
@@ -23,7 +27,6 @@ from .model import (
     ExecutionState,
     OperatorSpec,
     TokenState,
-    Value,
     check_sort,
     neighborhood,
     want_numbers,
@@ -40,7 +43,7 @@ class ProcessRegistry:
     """
 
     def __init__(self, funcs: Mapping[str, ProcessFn] | None = None):
-        self._funcs: dict[str, ProcessFn] = dict(funcs or {})
+        self._funcs = dict(funcs or {})  # name -> process function
 
     def register(self, name: str, fn: ProcessFn) -> None:
         self._funcs[name] = fn
@@ -120,9 +123,9 @@ class TraceEvent(NamedTuple):
     step: int
     op_index: int
     op_name: str
-    reads: tuple[tuple[str, Value], ...]
-    writes: tuple[tuple[str, Value], ...]
-    marking_delta: tuple[tuple[int, TokenState], ...]
+    reads: tuple
+    writes: tuple
+    marking_delta: tuple
 
 
 class Trace(list):
@@ -137,13 +140,35 @@ class Trace(list):
         self.start = tuple((n.name, initial.marking[n.index]) for n in comp.data)
 
 
+class Plan:
+    """What firing one operator takes, worked out once.
+
+    spec is the operator and effect its kind's effect. typed maps each
+    output whose declared sort a write is checked against to its data node.
+    scan is where the sequential scheduler's scan starts after it fires.
+    hood is the operator's neighbourhood. others lists, in declaration
+    order, the indices of the other operators sharing a data node with it,
+    the only ones whose enablement its firing can change; a Run fills it in.
+    """
+
+    __slots__ = ("spec", "effect", "typed", "scan", "hood", "others")
+
+    def __init__(self, comp: Composition, spec: OperatorSpec):
+        data = comp.data
+        self.spec = spec
+        self.effect = KINDS[spec.kind].effect
+        self.typed = {d: data[d] for d in spec.outputs if data[d].sort != "any"}
+        self.scan = (spec.index + 1) % len(comp.operators)
+        self.hood = neighborhood(comp, spec)
+        self.others = ()
+
+
 def fire(
     comp: Composition,
     op: OperatorSpec | int,
     state: ExecutionState,
     registry: ProcessRegistry,
-    *,
-    owned: bool = False,
+    plan: Plan | None = None,
 ) -> tuple[ExecutionState, TraceEvent]:
     """Fire one enabled operator. Returns the state it fired on and the event.
 
@@ -153,32 +178,31 @@ def fire(
     leaves the state untouched; any FlowError they raise is prefixed with
     the operator and the step.
 
-    By default fire checks enablement and commits to a copy: the input
-    state is never mutated. A Run passes owned=True, with the operator's
-    OperatorSpec, for the state it owns once it holds the operator as
-    enabled: the firing is then committed to that state in place, in work
-    bounded by the operator's neighbourhood, with no second check and no
-    copy.
+    Called as fire(comp, op, state, registry), it checks that op is enabled
+    and commits the firing to a copy: the state passed in never changes. A
+    Run passes the plan it holds for an operator it holds as enabled, with
+    the state it owns: the firing is then committed to that state in place,
+    in work bounded by the operator's neighbourhood, with no second check
+    and no copy. The same code below makes every firing, in a run or not.
     """
-    if owned:
-        spec = op
-    else:
+    if plan is None:
         spec = comp.operators[op] if isinstance(op, int) else op
         if not can_fire(comp, spec, state.marking):
             raise NotEnabled(f"operator {spec.name!r} is not enabled")
         state = state.copy()
-    data = comp.data
+        plan = Plan(comp, spec)
+    spec, effect, typed = plan.spec, plan.effect, plan.typed
     try:
-        consumed, writes = KINDS[spec.kind].effect(spec, state, registry)
-        for d, v in writes:
-            node = data[d]
-            if node.sort != "any":
-                check_sort(node, v)
+        consumed, writes = effect(spec, state, registry)
+        if typed:
+            for d, v in writes:
+                if d in typed:
+                    check_sort(typed[d], v)
     except FlowError as exc:
         exc.args = (f"operator {spec.name!r} at step {state.step}: {exc}",)
         raise
 
-    values, marking = state.values, state.marking
+    data, values, marking = comp.data, state.values, state.marking
     reads, wrote, delta = [], [], []
     for d in consumed:
         reads.append((data[d].name, values[d]))
@@ -189,13 +213,14 @@ def fire(
         delta.append((d, NEW))
         values[d] = v
         marking[d] = NEW
+    index = spec.index
     event = tuple.__new__(  # TraceEvent(...) without the frame of its __new__
         TraceEvent,
-        (state.step, spec.index, spec.name, tuple(reads), tuple(wrote), tuple(delta)),
+        (state.step, index, spec.name, tuple(reads), tuple(wrote), tuple(delta)),
     )
-    state.exec_counts[spec.index] += 1
+    state.exec_counts[index] += 1
     state.step += 1
-    state.scan_start = (spec.index + 1) % len(comp.operators)
+    state.scan_start = plan.scan
     return state, event
 
 
@@ -250,9 +275,8 @@ class Run:
 
     order lists the enabled operators in declaration order, and enabled
     holds the same operators as a set; both start from one enabled_set scan
-    and commit() keeps them current. hoods[i] is the neighbourhood of
-    operator i, and affects[i] lists the operators sharing a data node with
-    it (itself included): the only ones whose enablement firing i can change.
+    and commit() keeps them current. plans[i] is the Plan of operator i,
+    whose others are filled in here from the neighbourhoods of all plans.
     """
 
     def __init__(self, comp, initial, registry, limits, on_commit=None):
@@ -263,15 +287,17 @@ class Run:
         self.trace = Trace(comp, initial)
         self.on_commit = self.trace.append if on_commit is None else on_commit
         self.steps = 0
-        hoods = [neighborhood(comp, op) for op in comp.operators]
-        touching: dict[int, list[int]] = {}
-        for i, hood in enumerate(hoods):
-            for d in hood:
+        self.plans = plans = [Plan(comp, op) for op in comp.operators]
+        touching = {}  # data index -> the operators touching it
+        for i, plan in enumerate(plans):
+            for d in plan.hood:
                 touching.setdefault(d, []).append(i)
-        self.hoods = hoods
-        self.affects = [
-            sorted({j for d in hood for j in touching[d]}) for hood in hoods
-        ]
+        for i, plan in enumerate(plans):
+            near = set()
+            for d in plan.hood:
+                near.update(touching[d])
+            near.discard(i)
+            plan.others = tuple(sorted(near))
         self.order = enabled_set(comp, self.state)
         self.enabled = set(self.order)
 
@@ -280,25 +306,29 @@ class Run:
 
         A FlowError from the firing leaves the state as it was before it and
         carries the run so far as its result, with converged=False. Only the
-        operators the firing can affect are re-tested, and not the fired
-        one, which its firing disables. A firing that wrote an output left a
-        New token on it. One that wrote nothing, which only a hand-built
-        process or sync operator with no outputs can do, consumed every
-        input, so its rule no longer holds. An operator with neither inputs
-        nor outputs affects no operator, itself included, and stays enabled.
+        other operators the firing can affect are re-tested. The fired one
+        leaves the enabled set untested when it touches any data: a firing
+        that wrote an output left a New token on it, and one that wrote
+        nothing, which only a hand-built process or sync operator with no
+        outputs can do, consumed every input, so its rule no longer holds.
+        An operator with neither inputs nor outputs affects no operator,
+        itself included, and stays enabled.
         """
-        comp, enabled, order = self.comp, self.enabled, self.order
-        ops = comp.operators
+        comp, enabled = self.comp, self.enabled
         if idx not in enabled:
-            raise NotEnabled(f"operator {ops[idx].name!r} is not enabled")
+            raise NotEnabled(f"operator {comp.operators[idx].name!r} is not enabled")
+        plan = self.plans[idx]
         try:
-            _, event = fire(comp, ops[idx], self.state, self.registry, owned=True)
+            _, event = fire(comp, idx, self.state, self.registry, plan)
         except FlowError as exc:
             exc.result = self.result(converged=False)
             raise
-        marking = self.state.marking
-        for j in self.affects[idx]:
-            if j != idx and can_fire(comp, ops[j], marking):
+        order, marking, ops = self.order, self.state.marking, comp.operators
+        if plan.hood:
+            enabled.remove(idx)
+            del order[bisect_left(order, idx)]
+        for j in plan.others:
+            if can_fire(comp, ops[j], marking):
                 if j not in enabled:
                     enabled.add(j)
                     insort(order, j)

@@ -5,6 +5,7 @@ Everything else comes here, so argparse stays the one source of --help,
 abbreviated options, --opt=value and the wording of usage errors.
 """
 import argparse
+import sys
 
 from . import cli
 
@@ -16,6 +17,13 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep exit code 2 reserved for step limits
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        # argparse's own drops an OSError from the write. This one raises it,
+        # and flushes, so that help that cannot be written is an error too.
+        file = file or sys.stdout
+        (file.write if file else cli._closed)(self.format_help())
+        file.flush()
 
 
 def positive_int(text: str) -> int:

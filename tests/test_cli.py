@@ -28,6 +28,7 @@ from tokenflow import (
 )
 from tokenflow import cli
 from tokenflow.cli import CHUNK, COMMANDS, _read, _summary, main
+from tokenflow.dsl import format_number, format_pairs
 from tokenflow.usage import parse_args
 from conftest import FLOWS, marked_states, small_compositions
 
@@ -213,6 +214,57 @@ def test_simulate_prints_what_the_library_renders(tmp_path_factory, data):
     max_steps = data.draw(st.integers(1, 6) | st.integers(40, 60))
     doc = tmp_path_factory.getbasetemp() / "drawn.flow"
     _simulate_as_the_library(doc, comp, state, durations, max_steps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_streamed_lines_and_rows_match_uncached_formatting(tmp_path_factory, data):
+    # The CLI makes the text of each value and clock once and shares a
+    # firing's writes between its trace line and its schedule row. What it
+    # streams must equal what format_pairs and format_number make of each
+    # event and entry of the same run, in both processors.
+    comp = data.draw(small_compositions())
+    state = data.draw(marked_states(comp, with_text=True))
+    durations = data.draw(
+        st.dictionaries(
+            st.sampled_from(range(len(comp.operators))),
+            st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]),
+        )
+    )
+    doc = tmp_path_factory.getbasetemp() / "uncached.flow"
+    doc.write_text(emit_composition(comp, state, durations), encoding="utf-8")
+    for command in ("run", "simulate"):
+        committed = []  # the events, or schedule entries, of the library's run
+        try:
+            if command == "run":
+                run_to_convergence(
+                    comp, state, default_registry(), RunLimits(40), committed.append
+                )
+            else:
+                simulate_concurrent(
+                    comp, state, default_registry(), durations, RunLimits(40),
+                    committed.append,
+                )
+            failed = False
+        except FlowError:
+            failed = True
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            main([command, str(doc), "--max-steps", "40"])
+        lines = out.getvalue().split("\n")
+        for entry, line in zip(committed, lines):
+            event = getattr(entry, "event", entry)
+            assert line.startswith(
+                f"step={event.step} op={event.op_name} reads={{{format_pairs(event.reads)}}}"
+                f" writes={{{format_pairs(event.writes)}}} marking="
+            ), line
+        if command == "simulate" and not failed:
+            rows = lines[len(committed) : 2 * len(committed)]
+            assert rows == [
+                f"{format_number(e.start)}\t{format_number(e.end)}\t{e.op_name}"
+                f"\t{{{format_pairs(e.event.writes)}}}"
+                for e in committed
+            ]
 
 
 def test_simulate_prints_escaped_text_booleans_and_fractional_times(tmp_path, capsys):
@@ -455,7 +507,7 @@ def test_a_run_imports_only_what_it_uses(tmp_path):
 # compiles them from source when no bytecode is cached, so this bounds the
 # fixed cost of each run. A budget only goes down: lower it when a change
 # shrinks the path, and never raise it.
-RUN_PATH_BUDGETS = {"run": 8_324, "simulate": 9_017}
+RUN_PATH_BUDGETS = {"run": 8_252, "simulate": 8_941}
 
 
 def test_the_run_path_stays_within_its_budget():
@@ -555,6 +607,39 @@ def test_stdout_on_a_full_device_exits_one(tmp_path):
             done = _tokenflow(argv, full)
         assert done.returncode == 1, argv
         assert re.fullmatch(rb"error: \[Errno 28\] [^\n]*\n", done.stderr), done.stderr
+
+
+def test_a_closed_stdout_exits_one_with_one_error_line():
+    # Started with stdout closed, the process has no sys.stdout at all.
+    for argv in (["validate", LOOP], ["run", LOOP], ["simulate", LOOP, "--quiet"], ["-h"]):
+        done = subprocess.run(
+            [sys.executable, "-m", "tokenflow", *argv],
+            stderr=subprocess.PIPE,
+            preexec_fn=lambda: os.close(1),
+        )
+        assert done.returncode == 1, argv
+        assert done.stderr == b"error: [Errno 9] stdout is closed\n", argv
+
+
+def test_help_that_cannot_be_written_exits_one(tmp_path):
+    # argparse drops an error writing its help; buffered, the help would
+    # only fail at the interpreter's last flush. With stdout on a working
+    # file the help is printed as before, and the exit code is 0.
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    out = tmp_path / "help"
+    for extra in ({}, {"PYTHONUNBUFFERED": "1"}):
+        for argv in (["-h"], ["run", "-h"], ["run", LOOP, "--he"]):
+            with open("/dev/full", "w") as full:
+                done = _tokenflow(argv, full, env=env | extra)
+            assert done.returncode == 1, (argv, extra)
+            assert re.fullmatch(rb"error: \[Errno 28\] [^\n]*\n", done.stderr), done.stderr
+            with open(out, "wb") as fh:
+                done = _tokenflow(argv, fh, env=env | extra | {"COLUMNS": "80"})
+            assert (done.returncode, done.stderr) == (0, b""), (argv, extra)
+            help_start = "usage: tokenflow [-h]" if argv == ["-h"] else RUN_HELP
+            assert out.read_text(encoding="utf-8").startswith(help_start), (argv, extra)
 
 
 def test_a_broken_pipe_exits_one_with_one_error_line(tmp_path):

@@ -14,7 +14,9 @@ from tokenflow import (
     simulate_concurrent,
 )
 from tokenflow import concurrent
-from tokenflow.concurrent import startable_set
+from tokenflow.concurrent import ScheduleEntry, startable_set
+from tokenflow.dsl import format_number
+from tokenflow.semantics import TraceEvent
 from conftest import (
     FLOWS,
     N,
@@ -232,3 +234,19 @@ def test_simulation_is_deterministic():
 
 def test_empty_schedule_renders_empty():
     assert schedule_tsv([]) == ""
+
+
+def test_the_clock_memo_goes_by_object_and_never_by_value():
+    # Clocks equal in value but distinct as objects, one pair printing
+    # differently; and more fresh clocks than the memo keeps.
+    row = concurrent.schedule_renderer()
+    event = TraceEvent(0, 0, "p", (), (("a", 1.0),), ((0, 2),))
+    neg, pos = -0.0, float("0")
+    clocks = [(neg, pos), (pos, neg), (0.5, 1.0 + 0.5), (1.5, 1.0 + 0.5)]
+    clocks += [(k / 4, k / 4 + 0.25) for k in range(300)]
+    for start, end in clocks:
+        entry = ScheduleEntry(start, end, 0, "p", event)
+        want = f"{format_number(start)}\t{format_number(end)}\tp\t{{a=1}}\n"
+        assert row(entry) == want
+        assert row(entry, "a=1") == want
+    assert row(ScheduleEntry(neg, pos, 0, "p", event)) == "-0\t0\tp\t{a=1}\n"

@@ -21,7 +21,8 @@ from tokenflow import (
     run_to_convergence,
     serialize_trace,
 )
-from tokenflow.dsl import format_number
+from tokenflow.dsl import format_number, format_pairs, trace_renderer, value_texts
+from tokenflow.semantics import TraceEvent
 from conftest import FLOWS, N, O, V, marked_states, small_compositions
 
 
@@ -369,3 +370,61 @@ def test_serialize_trace_line_shape():
     # them cannot be printed
     with pytest.raises(TypeError):
         serialize_trace(list(result.trace))
+
+
+# ----------------------------------------------------------- text memo
+
+
+def _line_prefix(event) -> str:
+    """A trace line up to its marking column, formatted without any memo."""
+    return (
+        f"step={event.step} op={event.op_name} reads={{{format_pairs(event.reads)}}}"
+        f" writes={{{format_pairs(event.writes)}}} marking="
+    )
+
+
+def test_the_text_memo_goes_by_object_and_never_by_value():
+    # Events as a run of p (writing a and b) and q (reading a) would make
+    # them. Each pair of values below is equal but prints differently, and
+    # the second is a fresh object, so a memo keyed on value would print it
+    # as the first.
+    start = (("a", V), ("b", V))
+    neg, pos = -0.0, float("0")
+    one = 1.0 + 0.0
+    shared = 2.5 + 0.0  # one object, written to two nodes
+    events, step = [], 0
+    for first, second in ((neg, pos), (True, one), (shared, shared)):
+        events.append(TraceEvent(step, 0, "p", (), (("a", first), ("b", second)),
+                                 ((0, N), (1, N))))
+        events.append(TraceEvent(step + 1, 1, "q", (("a", first),), (), ((0, O),)))
+        events.append(TraceEvent(step + 2, 1, "q", (("b", second),), (), ((1, O),)))
+        step += 3
+    render = trace_renderer(start)
+    lines = [render(event) for event in events]
+    for event, line in zip(events, lines):
+        assert line.startswith(_line_prefix(event)), line
+    assert lines[0].startswith("step=0 op=p reads={} writes={a=-0,b=0} ")
+    assert lines[2].startswith("step=2 op=q reads={b=0} ")
+    assert lines[3].startswith("step=3 op=p reads={} writes={a=true,b=1} ")
+    assert lines[5].startswith("step=5 op=q reads={b=1} ")
+    assert lines[6].startswith("step=6 op=p reads={} writes={a=2.5,b=2.5} ")
+    # The writes text render.pairs makes is the one the line holds.
+    again = trace_renderer(start)
+    writes = again.pairs(events[0].writes)
+    assert writes == "a=-0,b=0"
+    assert again(events[0], writes) == lines[0]
+
+
+def test_a_memo_that_fills_up_still_prints_every_value():
+    # Far more fresh values than the memo keeps, each written and then read,
+    # so texts are dropped and made again, and freed objects' ids reused.
+    said, make = value_texts()
+    render = trace_renderer((("a", V),))
+    for k in range(500):
+        value = (-1.0) ** k * (k + 0.5) if k % 3 else bool(k % 2)
+        assert (said(id(value)) or make(value)) == format_value(value)
+        for event in (
+            TraceEvent(2 * k, 0, "p", (), (("a", value),), ((0, N),)),
+            TraceEvent(2 * k + 1, 1, "q", (("a", value),), (), ((0, O),)),
+        ):
+            assert render(event).startswith(_line_prefix(event))

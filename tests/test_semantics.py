@@ -1,8 +1,11 @@
 """Firing predicates, value rules, and the atomic fire transition."""
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from tokenflow import (
     ExecutionState,
+    FlowError,
     NotEnabled,
     ProcessError,
     ProcessRegistry,
@@ -22,7 +25,10 @@ from tokenflow import (
 from tokenflow import concurrent, semantics, sequential
 from tokenflow.concurrent import startable_set
 from tokenflow.sequential import enabled_set, select_next
-from conftest import N, O, V, branch_structure, run_of, state_of
+from tokenflow.semantics import Run
+from conftest import (
+    N, O, V, branch_structure, marked_states, run_of, small_compositions, state_of,
+)
 
 
 def _lone(kind: str, n_in: int, n_out: int, process: str | None = None):
@@ -523,3 +529,46 @@ def test_a_failing_run_keeps_its_partial_result():
             stopped = processor(comp, state, default_registry(), limits)
             assert result.final_state == stopped.final_state
             assert list(result.trace) == list(stopped.trace)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_library_fire_and_run_commit_make_the_same_firings(data):
+    # Replayed through fire(), the firings a run commits give the same event
+    # and the same state at every step, and the library never touches the
+    # state it is handed. The run commits its operators in a drawn order, as
+    # the concurrent processor may. The process fails at a drawn firing
+    # count, or on text: then both fail alike, naming the operator and the
+    # step, and the run's state is what it was before the firing.
+    comp = data.draw(small_compositions())
+    state = data.draw(marked_states(comp, with_text=True))
+    fail_at = data.draw(st.integers(0, 4))
+
+    def add(values, count):
+        if count == fail_at:
+            raise RuntimeError(f"firing {count}")
+        return default_registry().resolve("add")(values, count)
+
+    registry = ProcessRegistry({"add": add})
+    run = Run(comp, state, registry, RunLimits())
+    for _ in range(30):
+        if not run.order:
+            break
+        idx = data.draw(st.sampled_from(run.order))
+        before = state.copy()
+        try:
+            after, event = fire(comp, idx, state, registry)
+        except FlowError as exc:
+            assert state == before
+            assert str(exc).startswith(
+                f"operator {comp.operators[idx].name!r} at step {state.step}: "
+            )
+            with pytest.raises(type(exc)) as failed:
+                run.commit(idx)
+            assert str(failed.value) == str(exc)
+            assert run.state == state
+            break
+        assert state == before
+        assert run.commit(idx) == event
+        assert run.state == after
+        state = after
