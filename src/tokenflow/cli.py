@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 from .dsl import (
     CompositionDocument,
+    format_pairs,
     format_value,
     parse_literal,
     trace_renderer,
@@ -161,16 +162,13 @@ def _finish(comp, result, out):
     return 0 if result.converged else 2
 
 
-def _closed(text):
-    """The write of a stdout that is not there, such as one closed at start."""
-    raise OSError(errno.EBADF, "stdout is closed")
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     stdout = sys.stdout
-    out, flush = _batch(stdout.write if stdout else _closed)
     try:
+        if stdout is None:  # the process started with stdout closed
+            raise OSError(errno.EBADF, "stdout is closed")
+        out, flush = _batch(stdout.write)
         args = _read(argv)
         if args is None:
             from .usage import UsageError, parse_args
@@ -184,8 +182,7 @@ def main(argv=None) -> int:
             return _command(args, out)
         finally:  # what the run committed, also when it failed mid-way
             flush()
-            if stdout:
-                stdout.flush()
+            stdout.flush()
     except (FlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -243,11 +240,11 @@ def _command(args, out):
     if args.quiet:
         hook = discard
     else:
-        pairs, row = render.pairs, schedule_renderer()
+        text, row = render.text, schedule_renderer()
 
         def hook(entry):  # the writes are formatted once, for both lines
             event = entry.event
-            writes = pairs(event.writes)
+            writes = format_pairs(event.writes, text)
             out(render(event, writes))
             keep(row(entry, writes))
 

@@ -131,17 +131,15 @@ def simulate_concurrent(
             idx = pop(completions)[1]
             started, snapshot = running.pop(idx)
             plan = plans[idx]
-            spec = plan.spec
             busy -= plan.hood
             if inputs[idx](values) != snapshot:
                 raise FlowError(
-                    f"exclusion rule violated: inputs of {spec.name!r}"
+                    f"exclusion rule violated: inputs of {plan.spec.name!r}"
                     f" moved mid-flight at time {clock}"
                 )
             event = commit(idx)
-            touched.append(idx)
-            touched += plan.others
-            emit(new(ScheduleEntry, (started, clock, idx, spec.name, event)))
+            touched += plan.affects
+            emit(new(ScheduleEntry, (started, clock, idx, event.op_name, event)))
             if run.steps >= run.max_steps:
                 # An operator in flight is still enabled, since nothing has
                 # touched its neighbourhood since it started: run.order holds it.
@@ -152,16 +150,17 @@ def schedule_renderer() -> Callable[..., str]:
     """A function rendering schedule entries as start/end/operator/writes TSV lines.
 
     writes, when given, is format_pairs(entry.event.writes), already made.
-    The rows that start or end at one instant share its clock object, and
-    the text of each clock object is made once (see value_texts).
+    The text of each clock and value object is made once, through one
+    value_texts memo. simulate_concurrent stamps every row that starts or ends at one
+    instant with the same clock object, not with the end time it pushed.
     """
-    said, make = value_texts()
+    text = value_texts()
 
     def row(entry, writes=""):
         start, end, _, name, event = entry
         return (
-            f"{said(id(start)) or make(start)}\t{said(id(end)) or make(end)}"
-            f"\t{name}\t{{{writes or format_pairs(event.writes)}}}\n"
+            f"{text(start)}\t{text(end)}"
+            f"\t{name}\t{{{writes or format_pairs(event.writes, text)}}}\n"
         )
 
     return row

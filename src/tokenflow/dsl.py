@@ -117,10 +117,10 @@ class CompositionDocument:
     __slots__ = ("data_decls", "op_decls", "inits", "durations")
 
     def __init__(self):
-        self.data_decls: list = []
-        self.op_decls: list = []
-        self.inits: dict = {}
-        self.durations: dict = {}
+        self.data_decls: list[tuple[int, tuple[str, str]]] = []
+        self.op_decls: list[tuple[int, tuple]] = []
+        self.inits: dict[str, tuple[Value, bool, int | str | None]] = {}
+        self.durations: dict[str, tuple[float, int]] = {}
 
     @classmethod
     def parse(cls, text: str) -> "CompositionDocument":
@@ -224,33 +224,39 @@ def parse_composition(
     return CompositionDocument.parse(text).build()
 
 
-def format_pairs(pairs: Sequence[tuple[str, Value]]) -> str:
-    """(name, value) pairs as traces and schedules print them: a=1,b="x"."""
-    return ",".join([f"{n}={format_value(v)}" for n, v in pairs])
+def format_pairs(
+    pairs: Sequence[tuple[str, Value]], text: Callable[[Value], str] = format_value
+) -> str:
+    """(name, value) pairs as traces and schedules print them: a=1,b="x".
 
-
-def value_texts() -> tuple[Callable, Callable]:
-    """A memo of format_value over value objects: (get, make).
-
-    get(id(value)) is the text of value if the memo keeps it, else None;
-    make(value) makes the text and keeps it. So get(id(value)) or
-    make(value) is format_value(value), made once per object while the
-    memo keeps it. It keeps the last 64 objects made at most, and holds
-    each, so no other object can have its id meanwhile. Equal values need
-    not be the same object, nor print the same: 0.0 and -0.0, True and 1.0.
+    text formats each value: format_value, or a value_texts memo of it.
     """
-    said = {}  # id of a kept object -> its text
-    kept = []
+    out = []
+    for name, value in pairs:
+        out.append(f"{name}={text(value)}")
+    return ",".join(out)
 
-    def make(value):
-        if len(kept) >= 64:
-            said.clear()
-            kept.clear()
-        kept.append(value)
-        text = said[id(value)] = format_value(value)
-        return text
 
-    return said.get, make
+def value_texts() -> Callable[[Value], str]:
+    """A memo of format_value by object: text(value) is format_value(value),
+    made once per value object while the memo keeps it.
+
+    It goes by identity, never by value, since equal values need not print
+    alike: 0.0 and -0.0, True and 1.0. It keeps the texts of at most 256
+    objects, each with the object itself, so that no other object can take
+    its id meanwhile, and starts afresh when full.
+    """
+    said = {}  # id of a kept object -> (its text, the object)
+
+    def text(value):
+        made = said.get(id(value))
+        if made is None:
+            if len(said) >= 256:
+                said.clear()
+            made = said[id(value)] = (format_value(value), value)
+        return made[0]
+
+    return text
 
 
 def trace_renderer(
@@ -265,10 +271,11 @@ def trace_renderer(
     step=<n> op=<name> reads={...} writes={...} marking=<name:V|O|N,...>
 
     reads and writes print as format_pairs prints them. The text of each
-    value object is made once, through one value_texts memo: a value one
-    firing writes is most often one it read, or one the next firing reads.
-    The function's pairs attribute formats pairs through the same memo; a
-    caller that has the event's writes so passes them as a second argument.
+    value object is made once, through one value_texts memo, the function's
+    text attribute: the value a firing writes is the object later firings
+    read, and merge, sync and ifelse write the object they read. A caller
+    that has made format_pairs(event.writes, render.text) passes it as a
+    second argument.
     The marking column is the post-firing marking of every data node,
     rebuilt by replaying each event's marking delta over start.
     """
@@ -276,25 +283,19 @@ def trace_renderer(
     void, old, new = (m.code for m in TokenState)
     cell = [(f"{name}:{void}", f"{name}:{old}", f"{name}:{new}") for name, _ in start]
     cells = [cell[d][m] for d, (_, m) in enumerate(start)]
-    said, make = value_texts()
+    text = value_texts()
     join = ",".join
-
-    def pairs(pairs):
-        out = []
-        for name, value in pairs:
-            out.append(f"{name}={said(id(value)) or make(value)}")
-        return join(out)
 
     def render(event, writes=""):
         step, _, name, reads, wrote, delta = event
         for d, m in delta:
             cells[d] = cell[d][m]
         return (
-            f"step={step} op={name} reads={{{pairs(reads)}}}"
-            f" writes={{{writes or pairs(wrote)}}} marking={join(cells)}\n"
+            f"step={step} op={name} reads={{{format_pairs(reads, text)}}}"
+            f" writes={{{writes or format_pairs(wrote, text)}}} marking={join(cells)}\n"
         )
 
-    render.pairs = pairs
+    render.text = text
     return render
 
 

@@ -238,12 +238,12 @@ class Kind(NamedTuple):
 
     inputs: int | None
     outputs: int | None
-    rule: Callable
-    effect: Callable
+    rule: Callable[[list[TokenState]], bool]
+    effect: Callable[..., tuple]
     takes_process: bool = False
 
 
-KINDS = {
+KINDS: dict[str, Kind] = {
     "process": Kind(None, None, _ready, _process, takes_process=True),
     "ifelse": Kind(2, 2, _ready, _ifelse),
     "merge": Kind(2, 1, _any_new, _merge),

@@ -1,16 +1,16 @@
 """Process registry, the firing of one operator, and runs.
 
 The rule and effect of every operator kind live in model.KINDS. A Plan
-holds what firing one operator takes: its spec and effect, the outputs a
-write is sort-checked on, its neighbourhood and the other operators its
-firing can affect. fire() makes every firing from a plan. Called on its
-own, it checks the rule, copies the state and makes a plan, so its input
-never changes. A Run makes one plan per operator and copies its initial
-state once, and commits every firing to that copy in place by handing
-fire() the operator's plan; it keeps its set of enabled operators and its
-step count current and hands each event to its commit hook (by default,
-its trace). Run.commit is the one firing path of both processors, which
-differ only in which enabled operator they pick.
+holds what firing one operator takes: its spec and effect and the outputs a
+write is sort-checked on. fire() makes every firing from a plan. Called on
+its own, it checks the rule, copies the state and makes a plan, so its
+input never changes. A Run makes one plan per operator, adding the
+operator's neighbourhood and the operators its firing can affect,
+and copies its initial state once. It commits every firing to that copy in
+place by handing fire() the operator's plan, keeps its set of enabled
+operators and its step count current, and hands each event to its commit
+hook (by default, its trace). Run.commit is the one firing path of both
+processors, which differ only in which enabled operator they pick.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from .model import (
     ExecutionState,
     OperatorSpec,
     TokenState,
+    Value,
     check_sort,
     neighborhood,
     want_numbers,
@@ -123,9 +124,9 @@ class TraceEvent(NamedTuple):
     step: int
     op_index: int
     op_name: str
-    reads: tuple
-    writes: tuple
-    marking_delta: tuple
+    reads: tuple[tuple[str, Value], ...]
+    writes: tuple[tuple[str, Value], ...]
+    marking_delta: tuple[tuple[int, TokenState], ...]
 
 
 class Trace(list):
@@ -145,22 +146,20 @@ class Plan:
 
     spec is the operator and effect its kind's effect. typed maps each
     output whose declared sort a write is checked against to its data node.
-    scan is where the sequential scheduler's scan starts after it fires.
-    hood is the operator's neighbourhood. others lists, in declaration
-    order, the indices of the other operators sharing a data node with it,
-    the only ones whose enablement its firing can change; a Run fills it in.
+    A Run, which schedules by them, also gives each of its plans hood, the
+    operator's neighbourhood, and affects: the indices, in declaration
+    order, of the operators sharing a data node with it (itself included),
+    the only ones whose enablement its firing can change. fire() reads
+    neither.
     """
 
-    __slots__ = ("spec", "effect", "typed", "scan", "hood", "others")
+    __slots__ = ("spec", "effect", "typed", "hood", "affects")
 
     def __init__(self, comp: Composition, spec: OperatorSpec):
         data = comp.data
         self.spec = spec
         self.effect = KINDS[spec.kind].effect
         self.typed = {d: data[d] for d in spec.outputs if data[d].sort != "any"}
-        self.scan = (spec.index + 1) % len(comp.operators)
-        self.hood = neighborhood(comp, spec)
-        self.others = ()
 
 
 def fire(
@@ -180,10 +179,11 @@ def fire(
 
     Called as fire(comp, op, state, registry), it checks that op is enabled
     and commits the firing to a copy: the state passed in never changes. A
-    Run passes the plan it holds for an operator it holds as enabled, with
-    the state it owns: the firing is then committed to that state in place,
-    in work bounded by the operator's neighbourhood, with no second check
-    and no copy. The same code below makes every firing, in a run or not.
+    Run, for an operator it holds as enabled, passes the operator's spec as
+    op, the state it owns, and the plan it holds for it, whose spec is op:
+    the firing is then committed to that state in place, in work bounded by
+    the operator's neighbourhood, with no second check and no copy. The same
+    code below makes every firing, in a run or not.
     """
     if plan is None:
         spec = comp.operators[op] if isinstance(op, int) else op
@@ -220,7 +220,7 @@ def fire(
     )
     state.exec_counts[index] += 1
     state.step += 1
-    state.scan_start = plan.scan
+    state.scan_start = (index + 1) % len(comp.operators)
     return state, event
 
 
@@ -276,7 +276,7 @@ class Run:
     order lists the enabled operators in declaration order, and enabled
     holds the same operators as a set; both start from one enabled_set scan
     and commit() keeps them current. plans[i] is the Plan of operator i,
-    whose others are filled in here from the neighbourhoods of all plans.
+    whose hood and affects are filled in here.
     """
 
     def __init__(self, comp, initial, registry, limits, on_commit=None):
@@ -290,14 +290,11 @@ class Run:
         self.plans = plans = [Plan(comp, op) for op in comp.operators]
         touching = {}  # data index -> the operators touching it
         for i, plan in enumerate(plans):
+            plan.hood = neighborhood(comp, plan.spec)
             for d in plan.hood:
                 touching.setdefault(d, []).append(i)
-        for i, plan in enumerate(plans):
-            near = set()
-            for d in plan.hood:
-                near.update(touching[d])
-            near.discard(i)
-            plan.others = tuple(sorted(near))
+        for plan in plans:
+            plan.affects = sorted({j for d in plan.hood for j in touching[d]})
         self.order = enabled_set(comp, self.state)
         self.enabled = set(self.order)
 
@@ -306,29 +303,26 @@ class Run:
 
         A FlowError from the firing leaves the state as it was before it and
         carries the run so far as its result, with converged=False. Only the
-        other operators the firing can affect are re-tested. The fired one
-        leaves the enabled set untested when it touches any data: a firing
-        that wrote an output left a New token on it, and one that wrote
-        nothing, which only a hand-built process or sync operator with no
-        outputs can do, consumed every input, so its rule no longer holds.
-        An operator with neither inputs nor outputs affects no operator,
-        itself included, and stays enabled.
+        operators the firing can affect are re-tested, and not the fired
+        one, which its firing disables. A firing that wrote an output left a
+        New token on it. One that wrote nothing, which only a hand-built
+        process or sync operator with no outputs can do, consumed every
+        input, so its rule no longer holds. An operator with neither inputs
+        nor outputs affects no operator, itself included, and stays enabled.
         """
-        comp, enabled = self.comp, self.enabled
+        comp, enabled, order = self.comp, self.enabled, self.order
+        ops = comp.operators
         if idx not in enabled:
-            raise NotEnabled(f"operator {comp.operators[idx].name!r} is not enabled")
+            raise NotEnabled(f"operator {ops[idx].name!r} is not enabled")
         plan = self.plans[idx]
         try:
-            _, event = fire(comp, idx, self.state, self.registry, plan)
+            _, event = fire(comp, plan.spec, self.state, self.registry, plan)
         except FlowError as exc:
             exc.result = self.result(converged=False)
             raise
-        order, marking, ops = self.order, self.state.marking, comp.operators
-        if plan.hood:
-            enabled.remove(idx)
-            del order[bisect_left(order, idx)]
-        for j in plan.others:
-            if can_fire(comp, ops[j], marking):
+        marking = self.state.marking
+        for j in plan.affects:
+            if j != idx and can_fire(comp, ops[j], marking):
                 if j not in enabled:
                     enabled.add(j)
                     insort(order, j)

@@ -22,7 +22,7 @@ class _Parser(argparse.ArgumentParser):
         # argparse's own drops an OSError from the write. This one raises it,
         # and flushes, so that help that cannot be written is an error too.
         file = file or sys.stdout
-        (file.write if file else cli._closed)(self.format_help())
+        file.write(self.format_help())
         file.flush()
 
 

@@ -243,7 +243,7 @@ def test_the_clock_memo_goes_by_object_and_never_by_value():
     event = TraceEvent(0, 0, "p", (), (("a", 1.0),), ((0, 2),))
     neg, pos = -0.0, float("0")
     clocks = [(neg, pos), (pos, neg), (0.5, 1.0 + 0.5), (1.5, 1.0 + 0.5)]
-    clocks += [(k / 4, k / 4 + 0.25) for k in range(300)]
+    clocks += [(k / 4, k / 4 + 0.25) for k in range(600)]
     for start, end in clocks:
         entry = ScheduleEntry(start, end, 0, "p", event)
         want = f"{format_number(start)}\t{format_number(end)}\tp\t{{a=1}}\n"

@@ -408,9 +408,9 @@ def test_the_text_memo_goes_by_object_and_never_by_value():
     assert lines[3].startswith("step=3 op=p reads={} writes={a=true,b=1} ")
     assert lines[5].startswith("step=5 op=q reads={b=1} ")
     assert lines[6].startswith("step=6 op=p reads={} writes={a=2.5,b=2.5} ")
-    # The writes text render.pairs makes is the one the line holds.
+    # The writes text made through render.text is the one the line holds.
     again = trace_renderer(start)
-    writes = again.pairs(events[0].writes)
+    writes = format_pairs(events[0].writes, again.text)
     assert writes == "a=-0,b=0"
     assert again(events[0], writes) == lines[0]
 
@@ -418,11 +418,11 @@ def test_the_text_memo_goes_by_object_and_never_by_value():
 def test_a_memo_that_fills_up_still_prints_every_value():
     # Far more fresh values than the memo keeps, each written and then read,
     # so texts are dropped and made again, and freed objects' ids reused.
-    said, make = value_texts()
+    text = value_texts()
     render = trace_renderer((("a", V),))
-    for k in range(500):
+    for k in range(1000):
         value = (-1.0) ** k * (k + 0.5) if k % 3 else bool(k % 2)
-        assert (said(id(value)) or make(value)) == format_value(value)
+        assert text(value) == format_value(value)
         for event in (
             TraceEvent(2 * k, 0, "p", (), (("a", value),), ((0, N),)),
             TraceEvent(2 * k + 1, 1, "q", (("a", value),), (), ((0, O),)),
