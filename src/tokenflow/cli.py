@@ -18,6 +18,7 @@ from .dsl import (
     trace_renderer,
 )
 from .errors import FlowError, ParseError, ValidationError
+from .model import Composition, ExecutionState
 
 # Each command's help line, the help of its file argument, and its options in
 # the order --help lists them, as (option, kind, default, metavar, help). The
@@ -43,7 +44,7 @@ COMMANDS = {
 }
 
 
-def _read(argv):
+def _read(argv: list[str]) -> SimpleNamespace | None:
     """What argparse makes of argv when every option in it is spelled out.
 
     That is a command, then its file and its options in any order, each
@@ -91,7 +92,7 @@ def _read(argv):
     return None if args["file"] is None else SimpleNamespace(**args)
 
 
-def _load(path, overrides):
+def _load(path: str, overrides: list[str]):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -114,7 +115,7 @@ def _load(path, overrides):
     return doc.build()
 
 
-def _summary(comp, state):
+def _summary(comp: Composition, state: ExecutionState) -> str:
     parts = [
         f"{n.name}={format_value(state.values[n.index])}({state.marking[n.index].code})"
         for n in comp.data
@@ -231,7 +232,7 @@ def _command(args, out):
         return _finish(comp, result, out)
 
     # simulate, the one command left
-    from .concurrent import schedule_renderer, simulate_concurrent
+    from .concurrent import schedule_row, simulate_concurrent
 
     # The schedule, printed after the trace, is held joined in pieces of
     # 4 KiB: one short row alone takes several times its text in memory.
@@ -240,13 +241,11 @@ def _command(args, out):
     if args.quiet:
         hook = discard
     else:
-        text, row = render.text, schedule_renderer()
-
         def hook(entry):  # the writes are formatted once, for both lines
             event = entry.event
-            writes = format_pairs(event.writes, text)
+            writes = format_pairs(event.writes)
             out(render(event, writes))
-            keep(row(entry, writes))
+            keep(schedule_row(entry, writes))
 
     result, _ = simulate_concurrent(
         comp, state, registry, durations, limits, hook

@@ -28,7 +28,7 @@ import heapq
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Mapping, NamedTuple
 
-from .dsl import format_pairs, value_texts
+from .dsl import format_number, format_pairs
 from .errors import FlowError, ValidationError
 from .model import Composition, ExecutionState, check_duration
 from .semantics import (
@@ -67,7 +67,7 @@ def startable_set(
 
 def check_durations(comp: Composition, durations: Mapping | None) -> dict[int, float]:
     """Validate an operator index -> duration map; see check_duration."""
-    out = {}
+    out: dict[int, float] = {}
     for idx, d in (durations or {}).items():
         if not (isinstance(idx, int) and 0 <= idx < len(comp.operators)):
             raise ValidationError(f"duration for unknown operator index {idx!r}")
@@ -95,7 +95,7 @@ def simulate_concurrent(
     """
     durs = {op.index: 1.0 for op in comp.operators} | check_durations(comp, durations)
 
-    schedule = []
+    schedule: list[ScheduleEntry] = []
     emit = schedule.append if on_commit is None else on_commit
     run = Run(comp, initial, registry, limits, None if on_commit is None else discard)
     values, plans, enabled, commit = run.state.values, run.plans, run.enabled, run.commit
@@ -106,11 +106,11 @@ def simulate_concurrent(
     push, pop, new = heapq.heappush, heapq.heappop, tuple.__new__
     clock = 0.0
     # op index -> (start time, input snapshot)
-    running = {}
-    completions = []  # heap of (end time, op index)
-    busy = set()  # the data of the running operators
+    running: dict[int, tuple[float, object]] = {}
+    completions: list[tuple[float, int]] = []  # heap of (end time, op index)
+    busy: set[int] = set()  # the data of the running operators
     waited = dict.fromkeys(run.order, 0.0)
-    touched = []  # operators the last instant's commits may affect
+    touched: list[int] = []  # operators the last instant's commits may affect
     while True:
         for idx in touched:
             if idx in enabled:
@@ -146,26 +146,17 @@ def simulate_concurrent(
                 return run.result(converged=not run.order), schedule
 
 
-def schedule_renderer() -> Callable[..., str]:
-    """A function rendering schedule entries as start/end/operator/writes TSV lines.
+def schedule_row(entry: ScheduleEntry, writes: str = "") -> str:
+    """One schedule entry as a start/end/operator/writes TSV line.
 
     writes, when given, is format_pairs(entry.event.writes), already made.
-    The text of each clock and value object is made once, through one
-    value_texts memo. simulate_concurrent stamps every row that starts or ends at one
-    instant with the same clock object, not with the end time it pushed.
     """
-    text = value_texts()
-
-    def row(entry, writes=""):
-        start, end, _, name, event = entry
-        return (
-            f"{text(start)}\t{text(end)}"
-            f"\t{name}\t{{{writes or format_pairs(event.writes, text)}}}\n"
-        )
-
-    return row
+    return (
+        f"{format_number(entry.start)}\t{format_number(entry.end)}"
+        f"\t{entry.op_name}\t{{{writes or format_pairs(entry.event.writes)}}}\n"
+    )
 
 
 def schedule_tsv(schedule: Iterable[ScheduleEntry]) -> str:
     """Render a schedule as start/end/operator/writes TSV lines."""
-    return "".join(map(schedule_renderer(), schedule))
+    return "".join(map(schedule_row, schedule))

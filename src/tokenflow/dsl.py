@@ -33,7 +33,7 @@ from .model import (
     initial_state,
 )
 if TYPE_CHECKING:  # loaded only by commands that fire
-    from .semantics import Trace
+    from .semantics import Trace, TraceEvent
 
 _NUMBER = re.compile(r"-?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _OP = re.compile(
@@ -199,13 +199,14 @@ class CompositionDocument:
 
         try:
             comp = build_composition(handed(self.data_decls), handed(self.op_decls))
-            marks, values = {}, {}
+            marks: dict[int, TokenState] = {}
+            values: dict[int, Value] = {}
             for name, (value, old, line) in self.inits.items():
                 node = comp.data_named(name)
                 check_sort(node, value)
                 marks[node.index] = OLD if old else NEW
                 values[node.index] = value
-            durs = {}
+            durs: dict[int, float] = {}
             for name, (d, line) in self.durations.items():
                 durs[comp.operator_named(name).index] = d
         except FlowError as exc:
@@ -224,39 +225,14 @@ def parse_composition(
     return CompositionDocument.parse(text).build()
 
 
-def format_pairs(
-    pairs: Sequence[tuple[str, Value]], text: Callable[[Value], str] = format_value
-) -> str:
-    """(name, value) pairs as traces and schedules print them: a=1,b="x".
-
-    text formats each value: format_value, or a value_texts memo of it.
-    """
+def format_pairs(pairs: Sequence[tuple[str, Value]]) -> str:
+    """(name, value) pairs as traces and schedules print them: a=1,b="x"."""
+    # A loop: for the one or two pairs of a firing, a list comprehension's
+    # own frame costs more than the loop.
     out = []
     for name, value in pairs:
-        out.append(f"{name}={text(value)}")
+        out.append(f"{name}={format_value(value)}")
     return ",".join(out)
-
-
-def value_texts() -> Callable[[Value], str]:
-    """A memo of format_value by object: text(value) is format_value(value),
-    made once per value object while the memo keeps it.
-
-    It goes by identity, never by value, since equal values need not print
-    alike: 0.0 and -0.0, True and 1.0. It keeps the texts of at most 256
-    objects, each with the object itself, so that no other object can take
-    its id meanwhile, and starts afresh when full.
-    """
-    said = {}  # id of a kept object -> (its text, the object)
-
-    def text(value):
-        made = said.get(id(value))
-        if made is None:
-            if len(said) >= 256:
-                said.clear()
-            made = said[id(value)] = (format_value(value), value)
-        return made[0]
-
-    return text
 
 
 def trace_renderer(
@@ -270,12 +246,8 @@ def trace_renderer(
 
     step=<n> op=<name> reads={...} writes={...} marking=<name:V|O|N,...>
 
-    reads and writes print as format_pairs prints them. The text of each
-    value object is made once, through one value_texts memo, the function's
-    text attribute: the value a firing writes is the object later firings
-    read, and merge, sync and ifelse write the object they read. A caller
-    that has made format_pairs(event.writes, render.text) passes it as a
-    second argument.
+    A caller that has already formatted the event's writes with
+    format_pairs passes that text as a second argument, to format them once.
     The marking column is the post-firing marking of every data node,
     rebuilt by replaying each event's marking delta over start.
     """
@@ -283,19 +255,17 @@ def trace_renderer(
     void, old, new = (m.code for m in TokenState)
     cell = [(f"{name}:{void}", f"{name}:{old}", f"{name}:{new}") for name, _ in start]
     cells = [cell[d][m] for d, (_, m) in enumerate(start)]
-    text = value_texts()
     join = ",".join
 
-    def render(event, writes=""):
+    def render(event: TraceEvent, writes: str = "") -> str:
         step, _, name, reads, wrote, delta = event
         for d, m in delta:
             cells[d] = cell[d][m]
         return (
-            f"step={step} op={name} reads={{{format_pairs(reads, text)}}}"
-            f" writes={{{writes or format_pairs(wrote, text)}}} marking={join(cells)}\n"
+            f"step={step} op={name} reads={{{format_pairs(reads)}}}"
+            f" writes={{{writes or format_pairs(wrote)}}} marking={join(cells)}\n"
         )
 
-    render.text = text
     return render
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from enum import IntEnum
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import FlowError, ProcessError, TypeMismatch, ValidationError
 
@@ -253,7 +253,7 @@ KINDS: dict[str, Kind] = {
 }
 
 
-def _is_name(name):
+def _is_name(name) -> bool:
     """Whether name is text that NAME matches in full.
 
     Every ASCII identifier does, so the common name skips the regex.
@@ -263,12 +263,12 @@ def _is_name(name):
     )
 
 
-def _check_name(role, name):
+def _check_name(role: str, name) -> None:
     if not _is_name(name):
         raise ValidationError(f"bad {role} name {name!r}")
 
 
-def _resolve(op, role, names, by_name):
+def _resolve(op: str, role: str, names: Sequence[str], by_name: dict) -> tuple[int, ...]:
     """Indices of the data nodes an operator's inputs or outputs name."""
     out = []
     try:
@@ -303,8 +303,8 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
     data before any operator, so when an error is raised the declaration
     taken last is the one at fault.
     """
-    nodes = []
-    by_name = {}  # data name -> index
+    nodes: list[DataNode] = []
+    by_name: dict[str, int] = {}
     for index, decl in enumerate(data_decls):
         if isinstance(decl, str):
             decl = (decl,)
@@ -321,8 +321,8 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
             raise ValidationError(f"data name {name!r} declared twice")
         nodes.append(DataNode(index, name, sort))
 
-    ops = []
-    op_names = set()
+    ops: list[OperatorSpec] = []
+    op_names: set[str] = set()
     for index, decl in enumerate(op_decls):
         try:
             name, kind, in_names, out_names, process_name = (
@@ -438,7 +438,7 @@ def initial_state(
             raise ValidationError(f"no data node with index {idx}")
 
     marking = dict.fromkeys(range(n), VOID)
-    vals = dict.fromkeys(range(n))
+    vals: dict[int, Value] = dict.fromkeys(range(n))
     for idx, mark in markings.items():
         try:
             marking[idx] = mark if type(mark) is TokenState else TokenState(mark)

@@ -44,7 +44,7 @@ class ProcessRegistry:
     """
 
     def __init__(self, funcs: Mapping[str, ProcessFn] | None = None):
-        self._funcs = dict(funcs or {})  # name -> process function
+        self._funcs: dict[str, ProcessFn] = dict(funcs or {})
 
     def register(self, name: str, fn: ProcessFn) -> None:
         self._funcs[name] = fn
@@ -179,11 +179,12 @@ def fire(
 
     Called as fire(comp, op, state, registry), it checks that op is enabled
     and commits the firing to a copy: the state passed in never changes. A
-    Run, for an operator it holds as enabled, passes the operator's spec as
-    op, the state it owns, and the plan it holds for it, whose spec is op:
-    the firing is then committed to that state in place, in work bounded by
-    the operator's neighbourhood, with no second check and no copy. The same
-    code below makes every firing, in a run or not.
+    Run, for an operator it holds as enabled, passes with it the state it
+    owns and the plan it holds for it. op must then be the plan's operator,
+    and fire reads the operator from the plan. The firing is committed to
+    that state in place, in work bounded by the operator's neighbourhood,
+    with no second check and no copy. The same code below makes every
+    firing, in a run or not.
     """
     if plan is None:
         spec = comp.operators[op] if isinstance(op, int) else op
@@ -194,10 +195,9 @@ def fire(
     spec, effect, typed = plan.spec, plan.effect, plan.typed
     try:
         consumed, writes = effect(spec, state, registry)
-        if typed:
-            for d, v in writes:
-                if d in typed:
-                    check_sort(typed[d], v)
+        for d, v in writes:
+            if d in typed:
+                check_sort(typed[d], v)
     except FlowError as exc:
         exc.args = (f"operator {spec.name!r} at step {state.step}: {exc}",)
         raise
@@ -288,7 +288,7 @@ class Run:
         self.on_commit = self.trace.append if on_commit is None else on_commit
         self.steps = 0
         self.plans = plans = [Plan(comp, op) for op in comp.operators]
-        touching = {}  # data index -> the operators touching it
+        touching: dict[int, list[int]] = {}
         for i, plan in enumerate(plans):
             plan.hood = neighborhood(comp, plan.spec)
             for d in plan.hood:
@@ -316,7 +316,7 @@ class Run:
             raise NotEnabled(f"operator {ops[idx].name!r} is not enabled")
         plan = self.plans[idx]
         try:
-            _, event = fire(comp, plan.spec, self.state, self.registry, plan)
+            _, event = fire(comp, idx, self.state, self.registry, plan)
         except FlowError as exc:
             exc.result = self.result(converged=False)
             raise

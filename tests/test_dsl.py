@@ -21,7 +21,7 @@ from tokenflow import (
     run_to_convergence,
     serialize_trace,
 )
-from tokenflow.dsl import format_number, format_pairs, trace_renderer, value_texts
+from tokenflow.dsl import format_number, format_pairs, trace_renderer
 from tokenflow.semantics import TraceEvent
 from conftest import FLOWS, N, O, V, marked_states, small_compositions
 
@@ -372,22 +372,22 @@ def test_serialize_trace_line_shape():
         serialize_trace(list(result.trace))
 
 
-# ----------------------------------------------------------- text memo
+# ---------------------------------------------------------- equal values
 
 
 def _line_prefix(event) -> str:
-    """A trace line up to its marking column, formatted without any memo."""
+    """A trace line up to its marking column, built from format_pairs."""
     return (
         f"step={event.step} op={event.op_name} reads={{{format_pairs(event.reads)}}}"
         f" writes={{{format_pairs(event.writes)}}} marking="
     )
 
 
-def test_the_text_memo_goes_by_object_and_never_by_value():
+def test_trace_lines_print_equal_values_by_their_own_text():
     # Events as a run of p (writing a and b) and q (reading a) would make
     # them. Each pair of values below is equal but prints differently, and
-    # the second is a fresh object, so a memo keyed on value would print it
-    # as the first.
+    # the second is a fresh object, so a renderer that reused text by value
+    # would print it as the first.
     start = (("a", V), ("b", V))
     neg, pos = -0.0, float("0")
     one = 1.0 + 0.0
@@ -408,23 +408,8 @@ def test_the_text_memo_goes_by_object_and_never_by_value():
     assert lines[3].startswith("step=3 op=p reads={} writes={a=true,b=1} ")
     assert lines[5].startswith("step=5 op=q reads={b=1} ")
     assert lines[6].startswith("step=6 op=p reads={} writes={a=2.5,b=2.5} ")
-    # The writes text made through render.text is the one the line holds.
+    # Writes text handed in is the one the line holds.
     again = trace_renderer(start)
-    writes = format_pairs(events[0].writes, again.text)
+    writes = format_pairs(events[0].writes)
     assert writes == "a=-0,b=0"
     assert again(events[0], writes) == lines[0]
-
-
-def test_a_memo_that_fills_up_still_prints_every_value():
-    # Far more fresh values than the memo keeps, each written and then read,
-    # so texts are dropped and made again, and freed objects' ids reused.
-    text = value_texts()
-    render = trace_renderer((("a", V),))
-    for k in range(1000):
-        value = (-1.0) ** k * (k + 0.5) if k % 3 else bool(k % 2)
-        assert text(value) == format_value(value)
-        for event in (
-            TraceEvent(2 * k, 0, "p", (), (("a", value),), ((0, N),)),
-            TraceEvent(2 * k + 1, 1, "q", (("a", value),), (), ((0, O),)),
-        ):
-            assert render(event).startswith(_line_prefix(event))
