@@ -16,11 +16,11 @@ neighborhood and the operators its firing can affect. Completions wait in a
 heap ordered by (end time, declaration index). After each commit only the
 operators sharing a data node with the committed one are re-tested, and the
 wait times of exactly those are brought up to date once all commits of the
-instant are in. The data of the
-running operators is kept in one busy set, grown when an operator starts
-and shrunk when it completes. A start pass is one sweep, in (wait time,
-index) order, over the startable_set of the run (the enabled operators
-that are not running), starting each one that touches no busy data.
+instant are in. The data of the running operators is kept in one busy set,
+grown when an operator starts and shrunk when it completes. A start pass
+is one sweep, in (wait time, index) order, over the startable_set of the
+run (the enabled operators that are not running), starting each one that
+touches no busy data.
 """
 from __future__ import annotations
 
