@@ -26,9 +26,9 @@ from .model import (
     ExecutionState,
     TokenState,
     Value,
+    admit_seed,
     build_composition,
     check_duration,
-    check_sort,
     coerce_value,
     initial_state,
 )
@@ -183,8 +183,9 @@ class CompositionDocument:
     def override(self, name: str, value: Value, source: str | None = None) -> None:
         """Replace a seed value, keeping its old flag; new entries are New.
 
-        source says where the value came from, such as a command-line
-        argument; build() errors about this seed name it.
+        build() admits the value as initial_state admits every seed (see
+        model.admit_seed). source says where the value came from, such as a
+        command-line argument; build() errors about this seed name it.
         """
         _, old, _ = self.inits.get(name, (None, False, None))
         self.inits[name] = (value, old, source)
@@ -203,9 +204,8 @@ class CompositionDocument:
             values: dict[int, Value] = {}
             for name, (value, old, line) in self.inits.items():
                 node = comp.data_named(name)
-                check_sort(node, value)
                 marks[node.index] = OLD if old else NEW
-                values[node.index] = value
+                values[node.index] = admit_seed(node, value)
             durs: dict[int, float] = {}
             for name, (d, line) in self.durations.items():
                 durs[comp.operator_named(name).index] = d

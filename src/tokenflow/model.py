@@ -45,21 +45,12 @@ SORTS = ("bool", "num", "text", "any")
 # Data and operator names: what a document line can carry as one name.
 NAME = re.compile(r"[A-Za-z_][\w.-]*")
 
-_SORT_OF = {bool: "bool", float: "num", str: "text"}  # Python type -> sort tag
-
-
-def value_sort(value: Value) -> str | None:
-    """Sort tag of a value, or None for the absent value."""
-    if value is None:
-        return None
-    for cls, sort in _SORT_OF.items():
-        if isinstance(value, cls):
-            return sort
-    raise TypeMismatch(f"unsupported value type {type(value).__name__!r}")
+_SORT_OF = {bool: "bool", float: "num", str: "text"}  # stored type -> sort tag
 
 
 def coerce_value(value) -> Value:
-    """Normalize a value for storage; plain ints become binary64 numbers.
+    """Normalize a value for storage as a bool, float, str or None of exactly
+    that type: ints become binary64 numbers, and a str subclass a plain str.
 
     Numbers must be finite: documents and traces have no literal for the
     others. Text must be encodable as UTF-8, so lone surrogates are refused.
@@ -67,6 +58,7 @@ def coerce_value(value) -> Value:
     if type(value) is float and math.isfinite(value):  # the common case
         return value
     if isinstance(value, str):
+        value = str.__str__(value)  # a plain str, also for a subclass
         try:
             value.encode("utf-8")
         except UnicodeEncodeError:
@@ -88,14 +80,30 @@ def coerce_value(value) -> Value:
 
 
 def check_sort(node: "DataNode", value: Value) -> None:
+    """Refuse a value, as coerce_value stores it, whose exact type is not of
+    the sort node declares. None, and any value on an `any` node, pass."""
     sort = node.sort
-    if sort == "any" or value is None or _SORT_OF.get(type(value)) == sort:
+    if sort == "any" or value is None:
         return
-    actual = value_sort(value)
+    actual = _SORT_OF.get(type(value))
     if actual != sort:
         raise TypeMismatch(
-            f"data {node.name!r} is declared {node.sort} but got a {actual} value"
+            f"data {node.name!r} is declared {sort} but got a {actual} value"
         )
+
+
+def admit_seed(node: "DataNode", value) -> Value:
+    """The value that node, a data node holding a token, stores for a seed:
+    value as coerce_value makes it, not None and of node's sort. Every
+    error names node."""
+    try:
+        value = coerce_value(value)
+    except TypeMismatch as exc:
+        raise TypeMismatch(f"data {node.name!r}: {exc}") from None
+    if value is None:
+        raise ValidationError(f"data {node.name!r} holds a token but no value")
+    check_sort(node, value)
+    return value
 
 
 def _same_slots(self, other):
@@ -427,8 +435,8 @@ def initial_state(
 ) -> ExecutionState:
     """Build the step-0 state. Unlisted data nodes start Void with no value.
 
-    Every tokened node needs a value of its declared sort; putting a value on
-    a Void node is rejected.
+    A marking is a TokenState or an int from 0 to 2. Each node holding a
+    token stores its value as admit_seed admits it, and a Void node takes none.
     """
     markings = markings or {}
     values = values or {}
@@ -440,27 +448,18 @@ def initial_state(
     marking = dict.fromkeys(range(n), VOID)
     vals: dict[int, Value] = dict.fromkeys(range(n))
     for idx, mark in markings.items():
-        try:
-            marking[idx] = mark if type(mark) is TokenState else TokenState(mark)
-        except ValueError:
-            raise ValidationError(
-                f"data {comp.data[idx].name!r}: {mark!r} is not a marking"
-            ) from None
-    for idx, value in values.items():
         node = comp.data[idx]
-        value = coerce_value(value)
-        if marking[idx] == VOID:
-            if value is not None:
-                raise ValidationError(
-                    f"data {node.name!r} is Void and cannot carry a value"
-                )
-            continue
-        check_sort(node, value)
-        vals[idx] = value
-    for idx, mark in marking.items():
-        if mark and vals[idx] is None:
+        if type(mark) is not TokenState:
+            if type(mark) is not int or not 0 <= mark <= 2:
+                raise ValidationError(f"data {node.name!r}: {mark!r} is not a marking")
+            mark = TokenState(mark)
+        if mark:
+            marking[idx] = mark
+            vals[idx] = admit_seed(node, values.get(idx))
+    for idx, value in values.items():
+        if not marking[idx] and value is not None:
             raise ValidationError(
-                f"data {comp.data[idx].name!r} holds a token but no value"
+                f"data {comp.data[idx].name!r} is Void and cannot carry a value"
             )
 
     return ExecutionState(marking, vals, dict.fromkeys(range(len(comp.operators)), 0))

@@ -55,9 +55,6 @@ class ProcessRegistry:
         except KeyError:
             raise ValidationError(f"no process registered under {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._funcs
-
     def names(self) -> list[str]:
         return sorted(self._funcs)
 

@@ -22,6 +22,7 @@ from tokenflow import (
     serialize_trace,
 )
 from tokenflow.dsl import format_number, format_pairs, trace_renderer
+from tokenflow.model import SORTS
 from tokenflow.semantics import TraceEvent
 from conftest import FLOWS, N, O, V, marked_states, small_compositions
 
@@ -229,6 +230,55 @@ def test_override_keeps_the_old_flag():
         doc.build()
     assert type(exc.value) is ValidationError
     assert str(exc.value) == "no data node named 'zz'"
+
+
+class _Text(str):
+    """A str subclass; a data node stores it as a plain str."""
+
+
+# Every kind of value a caller may hand in as a seed, storable or not.
+_SEEDS = (
+    st.integers()
+    | st.floats()
+    | st.booleans()
+    | st.text(st.characters(exclude_categories=()), max_size=4)
+    | st.text(st.characters(categories=["Cs"]), min_size=1, max_size=2)
+    | st.text(max_size=4).map(_Text)
+    | st.none()
+    | st.lists(st.floats(0, 1), max_size=2)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_SEEDS)
+@example(value=5)
+@example(value=10**400)
+@example(value=-0.0)
+@example(value=math.nan)
+@example(value=math.inf)
+@example(value=-math.inf)
+@example(value="\ud800")
+@example(value=_Text("t"))
+@example(value=None)
+@example(value=[1.0])
+def test_a_document_override_admits_a_seed_as_initial_state_does(value):
+    # Both store an equal value of the same exact type, or both refuse it
+    # with the same message, the document's naming the override's source.
+    for sort in SORTS:
+        comp = build_composition([("x", sort)], [])
+        doc = CompositionDocument.parse(f"data x {sort}\n")
+        doc.override("x", value, "src")
+        try:
+            want = initial_state(comp, {0: N}, {0: value}).values[0]
+        except FlowError as exc:
+            with pytest.raises(ValidationError) as got:
+                doc.build()
+            assert str(got.value) == f"src: {exc}", sort
+            assert type(got.value.__cause__) is type(exc), sort
+        else:
+            assert type(want) in (bool, float, str), sort
+            got = doc.build()[1].values[0]
+            assert (type(got), repr(got)) == (type(want), repr(want)), sort
 
 
 # ---------------------------------------------------------------- emission

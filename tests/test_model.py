@@ -1,4 +1,6 @@
 """Structure building, validation, graph views, and state construction."""
+import math
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -12,7 +14,7 @@ from tokenflow import (
     initial_state,
     neighborhood,
 )
-from tokenflow.model import NAME, _check_name, coerce_value, value_sort
+from tokenflow.model import NAME, DataNode, _check_name, admit_seed, coerce_value
 from tokenflow.sequential import enabled_set
 
 from conftest import N, O, V, branch_structure, state_of
@@ -27,13 +29,39 @@ def test_token_state_codes():
     assert int(TokenState.NEW) == 2
 
 
-def test_value_sorts():
-    assert value_sort(True) == "bool"
-    assert value_sort(3.0) == "num"
-    assert value_sort("hi") == "text"
-    assert value_sort(None) is None
-    with pytest.raises(TypeMismatch):
-        value_sort(object())
+class _Text(str):
+    """A str subclass, which a node stores as a plain str."""
+
+
+def test_admit_seed_checks_the_declared_sort():
+    for sort, value in (("bool", True), ("num", 3.0), ("text", "hi"), ("any", 3.0)):
+        assert admit_seed(DataNode(0, "x", sort), value) == value
+    for sort, value, stored in (("num", 5, 5.0), ("text", _Text("hi"), "hi")):
+        admitted = admit_seed(DataNode(0, "x", sort), value)
+        assert (type(admitted), admitted) == (type(stored), stored)
+    for sort, value, actual in (
+        ("num", True, "bool"), ("bool", 1.0, "num"), ("text", 2, "num"), ("num", "1", "text")
+    ):
+        with pytest.raises(
+            TypeMismatch, match=f"^data 'x' is declared {sort} but got a {actual} value$"
+        ):
+            admit_seed(DataNode(0, "x", sort), value)
+
+
+def test_admit_seed_names_the_node_in_every_error():
+    node = DataNode(0, "x", "any")
+    with pytest.raises(ValidationError, match="^data 'x' holds a token but no value$"):
+        admit_seed(node, None)
+    for value, message in (
+        (object(), "unsupported value type 'object'"),
+        ([1.0], "unsupported value type 'list'"),
+        (math.nan, "number nan is not finite"),
+        (10**400, "number inf is not finite"),
+        ("\ud800", "text '\\ud800' holds a lone surrogate, which UTF-8 cannot encode"),
+    ):
+        with pytest.raises(TypeMismatch) as exc:
+            admit_seed(node, value)
+        assert str(exc.value) == f"data 'x': {message}"
 
 
 def test_coerce_value_normalizes_ints():
@@ -42,6 +70,7 @@ def test_coerce_value_normalizes_ints():
     assert coerce_value(True) is True
     assert coerce_value(None) is None
     assert coerce_value("t") == "t"
+    assert type(coerce_value(_Text("t"))) is str
 
 
 def test_coerce_value_rejects_non_finite_numbers():
@@ -269,6 +298,18 @@ def test_initial_state_rejects_value_on_void():
     # a marking that is not a TokenState names the data node
     with pytest.raises(ValidationError, match="data 'd0'"):
         initial_state(comp, {0: 7}, {0: 1.0})
+
+
+def test_initial_state_takes_a_token_state_or_an_int_marking():
+    comp = branch_structure()
+    for mark in (O, N, 1, 2):
+        assert initial_state(comp, {0: mark}, {0: 1.0}).marking[0] is TokenState(mark)
+    assert initial_state(comp, {0: 0}, {}).marking[0] is V
+    # True == 1 and 2.0 == 2, but neither is a marking
+    for mark in (True, False, 2.0, 1.5, -1, 3, "N", None):
+        with pytest.raises(ValidationError) as exc:
+            initial_state(comp, {0: mark}, {0: 1.0})
+        assert str(exc.value) == f"data 'd0': {mark!r} is not a marking"
 
 
 def test_initial_state_rejects_bad_index():

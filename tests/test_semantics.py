@@ -51,8 +51,6 @@ def _fire_lone(kind, marks, values, n_out=1, process=None):
 def test_default_registry_contents():
     reg = default_registry()
     assert reg.names() == ["add", "add1", "identity", "mul", "not"]
-    assert "add1" in reg
-    assert "missing" not in reg
     assert reg.resolve("identity")([1.0, "x"], 0) == [1.0, "x"]
     assert reg.resolve("add1")([4.0], 0) == [5.0]
     assert reg.resolve("add")([2.0, 3.0, 4.0], 0) == [9.0]
