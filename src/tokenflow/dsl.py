@@ -54,25 +54,27 @@ _LITERAL = re.compile(rf"{_TEXT}|\S*", re.S)  # the literal of an init line
 _LINE_BREAKS = str.maketrans({c: f"\\u{ord(c):04x}" for c in "\x85\u2028\u2029"})
 
 
-def format_number(x: float) -> str:
-    """Shortest decimal form; integral values print without a point."""
-    if x.is_integer() and -1e16 < x < 1e16:
-        return str(int(x)) if x or math.copysign(1.0, x) > 0 else "-0"
-    return repr(x)
-
-
 def format_value(value: Value) -> str:
-    if type(value) is float:  # the common case, tested first
-        return format_number(value)
+    """A value as documents and traces print it.
+
+    A number takes its shortest decimal form, and an integral one below
+    1e16 in size prints without a point.
+    """
+    if isinstance(value, float):  # the common case, tested first
+        if value.is_integer() and -1e16 < value < 1e16:
+            return str(int(value)) if value or math.copysign(1.0, value) > 0 else "-0"
+        return repr(value)
     if value is None:
         return "-"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format_number(value)
     import json  # only text needs it, and many runs carry none
 
     return json.dumps(value, ensure_ascii=False).translate(_LINE_BREAKS)
+
+
+# Durations and clock times print as a number value does.
+format_number = format_value
 
 
 def parse_literal(token: str) -> Value:
@@ -227,12 +229,13 @@ def parse_composition(
 
 def format_pairs(pairs: Sequence[tuple[str, Value]]) -> str:
     """(name, value) pairs as traces and schedules print them: a=1,b="x"."""
-    # A loop: for the one or two pairs of a firing, a list comprehension's
-    # own frame costs more than the loop.
-    out = []
+    # Text added to in a loop: for the one or two pairs of a firing, a list
+    # and its join, let alone a comprehension's own frame, cost more.
+    text = sep = ""
     for name, value in pairs:
-        out.append(f"{name}={format_value(value)}")
-    return ",".join(out)
+        text += f"{sep}{name}={format_value(value)}"
+        sep = ","
+    return text
 
 
 def trace_renderer(

@@ -81,9 +81,10 @@ def coerce_value(value) -> Value:
 
 def check_sort(node: "DataNode", value: Value) -> None:
     """Refuse a value, as coerce_value stores it, whose exact type is not of
-    the sort node declares. None, and any value on an `any` node, pass."""
+    the sort node declares; None is of no sort. Any value on an `any` node
+    passes."""
     sort = node.sort
-    if sort == "any" or value is None:
+    if sort == "any":
         return
     actual = _SORT_OF.get(type(value))
     if actual != sort:
@@ -160,37 +161,47 @@ class Composition:
 # ------------------------------------------------------------ operator kinds
 
 
-def want_numbers(values: Iterable[Value], ctx: str) -> list[float]:
-    out = []
+def want_numbers(values: Sequence[Value], ctx: str) -> Sequence[float]:
+    """values, once each is found to be a number."""
     for v in values:
         if isinstance(v, bool) or not isinstance(v, float):
             raise TypeMismatch(f"{ctx} needs number operands, got {v!r}")
-        out.append(v)
-    return out
+    return values
 
 
-def _ready(marks):
+def _ready(marking, inputs):
     """Every input holds a token and one is New; true without inputs."""
-    return not marks or (VOID not in marks and NEW in marks)
+    new = not inputs
+    for d in inputs:
+        m = marking[d]
+        if m == NEW:
+            new = True
+        elif not m:  # Void
+            return False
+    return new
 
 
-def _any_new(marks):
-    return NEW in marks
+def _any_new(marking, inputs):
+    for d in inputs:
+        if marking[d] == NEW:
+            return True
+    return False
 
 
-def _all_new(marks):
-    return marks.count(NEW) == len(marks)
-
-
-def _inputs(spec, state):
-    return [state.values[d] for d in spec.inputs]
+def _all_new(marking, inputs):
+    for d in inputs:
+        if marking[d] != NEW:
+            return False
+    return True
 
 
 def _process(spec, state, registry):
     """Run the registered function over the inputs; it writes every output."""
     fn = registry.resolve(spec.process_name)
     try:
-        result = list(fn(_inputs(spec, state), state.exec_counts[spec.index]))
+        result = list(
+            fn([*map(state.values.__getitem__, spec.inputs)], state.exec_counts[spec.index])
+        )
     except FlowError:
         raise
     except Exception as exc:
@@ -207,7 +218,7 @@ def _process(spec, state, registry):
 
 def _ifelse(spec, state, registry):
     """Input 0 goes to output 0 when input 1 holds, else to output 1."""
-    value, condition = _inputs(spec, state)
+    value, condition = map(state.values.__getitem__, spec.inputs)
     if not isinstance(condition, bool):
         raise TypeMismatch(f"if/else condition must be a boolean, got {condition!r}")
     return spec.inputs, ((spec.outputs[0 if condition else 1], value),)
@@ -221,7 +232,7 @@ def _merge(spec, state, registry):
 
 
 def _sync(spec, state, registry):
-    return spec.inputs, tuple(zip(spec.outputs, _inputs(spec, state)))
+    return spec.inputs, tuple(zip(spec.outputs, map(state.values.__getitem__, spec.inputs)))
 
 
 def _incr(spec, state, registry):
@@ -229,7 +240,7 @@ def _incr(spec, state, registry):
 
 
 def _lt(spec, state, registry):
-    x, y = want_numbers(_inputs(spec, state), "less-than")
+    x, y = want_numbers([*map(state.values.__getitem__, spec.inputs)], "less-than")
     return spec.inputs, ((spec.outputs[0], x < y),)
 
 
@@ -237,8 +248,9 @@ class Kind(NamedTuple):
     """One operator kind: its arity, firing rule and effect.
 
     inputs/outputs are arities, None for any count (every operator still
-    needs an output). rule decides enablement from the input markings in
-    port order; can_fire adds that no output may hold a New token.
+    needs an output). rule(marking, inputs) decides enablement from the
+    marking of the data indices inputs, in port order, reading the marking
+    in place; can_fire adds that no output may hold a New token.
     effect(spec, state, registry) returns the data indices the firing
     consumes and the (output index, value) pairs it writes; fire() makes
     the consumed inputs Old and the written outputs New.
@@ -246,7 +258,7 @@ class Kind(NamedTuple):
 
     inputs: int | None
     outputs: int | None
-    rule: Callable[[list[TokenState]], bool]
+    rule: Callable[..., bool]
     effect: Callable[..., tuple]
     takes_process: bool = False
 
@@ -403,16 +415,18 @@ def neighborhood(comp: Composition, op: OperatorSpec | int) -> frozenset[int]:
 class ExecutionState:
     """Mutable execution snapshot: markings, values, firing counters.
 
-    scan_start is the declaration index at which the sequential scheduler
-    begins its next scan. Two states are equal when all five fields are.
+    marking and values are lists indexed by data index, and exec_counts a
+    list indexed by operator index. scan_start is the declaration index at
+    which the sequential scheduler begins its next scan. Two states are
+    equal when all five fields are.
     """
 
     __slots__ = ("marking", "values", "exec_counts", "step", "scan_start")
 
     def __init__(self, marking, values, exec_counts, step=0, scan_start=0):
-        self.marking: dict[int, TokenState] = marking
-        self.values: dict[int, Value] = values
-        self.exec_counts: dict[int, int] = exec_counts
+        self.marking: list[TokenState] = marking
+        self.values: list[Value] = values
+        self.exec_counts: list[int] = exec_counts
         self.step = step
         self.scan_start = scan_start
 
@@ -420,9 +434,9 @@ class ExecutionState:
 
     def copy(self) -> "ExecutionState":
         return ExecutionState(
-            dict(self.marking),
-            dict(self.values),
-            dict(self.exec_counts),
+            self.marking[:],
+            self.values[:],
+            self.exec_counts[:],
             self.step,
             self.scan_start,
         )
@@ -435,18 +449,19 @@ def initial_state(
 ) -> ExecutionState:
     """Build the step-0 state. Unlisted data nodes start Void with no value.
 
-    A marking is a TokenState or an int from 0 to 2. Each node holding a
+    markings and values map data indices to a marking and a value. A
+    marking is a TokenState or an int from 0 to 2. Each node holding a
     token stores its value as admit_seed admits it, and a Void node takes none.
     """
     markings = markings or {}
     values = values or {}
     n = len(comp.data)
     for idx in (*markings, *values):
-        if not (0 <= idx < n):
+        if not (isinstance(idx, int) and 0 <= idx < n):
             raise ValidationError(f"no data node with index {idx}")
 
-    marking = dict.fromkeys(range(n), VOID)
-    vals: dict[int, Value] = dict.fromkeys(range(n))
+    marking = [VOID] * n
+    vals: list[Value] = [None] * n
     for idx, mark in markings.items():
         node = comp.data[idx]
         if type(mark) is not TokenState:
@@ -462,4 +477,4 @@ def initial_state(
                 f"data {comp.data[idx].name!r} is Void and cannot carry a value"
             )
 
-    return ExecutionState(marking, vals, dict.fromkeys(range(len(comp.operators)), 0))
+    return ExecutionState(marking, vals, [0] * len(comp.operators))

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from math import prod
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .errors import FlowError, NotEnabled, TypeMismatch, ValidationError
+from .errors import FlowError, NotEnabled, ProcessError, TypeMismatch, ValidationError
 from .model import (
     KINDS,
     NEW,
@@ -96,18 +96,19 @@ def default_registry() -> ProcessRegistry:
 
 
 def can_fire(
-    comp: Composition, op: OperatorSpec | int, marking: Mapping[int, TokenState]
+    comp: Composition, op: OperatorSpec | int, marking: Sequence[TokenState]
 ) -> bool:
     """Enablement predicate for one operator under a marking.
 
-    No output may hold a New token, and the kind's rule must accept the
-    input markings.
+    marking is indexed by data index, as ExecutionState.marking is. No
+    output may hold a New token, and the kind's rule must accept the input
+    markings, which it reads in place.
     """
     spec = comp.operators[op] if isinstance(op, int) else op
     for d in spec.outputs:
         if marking[d] == NEW:
             return False
-    return KINDS[spec.kind].rule([marking[d] for d in spec.inputs])
+    return KINDS[spec.kind].rule(marking, spec.inputs)
 
 
 class TraceEvent(NamedTuple):
@@ -135,7 +136,7 @@ class Trace(list):
     """
 
     def __init__(self, comp: Composition, initial: ExecutionState):
-        self.start = tuple((n.name, initial.marking[n.index]) for n in comp.data)
+        self.start = tuple(zip([n.name for n in comp.data], initial.marking))
 
 
 class Plan:
@@ -170,9 +171,11 @@ def fire(
 
     Consumed inputs become Old and written outputs New; the event's reads
     are the consumed inputs, with their values before the firing. The
-    effect and the sort checks run before anything is written, so an error
-    leaves the state untouched; any FlowError they raise is prefixed with
-    the operator and the step.
+    effect and the checks of its writes run before anything is written, so
+    an error leaves the state untouched; any FlowError they raise is
+    prefixed with the operator and the step. Each write must be a value,
+    not None, which only a process function can return (a ProcessError
+    naming the process and the data node), and of its output's sort.
 
     Called as fire(comp, op, state, registry), it checks that op is enabled
     and commits the firing to a copy: the state passed in never changes. A
@@ -189,17 +192,22 @@ def fire(
             raise NotEnabled(f"operator {spec.name!r} is not enabled")
         state = state.copy()
         plan = Plan(comp, spec)
-    spec, effect, typed = plan.spec, plan.effect, plan.typed
+    spec, typed, data = plan.spec, plan.typed, comp.data
     try:
-        consumed, writes = effect(spec, state, registry)
+        consumed, writes = plan.effect(spec, state, registry)
         for d, v in writes:
+            if v is None:  # only a process function can return no value
+                raise ProcessError(
+                    f"process {spec.process_name!r} returned no value for data"
+                    f" {data[d].name!r}"
+                )
             if d in typed:
                 check_sort(typed[d], v)
     except FlowError as exc:
         exc.args = (f"operator {spec.name!r} at step {state.step}: {exc}",)
         raise
 
-    data, values, marking = comp.data, state.values, state.marking
+    values, marking = state.values, state.marking
     reads, wrote, delta = [], [], []
     for d in consumed:
         reads.append((data[d].name, values[d]))

@@ -2,8 +2,10 @@
 
 Both processors here re-test every operator before every decision and keep
 whole-state snapshots, with no index of any kind; the engine's processors
-must produce exactly what these do. Trace lines are rendered from the full
-marking of the state after each firing, not from marking deltas.
+must produce exactly what these do. Enablement is decided by this module's
+own statement of each kind's firing rule, which shares no code with the
+engine's. Trace lines are rendered from the full marking of the state after
+each firing, not from marking deltas.
 """
 from __future__ import annotations
 
@@ -12,11 +14,40 @@ from tokenflow import (
     ExecutionState,
     ProcessRegistry,
     ScheduleEntry,
-    can_fire,
+    TokenState,
     fire,
     format_value,
     neighborhood,
 )
+
+VOID, NEW = TokenState.VOID, TokenState.NEW
+
+
+def _every_input_held_one_new(ins: list) -> bool:
+    """Every input holds a token and at least one of them is New; an
+    operator without inputs may always fire."""
+    if not ins:
+        return True
+    return all(m != VOID for m in ins) and any(m == NEW for m in ins)
+
+
+# Each kind's firing rule over its input markings in port order.
+RULES = {
+    "process": _every_input_held_one_new,
+    "ifelse": _every_input_held_one_new,
+    "lt": _every_input_held_one_new,
+    "incr": _every_input_held_one_new,
+    "merge": lambda ins: any(m == NEW for m in ins),  # some input is New
+    "sync": lambda ins: all(m == NEW for m in ins),  # every input is New
+}
+
+
+def can_fire(comp: Composition, op, marking) -> bool:
+    """No output holds a New token, and the kind's rule holds."""
+    spec = comp.operators[op] if isinstance(op, int) else op
+    if any(marking[d] == NEW for d in spec.outputs):
+        return False
+    return RULES[spec.kind]([marking[d] for d in spec.inputs])
 
 
 def trace_line(comp: Composition, event, after: ExecutionState) -> str:

@@ -290,10 +290,11 @@ def _check_schedule(comp, initial, schedule):
         for idx in running:
             busy |= neighborhood(comp, idx)
         # the committed marking: every delta due by t, replayed in commit order
-        marking = dict(initial.marking)
+        marking = list(initial.marking)
         for e in schedule:
             if e.end <= t:
-                marking.update(e.event.marking_delta)
+                for d, m in e.event.marking_delta:
+                    marking[d] = m
         for op in comp.operators:
             if op.index in running:
                 continue

@@ -48,19 +48,19 @@ def _format_number_rule(x: float) -> str:
 
 
 _EDGES = [
-    0.0, 2.0**53, 2.0**53 + 2, 5e-324, 2.2250738585072014e-308, 1e-310,
-    1e16 - 1, 1e16 + 1, 1e16 - 2, math.nextafter(1e16, 0), math.nextafter(1e16, math.inf),
-    9999999999999998.0, 0.5, 1.5, 1e300, math.inf, math.nan,
+    0.0, 2.0**53, 2.0**53 - 1, 2.0**53 + 2, 5e-324, 2.2250738585072014e-308, 1e-310,
+    1e-300, 1e16, 1e16 - 1, 1e16 + 1, 1e16 - 2, math.nextafter(1e16, 0),
+    math.nextafter(1e16, math.inf), 9999999999999998.0, 0.5, 1.5, 1e300, 1e308,
+    math.inf, math.nan,
 ]
 
 
 @settings(max_examples=500)
 @given(x=st.floats())
 def test_format_number_follows_its_rule(x):
-    assert format_number(x) == _format_number_rule(x)
-    for v in _EDGES:
-        assert format_number(v) == _format_number_rule(v), v
-        assert format_number(-v) == _format_number_rule(-v), -v
+    # format_value prints a number by the rule, and format_number is the same
+    for v in (x, *_EDGES, *(-e for e in _EDGES)):
+        assert format_value(v) == format_number(v) == _format_number_rule(v), v
 
 
 def test_format_value():
@@ -360,9 +360,9 @@ def test_formatting_does_not_change_what_a_document_means(data):
     state = data.draw(marked_states(comp, with_text=True))
     values = {  # some text seeds hold the characters comments are found by
         i: data.draw(st.text('#" \\a', max_size=5) | st.just(v)) if isinstance(v, str) else v
-        for i, v in state.values.items()
+        for i, v in enumerate(state.values)
     }
-    state = initial_state(comp, state.marking, values)
+    state = initial_state(comp, dict(enumerate(state.marking)), values)
     durations = data.draw(
         st.dictionaries(st.integers(0, len(comp.operators) - 1), st.floats(0.5, 9.5))
     )

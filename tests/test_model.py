@@ -1,4 +1,5 @@
 """Structure building, validation, graph views, and state construction."""
+import itertools
 import math
 
 import pytest
@@ -14,7 +15,20 @@ from tokenflow import (
     initial_state,
     neighborhood,
 )
-from tokenflow.model import NAME, DataNode, _check_name, admit_seed, coerce_value
+from tokenflow.model import (
+    KINDS,
+    NAME,
+    Composition,
+    DataNode,
+    OperatorSpec,
+    _all_new,
+    _any_new,
+    _check_name,
+    _ready,
+    admit_seed,
+    coerce_value,
+)
+from tokenflow.semantics import can_fire
 from tokenflow.sequential import enabled_set
 
 from conftest import N, O, V, branch_structure, state_of
@@ -269,12 +283,12 @@ def test_neighborhood_is_inputs_and_outputs():
 def test_initial_state_defaults_to_void():
     comp = branch_structure()
     state = initial_state(comp, {}, {})
-    assert all(m == V for m in state.marking.values())
-    assert all(v is None for v in state.values.values())
+    assert state.marking == [V] * 7
+    assert state.values == [None] * 7
     assert state.step == 0
     assert state.scan_start == 0
     assert enabled_set(comp, state) == []
-    assert state.exec_counts == {0: 0, 1: 0, 2: 0, 3: 0}
+    assert state.exec_counts == [0, 0, 0, 0]
 
 
 def test_initial_state_tracks_enabled():
@@ -316,6 +330,10 @@ def test_initial_state_rejects_bad_index():
     comp = branch_structure()
     with pytest.raises(ValidationError, match="no data node with index 99"):
         initial_state(comp, {99: N}, {99: 1.0})
+    # the state is a list indexed by data index, so an index is an int
+    for idx in (-1, 1.0, "d1"):
+        with pytest.raises(ValidationError, match=f"^no data node with index {idx}$"):
+            initial_state(comp, {idx: N}, {idx: 1.0})
 
 
 def test_initial_state_checks_declared_sort():
@@ -338,9 +356,97 @@ def test_state_copy_is_independent():
     comp = branch_structure()
     state = initial_state(comp, {0: N}, {0: True})
     clone = state.copy()
+    assert clone == state
+    for field in ("marking", "values", "exec_counts"):  # it shares no list
+        assert type(getattr(clone, field)) is list, field
+        assert getattr(clone, field) is not getattr(state, field), field
     clone.marking[0] = V
     clone.values[0] = None
     clone.exec_counts[0] = 7
     assert state.marking[0] == N
     assert state.values[0] is True
     assert state.exec_counts[0] == 0
+
+
+# ------------------------------------------------------------ firing rules
+
+# The firing rules as the paper states them, over the list of input
+# markings in port order: the specification the rules, which read the
+# marking in place, are held to.
+def _ready_spec(marks):
+    return not marks or (V not in marks and N in marks)
+
+
+def _any_new_spec(marks):
+    return N in marks
+
+
+def _all_new_spec(marks):
+    return marks.count(N) == len(marks)
+
+
+_RULE_SPECS = {_ready: _ready_spec, _any_new: _any_new_spec, _all_new: _all_new_spec}
+_KIND_SPECS = {
+    "process": _ready_spec,
+    "ifelse": _ready_spec,
+    "merge": _any_new_spec,
+    "sync": _all_new_spec,
+    "incr": _ready_spec,
+    "lt": _ready_spec,
+}
+# A marking as a TokenState member and as the raw int a caller may pass.
+_MARKS = (V, O, N, 0, 1, 2)
+
+
+def _markings(k):
+    """Every marking of k nodes, each mark a TokenState or a raw int."""
+    return itertools.product(_MARKS, repeat=k)
+
+
+def test_each_rule_agrees_with_its_list_specification():
+    for rule, spec in _RULE_SPECS.items():
+        for k in range(5):
+            # The inputs sit in reverse order between two nodes no rule
+            # reads, so a rule must read each input by its index.
+            inputs = tuple(range(k, 0, -1))
+            for marks in _markings(k):
+                marking = [N, *reversed(marks), V]
+                assert [marking[d] for d in inputs] == list(marks)
+                assert rule(marking, inputs) == spec(list(marks)), (rule.__name__, marks)
+
+
+def _lone_shapes():
+    """(composition, spec rule) for one operator of every kind and arity the
+    rule test covers: built ones, and the hand-built operators without
+    outputs that only a Composition made directly can hold."""
+    shapes = [("process", n_in, n_out) for n_in in range(5) for n_out in (1, 2)]
+    shapes += [
+        (kind, entry.inputs, entry.outputs)
+        for kind, entry in KINDS.items()
+        if entry.inputs is not None
+    ]
+    for kind, n_in, n_out in shapes:
+        names = [f"i{k}" for k in range(n_in)] + [f"o{k}" for k in range(n_out)]
+        decl = ("op", kind, tuple(names[:n_in]), tuple(names[n_in:]))
+        if kind == "process":
+            decl += ("add",)
+        yield build_composition(names, [decl]), _KIND_SPECS[kind]
+    for op in (
+        OperatorSpec(0, "p", "process", (), (), "identity"),
+        OperatorSpec(0, "p", "process", (0,), (), "drop"),
+        OperatorSpec(0, "p", "sync", (0, 1), ()),
+    ):
+        data = tuple(DataNode(i, f"d{i}") for i in range(len(op.inputs)))
+        yield Composition(data, (op,)), _KIND_SPECS[op.kind]
+
+
+def test_can_fire_agrees_with_the_specification_on_every_marking():
+    for comp, spec in _lone_shapes():
+        (op,) = comp.operators
+        n_in = len(op.inputs)
+        for marks in _markings(len(comp.data)):
+            marking = list(marks)
+            ins, outs = marks[:n_in], marks[n_in:]
+            want = N not in outs and spec(list(ins))
+            assert can_fire(comp, 0, marking) == want, (op.kind, ins, outs)
+            assert can_fire(comp, op, dict(enumerate(marks))) == want, (op.kind, ins, outs)

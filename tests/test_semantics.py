@@ -17,8 +17,10 @@ from tokenflow import (
     can_fire,
     const,
     default_registry,
+    emit_composition,
     fire,
     initial_state,
+    parse_composition,
     run_to_convergence,
     simulate_concurrent,
 )
@@ -193,7 +195,7 @@ def test_update_general_touches_only_the_neighborhood():
     comp = branch_structure()
     state = state_of(comp, {"d0": N, "d1": N, "d4": O}, {"d0": 1.0, "d1": 2.0, "d4": 3.0})
     after, _ = fire(comp, 0, state, default_registry())
-    assert after.marking == {0: O, 1: O, 2: N, 3: N, 4: O, 5: V, 6: V}
+    assert after.marking == [O, O, N, N, O, V, V]
     assert state.marking[0] == N  # input untouched
 
 
@@ -318,8 +320,8 @@ def test_fire_lt_writes_a_boolean():
 def test_fire_rolls_back_on_transform_errors():
     comp = branch_structure()  # op1 is add1, which rejects text
     state = state_of(comp, {"d2": N}, {"d2": "oops"})
-    before_marking = dict(state.marking)
-    before_values = dict(state.values)
+    before_marking = list(state.marking)
+    before_values = list(state.values)
     with pytest.raises(TypeMismatch):
         fire(comp, 1, state, default_registry())
     # any other exception from a process function becomes a ProcessError
@@ -332,6 +334,34 @@ def test_fire_rolls_back_on_transform_errors():
     assert state.values == before_values
     assert state.step == 0
     assert state.exec_counts[1] == 0
+
+
+def test_a_process_returning_no_value_fails_before_writing():
+    # A New token holds a value, and a process function that returns None
+    # gives none: the firing fails, naming the process and the data node,
+    # and leaves the state as it was, so the run's state is a document again.
+    registry = ProcessRegistry({"nothing": lambda values, count: [None]})
+    comp, state, _ = parse_composition(
+        "data a num\ndata b\nop p process:nothing (a) -> (b)\ninit a = 1\n"
+    )
+    message = "^operator 'p' at step 0: process 'nothing' returned no value for data 'b'$"
+    with pytest.raises(ProcessError, match=message):
+        fire(comp, 0, state, registry)
+    for processor in (run_to_convergence, simulate_concurrent):
+        with pytest.raises(ProcessError, match=message) as exc:
+            processor(comp, state, registry)
+        result = exc.value.result
+        assert (result.final_state, list(result.trace), result.converged) == (state, [], False)
+        text = emit_composition(comp, result.final_state)
+        assert text.endswith("init a = 1\n") and "init b" not in text
+        assert parse_composition(text)[:2] == (comp, result.final_state)
+    # the value checked is the one written: None for the second output of two
+    registry.register("half", lambda values, count: [1.0, None])
+    comp, state, _ = parse_composition(
+        "data a\ndata b\ndata c\nop q process:half (a) -> (b, c)\ninit a = 1\n"
+    )
+    with pytest.raises(ProcessError, match="process 'half' returned no value for data 'c'$"):
+        run_to_convergence(comp, state, registry)
 
 
 def test_fire_checks_declared_output_sort():
