@@ -35,19 +35,32 @@ from .model import (
 if TYPE_CHECKING:  # loaded only by commands that fire
     from .semantics import Trace, TraceEvent
 
-_NUMBER = re.compile(r"-?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-_OP = re.compile(
-    r"op\s+(\S+)\s+([A-Za-z_][\w-]*)(?::(\S+))?\s*"
-    r"\(\s*([^()]*?)\s*\)\s*->\s*\(\s*([^()]*?)\s*\)\s*$"
-)
-_INIT = re.compile(r"init\s+(\S+)\s*=\s*(.+?)\s*$")
-_DUR = re.compile(r"dur\s+(\S+)\s*=\s*(\S+)\s*$")
+# The grammar of a number literal, composed into the readers below.
+_NUM = r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER = re.compile(_NUM + "$")
 # A double-quoted text literal with backslash escapes. Group "end" holds its
 # closing quote and is empty for a literal left open, which runs to the end
 # of the line.
 _TEXT = r'"[^"\\]*(?:\\.[^"\\]*)*(?P<end>"?)'
 _CODE = re.compile(rf'[^"#]*(?:{_TEXT}[^"#]*)*', re.S)  # a line up to its comment
-_LITERAL = re.compile(rf"{_TEXT}|\S*", re.S)  # the literal of an init line
+# One regex per declaration, matched once against the line up to its comment.
+_OP = re.compile(
+    r"\s*op\s+(\S+)\s+([A-Za-z_][\w-]*)(?::(\S+))?\s*"
+    r"\(\s*([^()]*)\)\s*->\s*\(\s*([^()]*)\)\s*$"
+)
+# The literal is a number (group num) when its whole word is one, else text
+# or any other word (group lit); the last group holds what follows it.
+_INIT = re.compile(
+    rf"\s*init\s+(\S+)\s*=\s*(?=\S)(?:(?P<num>{_NUM})(?!\S)|(?P<lit>{_TEXT}|\S*))"
+    r"\s*(.*?)\s*$"
+)
+_DUR = re.compile(rf"\s*dur\s+(\S+)\s*=\s*(?:({_NUM})|(\S+))\s*$")
+# Each declaration's regex, and what a line it does not match is called.
+_READERS = {
+    "op": (_OP, "bad operator declaration"),
+    "init": (_INIT, "bad init line"),
+    "dur": (_DUR, "bad dur line"),
+}
 
 
 # Characters str.splitlines breaks lines at that JSON leaves unescaped.
@@ -79,14 +92,10 @@ format_number = format_value
 
 def parse_literal(token: str) -> Value:
     """The value of one literal; ValueError when the token is none."""
-    if token == "true":
-        return True
-    if token == "false":
-        return False
+    if token in ("true", "false"):
+        return token == "true"
     if _NUMBER.match(token):
         value = float(token)
-        if math.isfinite(value):  # the common case, without a call per seed
-            return value
     elif token.startswith('"'):
         import json
 
@@ -139,47 +148,40 @@ class CompositionDocument:
                 if not 1 < len(words) < 4:
                     raise ParseError(lineno, f"bad data declaration: {raw.strip()}")
                 data.append((lineno, (words[1], words[2] if len(words) == 3 else "any")))
-            elif head == "op":
-                m = _OP.match(code.strip())
-                if not m:
-                    raise ParseError(lineno, f"bad operator declaration: {raw.strip()}")
+                continue
+            if head not in _READERS:
+                raise ParseError(lineno, f"unknown declaration {head!r}")
+            reader, what = _READERS[head]
+            m = reader.match(code)
+            if not m:
+                raise ParseError(lineno, f"{what}: {raw.strip()}")
+            if head == "op":
                 name, kind, process, ins, outs = m.groups()
                 ins = tuple(map(str.strip, ins.split(","))) if ins else ()
                 outs = tuple(map(str.strip, outs.split(","))) if outs else ()
                 ops.append((lineno, (name, kind, ins, outs, process)))
             elif head == "init":
-                m = _INIT.match(code.strip())
-                if not m:
-                    raise ParseError(lineno, f"bad init line: {raw.strip()}")
-                name, rhs = m.groups()
+                name, num, lit, end, rest = m.groups()
                 if name in inits:
                     raise ParseError(lineno, f"duplicate init for {name!r}")
-                m = _LITERAL.match(rhs)  # rhs starts and ends with non-space
-                if m["end"] == "":
+                if end == "":
                     raise ParseError(lineno, "unterminated text literal")
-                rest = rhs[m.end() :].strip()
                 if rest and rest != "old":
                     raise ParseError(lineno, f"unexpected trailing {rest!r}")
                 try:
-                    inits[name] = (parse_literal(m.group()), rest == "old", lineno)
-                except ValueError as exc:
+                    value = parse_literal(lit) if num is None else coerce_value(float(num))
+                except (ValueError, TypeMismatch) as exc:  # 1e999 is a TypeMismatch
                     raise ParseError(lineno, str(exc)) from None
-            elif head == "dur":
-                m = _DUR.match(code.strip())
-                if not m:
-                    raise ParseError(lineno, f"bad dur line: {raw.strip()}")
-                name, token = m.groups()
+                inits[name] = (value, rest == "old", lineno)
+            else:
+                name, num, token = m.groups()
                 if name in durations:
                     raise ParseError(lineno, f"duplicate dur for {name!r}")
                 try:
-                    duration = check_duration(
-                        name, float(token) if _NUMBER.match(token) else token
-                    )
+                    duration = check_duration(name, token if num is None else float(num))
                 except ValidationError as exc:
                     raise ParseError(lineno, str(exc)) from exc
                 durations[name] = (duration, lineno)
-            else:
-                raise ParseError(lineno, f"unknown declaration {head!r}")
         return doc
 
     def override(self, name: str, value: Value, source: str | None = None) -> None:
@@ -202,12 +204,12 @@ class CompositionDocument:
 
         try:
             comp = build_composition(handed(self.data_decls), handed(self.op_decls))
-            marks: dict[int, TokenState] = {}
-            values: dict[int, Value] = {}
+            # a Void state, given each seed as admit_seed admits it
+            state = initial_state(comp)
             for name, (value, old, line) in self.inits.items():
                 node = comp.data_named(name)
-                marks[node.index] = OLD if old else NEW
-                values[node.index] = admit_seed(node, value)
+                state.marking[node.index] = OLD if old else NEW
+                state.values[node.index] = admit_seed(node, value)
             durs: dict[int, float] = {}
             for name, (d, line) in self.durations.items():
                 durs[comp.operator_named(name).index] = d
@@ -217,7 +219,7 @@ class CompositionDocument:
             if isinstance(line, str):
                 raise ValidationError(f"{line}: {exc}") from exc
             raise ParseError(line, str(exc)) from exc
-        return comp, initial_state(comp, marks, values), durs
+        return comp, state, durs
 
 
 def parse_composition(

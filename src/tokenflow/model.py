@@ -339,7 +339,8 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
             raise ValidationError(f"data {name!r}: unknown sort {sort!r}")
         if by_name.setdefault(name, index) != index:
             raise ValidationError(f"data name {name!r} declared twice")
-        nodes.append(DataNode(index, name, sort))
+        # DataNode(...) without the frame of its __new__
+        nodes.append(tuple.__new__(DataNode, (index, name, sort)))
 
     ops: list[OperatorSpec] = []
     op_names: set[str] = set()
@@ -388,7 +389,9 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
             raise ValidationError(
                 f"operator {name!r} reads and writes the same data: {names}"
             )
-        ops.append(OperatorSpec(index, name, kind, inputs, outputs, process_name))
+        ops.append(tuple.__new__(  # OperatorSpec(...) without the frame of its __new__
+            OperatorSpec, (index, name, kind, inputs, outputs, process_name)
+        ))
 
     return Composition(tuple(nodes), tuple(ops))
 
@@ -444,37 +447,40 @@ class ExecutionState:
 
 def initial_state(
     comp: Composition,
-    markings: Mapping[int, TokenState] | None = None,
-    values: Mapping[int, Value] | None = None,
+    markings: Mapping | Sequence | None = None,
+    values: Mapping | Sequence | None = None,
 ) -> ExecutionState:
     """Build the step-0 state. Unlisted data nodes start Void with no value.
 
-    markings and values map data indices to a marking and a value. A
-    marking is a TokenState or an int from 0 to 2. Each node holding a
-    token stores its value as admit_seed admits it, and a Void node takes none.
+    markings and values map data indices to a marking and a value, each as
+    a mapping or as a list indexed by data index, such as a state's own
+    marking and values. A marking is a TokenState or an int from 0 to 2.
+    Each node holding a token stores its value as admit_seed admits it, and
+    a Void node takes none.
     """
-    markings = markings or {}
-    values = values or {}
     n = len(comp.data)
-    for idx in (*markings, *values):
-        if not (isinstance(idx, int) and 0 <= idx < n):
-            raise ValidationError(f"no data node with index {idx}")
+    markings, values = (  # each as a mapping from data index
+        dict(enumerate(arg)) if isinstance(arg, (list, tuple)) else {} if arg is None else arg
+        for arg in (markings, values)
+    )
+    for role, arg in ("markings", markings), ("values", values):
+        if not hasattr(arg, "items"):
+            raise ValidationError(f"initial_state {role} must be a mapping or a list")
+        for idx in arg:
+            if not (isinstance(idx, int) and 0 <= idx < n):
+                raise ValidationError(f"no data node with index {idx}")
 
-    marking = [VOID] * n
-    vals: list[Value] = [None] * n
+    state = ExecutionState([VOID] * n, [None] * n, [0] * len(comp.operators))
     for idx, mark in markings.items():
         node = comp.data[idx]
-        if type(mark) is not TokenState:
-            if type(mark) is not int or not 0 <= mark <= 2:
-                raise ValidationError(f"data {node.name!r}: {mark!r} is not a marking")
-            mark = TokenState(mark)
+        if type(mark) not in (TokenState, int) or not 0 <= mark <= 2:
+            raise ValidationError(f"data {node.name!r}: {mark!r} is not a marking")
         if mark:
-            marking[idx] = mark
-            vals[idx] = admit_seed(node, values.get(idx))
+            state.marking[idx] = TokenState(mark)
+            state.values[idx] = admit_seed(node, values.get(idx))
     for idx, value in values.items():
-        if not marking[idx] and value is not None:
+        if not state.marking[idx] and value is not None:
             raise ValidationError(
                 f"data {comp.data[idx].name!r} is Void and cannot carry a value"
             )
-
-    return ExecutionState(marking, vals, [0] * len(comp.operators))
+    return state

@@ -1,6 +1,9 @@
 """Document parsing, canonical emission, and trace serialization."""
+import importlib.util
+import json
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,10 +24,12 @@ from tokenflow import (
     run_to_convergence,
     serialize_trace,
 )
-from tokenflow.dsl import format_number, format_pairs, trace_renderer
-from tokenflow.model import SORTS
+from tokenflow import dsl, model
+from tokenflow.dsl import _CODE, format_number, format_pairs, trace_renderer
+from tokenflow.errors import TypeMismatch
+from tokenflow.model import SORTS, check_duration, coerce_value
 from tokenflow.semantics import TraceEvent
-from conftest import FLOWS, N, O, V, marked_states, small_compositions
+from conftest import FLOWS, N, O, REPO, V, marked_states, small_compositions
 
 
 # -------------------------------------------------------------- formatting
@@ -400,6 +405,179 @@ def test_parse_rejects_garbage_with_flow_errors(text):
         CompositionDocument.parse(text)
     except FlowError:
         pass
+
+
+# The line readers as they were before each became one regex: the
+# specification CompositionDocument.parse is held to, line for line.
+_OLD_NUMBER = re.compile(r"-?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_OLD_OP = re.compile(
+    r"op\s+(\S+)\s+([A-Za-z_][\w-]*)(?::(\S+))?\s*"
+    r"\(\s*([^()]*?)\s*\)\s*->\s*\(\s*([^()]*?)\s*\)\s*$"
+)
+_OLD_INIT = re.compile(r"init\s+(\S+)\s*=\s*(.+?)\s*$")
+_OLD_DUR = re.compile(r"dur\s+(\S+)\s*=\s*(\S+)\s*$")
+_OLD_LITERAL = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*(?P<end>"?)|\S*', re.S)
+
+
+def _old_literal(token):
+    if token in ("true", "false"):
+        return token == "true"
+    if _OLD_NUMBER.match(token):
+        value = float(token)
+    elif token.startswith('"'):
+        try:
+            value = json.loads(token)
+        except ValueError:
+            raise ValueError(f"bad text literal {token}") from None
+    else:
+        raise ValueError(f"bad literal {token!r}")
+    try:
+        return coerce_value(value)
+    except TypeMismatch as exc:
+        raise ValueError(str(exc)) from None
+
+
+def _old_parse(text):
+    doc = CompositionDocument()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        code = _CODE.match(raw).group()
+        words = code.split()
+        if not words:
+            continue
+        head = words[0]
+        if head == "data":
+            if not 1 < len(words) < 4:
+                raise ParseError(lineno, f"bad data declaration: {raw.strip()}")
+            doc.data_decls.append((lineno, (words[1], words[2] if len(words) == 3 else "any")))
+        elif head == "op":
+            m = _OLD_OP.match(code.strip())
+            if not m:
+                raise ParseError(lineno, f"bad operator declaration: {raw.strip()}")
+            name, kind, process, ins, outs = m.groups()
+            ins = tuple(map(str.strip, ins.split(","))) if ins else ()
+            outs = tuple(map(str.strip, outs.split(","))) if outs else ()
+            doc.op_decls.append((lineno, (name, kind, ins, outs, process)))
+        elif head == "init":
+            m = _OLD_INIT.match(code.strip())
+            if not m:
+                raise ParseError(lineno, f"bad init line: {raw.strip()}")
+            name, rhs = m.groups()
+            if name in doc.inits:
+                raise ParseError(lineno, f"duplicate init for {name!r}")
+            m = _OLD_LITERAL.match(rhs)
+            if m["end"] == "":
+                raise ParseError(lineno, "unterminated text literal")
+            rest = rhs[m.end() :].strip()
+            if rest and rest != "old":
+                raise ParseError(lineno, f"unexpected trailing {rest!r}")
+            try:
+                doc.inits[name] = (_old_literal(m.group()), rest == "old", lineno)
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from None
+        elif head == "dur":
+            m = _OLD_DUR.match(code.strip())
+            if not m:
+                raise ParseError(lineno, f"bad dur line: {raw.strip()}")
+            name, token = m.groups()
+            if name in doc.durations:
+                raise ParseError(lineno, f"duplicate dur for {name!r}")
+            try:
+                duration = check_duration(
+                    name, float(token) if _OLD_NUMBER.match(token) else token
+                )
+            except ValidationError as exc:
+                raise ParseError(lineno, str(exc)) from exc
+            doc.durations[name] = (duration, lineno)
+        else:
+            raise ParseError(lineno, f"unknown declaration {head!r}")
+    return doc
+
+
+def _reading(parse, text):
+    """What parse makes of text: its declarations, or its error and line."""
+    try:
+        doc = parse(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+    # repr tells -0.0 from 0.0 and 1.0 from True
+    return repr((doc.data_decls, doc.op_decls, doc.inits, doc.durations))
+
+
+# Line text: names, the grammar's punctuation, number and text literal
+# characters, and ASCII and Unicode whitespace; \x1c to \x1e also end a line.
+_PIECES = st.sampled_from(
+    ["a", "x", "d", "incr", "process", "add", "old", "true", "e", "E", "->", "1e999"]
+    + list(':(),="\\#0123456789.-+_')
+    + [" ", " ", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\u00a0", "\u2003"]
+)
+_BITS = st.lists(_PIECES, max_size=3).map("".join)
+_SEP = st.text(" \t\x1f\u00a0\u2003", min_size=1, max_size=2) | _BITS  # mostly a gap
+# Free text after a declaration word, or text around the grammar's own
+# words, so that lines just inside and just outside the grammar are drawn.
+_SHAPES = [
+    ("op ", _BITS, _BITS), ("init ", _BITS, _BITS), ("dur ", _BITS, _BITS), ("", _BITS),
+    ("op", _SEP, "a", _SEP, "incr", _BITS, "(", _BITS, ")", _BITS, "->", _BITS, "(", _BITS, ")", _BITS),
+    ("op", _SEP, "a", _SEP, "process:", _BITS, "(", _BITS, ")", _SEP, "->", _SEP, "(d)", _BITS),
+    ("init", _SEP, "x", _BITS, "=", _BITS, _SEP, _BITS),
+    ("init", _SEP, "x", _SEP, "=", _SEP, '"', _BITS, '"', _BITS, _SEP, _BITS),
+    ("dur", _SEP, "a", _BITS, "=", _BITS, _SEP, _BITS),
+]
+_LINES = st.sampled_from(_SHAPES).flatmap(
+    lambda shape: st.tuples(*(st.just(p) if isinstance(p, str) else p for p in shape)).map("".join)
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(lines=st.lists(_LINES, min_size=1, max_size=3))
+@example(lines=["init x=1"])
+@example(lines=["init x==1"])
+@example(lines=["op a incr()->(d)"])
+@example(lines=["op a incr (,) -> (d)"])
+@example(lines=["dur a=2"])
+@example(lines=["dur a = 0x10"])
+@example(lines=["init x = 1_0"])
+@example(lines=['init x = "a b" old'])
+@example(lines=["op a process:f(x)->(y) (a) -> (b)"])
+@example(lines=["op b process:f(x) () -> (d)"])
+@example(lines=["op a incr () -> (d) x"])
+@example(lines=["init x = 1e999"])
+@example(lines=["init y = -.5e+3 old"])
+@example(lines=["init x =  "])
+@example(lines=['init t = "open # \\'])
+@example(lines=['init t = "a"b old'])
+@example(lines=["init x = 1", "init x = 2"])
+@example(lines=["dur a = 1e999"])
+@example(lines=["dur a =", "dur a = 1 2"])
+@example(lines=["dur a = 1 2"])
+def test_line_readers_agree_with_the_old_regexes(lines):
+    text = "\n".join(lines)
+    assert _reading(CompositionDocument.parse, text) == _reading(_old_parse, text)
+
+
+def test_a_document_admits_each_seed_once(monkeypatch):
+    # Cost gate: build admits every seed as it stores it, and initial_state
+    # is not handed the seeds to admit them again.
+    spec = importlib.util.spec_from_file_location("bench_gen", REPO / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclass looks itself up
+    spec.loader.exec_module(gen)
+    calls = 0
+    real_admit_seed = model.admit_seed
+
+    def counting_admit_seed(*args):
+        nonlocal calls
+        calls += 1
+        return real_admit_seed(*args)
+
+    for module in (model, dsl):
+        monkeypatch.setattr(module, "admit_seed", counting_admit_seed)
+    comp, state, _ = parse_composition(gen.tree("tree", 1, 8).text)
+    assert sum(1 for mark in state.marking if mark) == 256
+    assert calls == 256
+    # initial_state, called on its own, admits each of its seeds once too
+    calls = 0
+    assert initial_state(comp, state.marking, state.values) == state
+    assert calls == 256
 
 
 # ------------------------------------------------------------------ traces

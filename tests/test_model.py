@@ -7,13 +7,17 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from tokenflow import (
+    RunLimits,
     TokenState,
     TypeMismatch,
     ValidationError,
     build_composition,
     build_ifelse_pattern,
+    default_registry,
     initial_state,
     neighborhood,
+    parse_composition,
+    run_to_convergence,
 )
 from tokenflow.model import (
     KINDS,
@@ -31,7 +35,7 @@ from tokenflow.model import (
 from tokenflow.semantics import can_fire
 from tokenflow.sequential import enabled_set
 
-from conftest import N, O, V, branch_structure, state_of
+from conftest import FLOWS, N, O, V, branch_structure, state_of
 
 
 def test_token_state_codes():
@@ -334,6 +338,28 @@ def test_initial_state_rejects_bad_index():
     for idx in (-1, 1.0, "d1"):
         with pytest.raises(ValidationError, match=f"^no data node with index {idx}$"):
             initial_state(comp, {idx: N}, {idx: 1.0})
+
+
+def test_initial_state_takes_a_states_own_lists():
+    comp, seed, _ = parse_composition((FLOWS / "c1_loop.flow").read_text(encoding="utf-8"))
+    later = run_to_convergence(comp, seed, default_registry(), RunLimits(7)).final_state
+    assert later.step == 7
+    for state in (seed, later):
+        for marking, values in (
+            (state.marking, state.values),
+            (tuple(state.marking), tuple(state.values)),
+        ):
+            again = initial_state(comp, marking, values)
+            assert (again.marking, again.values) == (state.marking, state.values)
+            assert (again.step, again.scan_start) == (0, 0)
+            assert again.exec_counts == [0] * len(comp.operators)
+    # a list indexed past the last data node names the index
+    with pytest.raises(ValidationError, match=f"^no data node with index {len(comp.data)}$"):
+        initial_state(comp, [V] * (len(comp.data) + 1))
+    # any other argument that is not a mapping is named
+    for markings, values, role in ((7, None, "markings"), ({}, "ab", "values"), ({0, 1}, {}, "markings")):
+        with pytest.raises(ValidationError, match=f"^initial_state {role} must be a mapping or a list"):
+            initial_state(comp, markings, values)
 
 
 def test_initial_state_checks_declared_sort():
