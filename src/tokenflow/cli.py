@@ -222,13 +222,10 @@ def _command(args, out):
             hook = discard if args.quiet else _lines_to(out, render)
             result = run_to_convergence(comp, state, registry, limits, hook)
         else:
+            # A file opened here is buffered, also under python -u.
             with open(args.trace, "w", encoding="utf-8") as fh:
-                add, flush = _batch(fh.write)
-                try:
-                    hook = _lines_to(add, render)
-                    result = run_to_convergence(comp, state, registry, limits, hook)
-                finally:
-                    flush()
+                hook = _lines_to(fh.write, render)
+                result = run_to_convergence(comp, state, registry, limits, hook)
         return _finish(comp, result, out)
 
     # simulate, the one command left

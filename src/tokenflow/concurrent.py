@@ -11,16 +11,16 @@ completion, keep starting the enabled operator that has waited longest
 
 A run is a semantics.Run: it owns a copy of the initial state and commits
 each completion to it through Run.commit, as the sequential processor does,
-so only the selection differs. The run's plans hold each operator's
-neighborhood and the operators its firing can affect. Completions wait in a
-heap ordered by (end time, declaration index). After each commit only the
-operators sharing a data node with the committed one are re-tested, and the
-wait times of exactly those are brought up to date once all commits of the
-instant are in. The data of the running operators is kept in one busy set,
-grown when an operator starts and shrunk when it completes. A start pass
-is one sweep, in (wait time, index) order, over the startable_set of the
-run (the enabled operators that are not running), starting each one that
-touches no busy data.
+so only the selection differs. The run's lists hoods and affects hold, by
+operator index, each operator's neighborhood and the operators its firing
+can affect. Completions wait in a heap ordered by (end time, declaration
+index). After each commit only the operators sharing a data node with the
+committed one are re-tested, and the wait times of exactly those are
+brought up to date once all commits of the instant are in. The data of the
+running operators is kept in one busy set, grown when an operator starts
+and shrunk when it completes. A start pass is one sweep, in (wait time,
+index) order, over the startable_set of the run (the enabled operators that
+are not running), starting each one that touches no busy data.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import heapq
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Mapping, NamedTuple
 
-from .dsl import format_number, format_pairs
+from .dsl import format_pairs, format_value
 from .errors import FlowError, ValidationError
 from .model import Composition, ExecutionState, check_duration
 from .semantics import (
@@ -98,7 +98,8 @@ def simulate_concurrent(
     schedule: list[ScheduleEntry] = []
     emit = schedule.append if on_commit is None else on_commit
     run = Run(comp, initial, registry, limits, None if on_commit is None else discard)
-    values, plans, enabled, commit = run.state.values, run.plans, run.enabled, run.commit
+    values, enabled, commit = run.state.values, run.enabled, run.commit
+    hoods, affects = run.hoods, run.affects
     # inputs[i](values): the values of operator i's inputs, to compare at its
     # end; len, which gives the same for any state of one run, if it has none
     inputs = [itemgetter(*op.inputs) if op.inputs else len for op in comp.operators]
@@ -118,32 +119,31 @@ def simulate_concurrent(
             else:
                 waited.pop(idx, None)
         for idx in startable_set(run, running, waited):
-            plan = plans[idx]
-            if plan.hood.isdisjoint(busy):
-                busy |= plan.hood
+            hood = hoods[idx]
+            if hood.isdisjoint(busy):
+                busy |= hood
                 running[idx] = (clock, inputs[idx](values))
                 push(completions, (clock + durs[idx], idx))
         if not completions:  # so nothing is running either
-            return run.result(converged=not run.order), schedule
+            return run.result(), schedule
         clock = completions[0][0]
         touched = []
         while completions and completions[0][0] == clock:
             idx = pop(completions)[1]
             started, snapshot = running.pop(idx)
-            plan = plans[idx]
-            busy -= plan.hood
+            busy -= hoods[idx]
             if inputs[idx](values) != snapshot:
                 raise FlowError(
-                    f"exclusion rule violated: inputs of {plan.spec.name!r}"
+                    f"exclusion rule violated: inputs of {comp.operators[idx].name!r}"
                     f" moved mid-flight at time {clock}"
                 )
             event = commit(idx)
-            touched += plan.affects
+            touched += affects[idx]
             emit(new(ScheduleEntry, (started, clock, idx, event.op_name, event)))
             if run.steps >= run.max_steps:
                 # An operator in flight is still enabled, since nothing has
                 # touched its neighbourhood since it started: run.order holds it.
-                return run.result(converged=not run.order), schedule
+                return run.result(), schedule
 
 
 def schedule_row(entry: ScheduleEntry, writes: str = "") -> str:
@@ -152,7 +152,7 @@ def schedule_row(entry: ScheduleEntry, writes: str = "") -> str:
     writes, when given, is format_pairs(entry.event.writes), already made.
     """
     return (
-        f"{format_number(entry.start)}\t{format_number(entry.end)}"
+        f"{format_value(entry.start)}\t{format_value(entry.end)}"
         f"\t{entry.op_name}\t{{{writes or format_pairs(entry.event.writes)}}}\n"
     )
 

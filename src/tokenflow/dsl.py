@@ -86,10 +86,6 @@ def format_value(value: Value) -> str:
     return json.dumps(value, ensure_ascii=False).translate(_LINE_BREAKS)
 
 
-# Durations and clock times print as a number value does.
-format_number = format_value
-
-
 def parse_literal(token: str) -> Value:
     """The value of one literal; ValueError when the token is none."""
     if token in ("true", "false"):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .dsl import format_number, format_value
+from .dsl import format_value
 from .concurrent import check_durations
 from .model import Composition, ExecutionState, TokenState
 
@@ -33,5 +33,5 @@ def emit_composition(
                 f"init {node.name} = {format_value(seed.values[node.index])}{suffix}"
             )
     for idx, d in sorted(check_durations(comp, durations).items()):
-        lines.append(f"dur {comp.operators[idx].name} = {format_number(d)}")
+        lines.append(f"dur {comp.operators[idx].name} = {format_value(d)}")
     return "\n".join(lines) + ("\n" if lines else "")

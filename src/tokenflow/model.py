@@ -283,11 +283,6 @@ def _is_name(name) -> bool:
     )
 
 
-def _check_name(role: str, name) -> None:
-    if not _is_name(name):
-        raise ValidationError(f"bad {role} name {name!r}")
-
-
 def _resolve(op: str, role: str, names: Sequence[str], by_name: dict) -> tuple[int, ...]:
     """Indices of the data nodes an operator's inputs or outputs name."""
     out = []
@@ -334,7 +329,8 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
             raise ValidationError(
                 f"bad data declaration {decl!r}: want a name or (name, sort)"
             ) from None
-        _check_name("data", name)
+        if not _is_name(name):
+            raise ValidationError(f"bad data name {name!r}")
         if sort not in SORTS:
             raise ValidationError(f"data {name!r}: unknown sort {sort!r}")
         if by_name.setdefault(name, index) != index:
@@ -354,7 +350,8 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
                 f"bad operator declaration {decl!r}: want"
                 " (name, kind, inputs, outputs[, process name])"
             ) from None
-        _check_name("operator", name)
+        if not _is_name(name):
+            raise ValidationError(f"bad operator name {name!r}")
         if name in op_names:
             raise ValidationError(f"operator name {name!r} declared twice")
         op_names.add(name)

@@ -1,13 +1,12 @@
 """Process registry, the firing of one operator, and runs.
 
-The rule and effect of every operator kind live in model.KINDS. A Plan
-holds what firing one operator takes: its spec and effect and the outputs a
-write is sort-checked on. fire() makes every firing from a plan. Called on
-its own, it checks the rule, copies the state and makes a plan, so its
-input never changes. A Run makes one plan per operator, adding the
-operator's neighbourhood and the operators its firing can affect,
-and copies its initial state once. It commits every firing to that copy in
-place by handing fire() the operator's plan, keeps its set of enabled
+The rule and effect of every operator kind live in model.KINDS, and fire()
+makes every firing from the operator and its kind's effect. Called on its
+own, it checks the rule and copies the state, so its input never changes.
+A Run keeps two lists indexed by operator, hoods (each operator's
+neighbourhood) and affects (the operators its firing can affect), and
+copies its initial state once. It commits every firing to that copy in
+place by calling fire() with owned=True, keeps its set of enabled
 operators and its step count current, and hands each event to its commit
 hook (by default, its trace). Run.commit is the one firing path of both
 processors, which differ only in which enabled operator they pick.
@@ -139,33 +138,12 @@ class Trace(list):
         self.start = tuple(zip([n.name for n in comp.data], initial.marking))
 
 
-class Plan:
-    """What firing one operator takes, worked out once.
-
-    spec is the operator and effect its kind's effect. typed maps each
-    output whose declared sort a write is checked against to its data node.
-    A Run, which schedules by them, also gives each of its plans hood, the
-    operator's neighbourhood, and affects: the indices, in declaration
-    order, of the operators sharing a data node with it (itself included),
-    the only ones whose enablement its firing can change. fire() reads
-    neither.
-    """
-
-    __slots__ = ("spec", "effect", "typed", "hood", "affects")
-
-    def __init__(self, comp: Composition, spec: OperatorSpec):
-        data = comp.data
-        self.spec = spec
-        self.effect = KINDS[spec.kind].effect
-        self.typed = {d: data[d] for d in spec.outputs if data[d].sort != "any"}
-
-
 def fire(
     comp: Composition,
     op: OperatorSpec | int,
     state: ExecutionState,
     registry: ProcessRegistry,
-    plan: Plan | None = None,
+    owned: bool = False,
 ) -> tuple[ExecutionState, TraceEvent]:
     """Fire one enabled operator. Returns the state it fired on and the event.
 
@@ -179,30 +157,28 @@ def fire(
 
     Called as fire(comp, op, state, registry), it checks that op is enabled
     and commits the firing to a copy: the state passed in never changes. A
-    Run, for an operator it holds as enabled, passes with it the state it
-    owns and the plan it holds for it. op must then be the plan's operator,
-    and fire reads the operator from the plan. The firing is committed to
-    that state in place, in work bounded by the operator's neighbourhood,
-    with no second check and no copy. The same code below makes every
-    firing, in a run or not.
+    Run, for an operator it holds as enabled, passes owned=True with the
+    state it owns. The firing is then committed to that state in place, in
+    work bounded by the operator's neighbourhood, with no second check and
+    no copy. The same code below makes every firing, in a run or not.
     """
-    if plan is None:
-        spec = comp.operators[op] if isinstance(op, int) else op
+    spec = comp.operators[op] if isinstance(op, int) else op
+    if not owned:
         if not can_fire(comp, spec, state.marking):
             raise NotEnabled(f"operator {spec.name!r} is not enabled")
         state = state.copy()
-        plan = Plan(comp, spec)
-    spec, typed, data = plan.spec, plan.typed, comp.data
+    data = comp.data
     try:
-        consumed, writes = plan.effect(spec, state, registry)
+        consumed, writes = KINDS[spec.kind].effect(spec, state, registry)
         for d, v in writes:
             if v is None:  # only a process function can return no value
                 raise ProcessError(
                     f"process {spec.process_name!r} returned no value for data"
                     f" {data[d].name!r}"
                 )
-            if d in typed:
-                check_sort(typed[d], v)
+            node = data[d]
+            if node.sort != "any":
+                check_sort(node, v)
     except FlowError as exc:
         exc.args = (f"operator {spec.name!r} at step {state.step}: {exc}",)
         raise
@@ -280,8 +256,10 @@ class Run:
 
     order lists the enabled operators in declaration order, and enabled
     holds the same operators as a set; both start from one enabled_set scan
-    and commit() keeps them current. plans[i] is the Plan of operator i,
-    whose hood and affects are filled in here.
+    and commit() keeps them current. hoods[i] is the neighbourhood of
+    operator i, and affects[i] the indices, in declaration order, of the
+    operators sharing a data node with it (itself included): the only ones
+    whose enablement its firing can change.
     """
 
     def __init__(self, comp, initial, registry, limits, on_commit=None):
@@ -292,14 +270,14 @@ class Run:
         self.trace = Trace(comp, initial)
         self.on_commit = self.trace.append if on_commit is None else on_commit
         self.steps = 0
-        self.plans = plans = [Plan(comp, op) for op in comp.operators]
+        self.hoods = hoods = [neighborhood(comp, op) for op in comp.operators]
         touching: dict[int, list[int]] = {}
-        for i, plan in enumerate(plans):
-            plan.hood = neighborhood(comp, plan.spec)
-            for d in plan.hood:
+        for i, hood in enumerate(hoods):
+            for d in hood:
                 touching.setdefault(d, []).append(i)
-        for plan in plans:
-            plan.affects = sorted({j for d in plan.hood for j in touching[d]})
+        self.affects = [
+            sorted({j for d in hood for j in touching[d]}) for hood in hoods
+        ]
         self.order = enabled_set(comp, self.state)
         self.enabled = set(self.order)
 
@@ -307,26 +285,26 @@ class Run:
         """Fire enabled operator idx in place; returns its event.
 
         A FlowError from the firing leaves the state as it was before it and
-        carries the run so far as its result, with converged=False. Only the
-        operators the firing can affect are re-tested, and not the fired
-        one, which its firing disables. A firing that wrote an output left a
-        New token on it. One that wrote nothing, which only a hand-built
-        process or sync operator with no outputs can do, consumed every
-        input, so its rule no longer holds. An operator with neither inputs
-        nor outputs affects no operator, itself included, and stays enabled.
+        carries the run so far as its result, not converged, since the
+        failing operator stays enabled. Only the operators the firing can
+        affect are re-tested, and not the fired one, which its firing
+        disables. A firing that wrote an output left a New token on it. One
+        that wrote nothing, which only a hand-built process or sync operator
+        with no outputs can do, consumed every input, so its rule no longer
+        holds. An operator with neither inputs nor outputs affects no
+        operator, itself included, and stays enabled.
         """
         comp, enabled, order = self.comp, self.enabled, self.order
         ops = comp.operators
         if idx not in enabled:
             raise NotEnabled(f"operator {ops[idx].name!r} is not enabled")
-        plan = self.plans[idx]
         try:
-            _, event = fire(comp, idx, self.state, self.registry, plan)
+            _, event = fire(comp, idx, self.state, self.registry, owned=True)
         except FlowError as exc:
-            exc.result = self.result(converged=False)
+            exc.result = self.result()
             raise
         marking = self.state.marking
-        for j in plan.affects:
+        for j in self.affects[idx]:
             if j != idx and can_fire(comp, ops[j], marking):
                 if j not in enabled:
                     enabled.add(j)
@@ -338,5 +316,6 @@ class Run:
         self.on_commit(event)
         return event
 
-    def result(self, converged: bool) -> RunResult:
-        return RunResult(self.state, self.trace, converged, self.steps)
+    def result(self) -> RunResult:
+        """The run so far, converged when no operator is enabled."""
+        return RunResult(self.state, self.trace, not self.order, self.steps)

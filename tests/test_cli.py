@@ -28,7 +28,7 @@ from tokenflow import (
 )
 from tokenflow import cli
 from tokenflow.cli import CHUNK, COMMANDS, _read, _summary, main
-from tokenflow.dsl import format_number, format_pairs
+from tokenflow.dsl import format_pairs, format_value
 from tokenflow.usage import parse_args
 from conftest import FLOWS, marked_states, small_compositions
 
@@ -221,7 +221,7 @@ def test_simulate_prints_what_the_library_renders(tmp_path_factory, data):
 def test_streamed_lines_and_rows_match_their_events(tmp_path_factory, data):
     # The CLI formats a firing's writes once and shares the text between
     # its trace line and its schedule row. What it streams must equal what
-    # format_pairs and format_number make of each event and entry of the
+    # format_pairs and format_value make of each event and entry of the
     # same run, in both processors.
     comp = data.draw(small_compositions())
     state = data.draw(marked_states(comp, with_text=True))
@@ -261,7 +261,7 @@ def test_streamed_lines_and_rows_match_their_events(tmp_path_factory, data):
         if command == "simulate" and not failed:
             rows = lines[len(committed) : 2 * len(committed)]
             assert rows == [
-                f"{format_number(e.start)}\t{format_number(e.end)}\t{e.op_name}"
+                f"{format_value(e.start)}\t{format_value(e.end)}\t{e.op_name}"
                 f"\t{{{format_pairs(e.event.writes)}}}"
                 for e in committed
             ]
@@ -507,7 +507,7 @@ def test_a_run_imports_only_what_it_uses(tmp_path):
 # compiles them from source when no bytecode is cached, so this bounds the
 # fixed cost of each run. A budget only goes down: lower it when a change
 # shrinks the path, and never raise it.
-RUN_PATH_BUDGETS = {"run": 8_268, "simulate": 8_958}
+RUN_PATH_BUDGETS = {"run": 8_107, "simulate": 8_796}
 
 
 def test_the_run_path_stays_within_its_budget():

@@ -15,7 +15,7 @@ from tokenflow import (
 )
 from tokenflow import concurrent
 from tokenflow.concurrent import ScheduleEntry, startable_set
-from tokenflow.dsl import format_number
+from tokenflow.dsl import format_value
 from tokenflow.semantics import TraceEvent
 from conftest import (
     FLOWS,
@@ -246,7 +246,7 @@ def test_schedule_rows_print_equal_clocks_by_their_own_text():
     clocks += [(k / 4, k / 4 + 0.25) for k in range(20)]
     for start, end in clocks:
         entry = ScheduleEntry(start, end, 0, "p", event)
-        want = f"{format_number(start)}\t{format_number(end)}\tp\t{{a=1}}\n"
+        want = f"{format_value(start)}\t{format_value(end)}\tp\t{{a=1}}\n"
         assert row(entry) == want
         assert row(entry, "a=1") == want
     assert row(ScheduleEntry(neg, pos, 0, "p", event)) == "-0\t0\tp\t{a=1}\n"

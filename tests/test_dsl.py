@@ -25,7 +25,7 @@ from tokenflow import (
     serialize_trace,
 )
 from tokenflow import dsl, model
-from tokenflow.dsl import _CODE, format_number, format_pairs, trace_renderer
+from tokenflow.dsl import _CODE, format_pairs, trace_renderer
 from tokenflow.errors import TypeMismatch
 from tokenflow.model import SORTS, check_duration, coerce_value
 from tokenflow.semantics import TraceEvent
@@ -36,17 +36,17 @@ from conftest import FLOWS, N, O, REPO, V, marked_states, small_compositions
 
 
 def test_format_number():
-    assert format_number(2.0) == "2"
-    assert format_number(-7.0) == "-7"
-    assert format_number(1.5) == "1.5"
-    assert format_number(0.0) == "0"
-    assert format_number(-0.0) == "-0"
-    assert format_number(1e16) == "1e+16"
-    assert format_number(float("inf")) == "inf"
+    assert format_value(2.0) == "2"
+    assert format_value(-7.0) == "-7"
+    assert format_value(1.5) == "1.5"
+    assert format_value(0.0) == "0"
+    assert format_value(-0.0) == "-0"
+    assert format_value(1e16) == "1e+16"
+    assert format_value(float("inf")) == "inf"
 
 
 def _format_number_rule(x: float) -> str:
-    """The rule format_number implements, written plainly."""
+    """The rule format_value prints a number by, written plainly."""
     if math.isfinite(x) and x == int(x) and abs(x) < 1e16:
         return str(int(x)) if x or math.copysign(1.0, x) > 0 else "-0"
     return repr(x)
@@ -63,9 +63,9 @@ _EDGES = [
 @settings(max_examples=500)
 @given(x=st.floats())
 def test_format_number_follows_its_rule(x):
-    # format_value prints a number by the rule, and format_number is the same
+    # format_value prints a number by the rule
     for v in (x, *_EDGES, *(-e for e in _EDGES)):
-        assert format_value(v) == format_number(v) == _format_number_rule(v), v
+        assert format_value(v) == _format_number_rule(v), v
 
 
 def test_format_value():

@@ -27,7 +27,6 @@ from tokenflow.model import (
     OperatorSpec,
     _all_new,
     _any_new,
-    _check_name,
     _ready,
     admit_seed,
     coerce_value,
@@ -152,7 +151,7 @@ _NAME_LIKE = st.text(
 def test_name_checks_accept_exactly_what_NAME_matches(name):
     matches = NAME.fullmatch(name) is not None
     for check in (
-        lambda: _check_name("data", name),
+        lambda: build_composition([name], []),
         lambda: build_composition(["a"], [("op", "process", (), ("a",), name)]),
     ):
         try:

@@ -20,6 +20,7 @@ from tokenflow import (
     emit_composition,
     fire,
     initial_state,
+    neighborhood,
     parse_composition,
     run_to_convergence,
     simulate_concurrent,
@@ -600,3 +601,39 @@ def test_library_fire_and_run_commit_make_the_same_firings(data):
         assert run.commit(idx) == event
         assert run.state == after
         state = after
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_run_keeps_each_neighbourhood_and_an_owned_firing_commits_in_place(data):
+    # run.hoods and run.affects hold what neighborhood() and a brute-force
+    # search over every pair of operators give. fire(..., owned=True) commits
+    # to the very state it is handed, with the event a plain fire returns;
+    # when the firing fails, both fail alike and the state stays as it was.
+    comp = data.draw(small_compositions())
+    state = data.draw(marked_states(comp, with_text=True))
+    registry = default_registry()
+    run = Run(comp, state, registry, RunLimits())
+    ops = comp.operators
+    for i, op in enumerate(ops):
+        assert run.hoods[i] == neighborhood(comp, i)
+        touches = set(op.inputs) | set(op.outputs)
+        assert run.affects[i] == [
+            j for j, other in enumerate(ops)
+            if touches & (set(other.inputs) | set(other.outputs))
+        ]
+        assert i in run.affects[i]
+    for idx in run.order:
+        owned = state.copy()
+        try:
+            after, event = fire(comp, idx, state, registry)
+        except FlowError as exc:
+            with pytest.raises(type(exc)) as failed:
+                fire(comp, idx, owned, registry, owned=True)
+            assert str(failed.value) == str(exc)
+            assert owned == state
+            continue
+        in_place, owned_event = fire(comp, idx, owned, registry, owned=True)
+        assert in_place is owned
+        assert owned_event == event
+        assert owned == after
