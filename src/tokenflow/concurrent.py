@@ -11,16 +11,16 @@ completion, keep starting the enabled operator that has waited longest
 
 A run is a semantics.Run: it owns a copy of the initial state and commits
 each completion to it through Run.commit, as the sequential processor does,
-so only the selection differs. The run's lists hoods and affects hold, by
-operator index, each operator's neighborhood and the operators its firing
-can affect. Completions wait in a heap ordered by (end time, declaration
-index). After each commit only the operators sharing a data node with the
-committed one are re-tested, and the wait times of exactly those are
-brought up to date once all commits of the instant are in. The data of the
-running operators is kept in one busy set, grown when an operator starts
-and shrunk when it completes. A start pass is one sweep, in (wait time,
-index) order, over the startable_set of the run (the enabled operators that
-are not running), starting each one that touches no busy data.
+so only the selection differs. Completions wait in a heap ordered by (end
+time, declaration index). Run.commit re-tests only the operators its
+run.affects lists for the committed one, and the wait times of exactly
+those are brought up to date once all commits of the instant are in. The
+data of the running operators is kept in one busy set, grown when an
+operator starts and shrunk when it completes. A start pass is one sweep, in
+(wait time, index) order, over the startable_set of the run (the enabled
+operators that are not running), starting each one that touches no busy
+data. Each commit is recorded once, as a ScheduleEntry: its interval in
+virtual time and its firing's event, which names the operator.
 """
 from __future__ import annotations
 
@@ -42,12 +42,10 @@ from .semantics import (
 
 
 class ScheduleEntry(NamedTuple):
-    """One executed interval: [start, end) in virtual time."""
+    """One executed interval, [start, end) in virtual time, and its event."""
 
     start: float
     end: float
-    op_index: int
-    op_name: str
     event: TraceEvent
 
 
@@ -69,7 +67,7 @@ def check_durations(comp: Composition, durations: Mapping | None) -> dict[int, f
     """Validate an operator index -> duration map; see check_duration."""
     out: dict[int, float] = {}
     for idx, d in (durations or {}).items():
-        if not (isinstance(idx, int) and 0 <= idx < len(comp.operators)):
+        if not (type(idx) is int and 0 <= idx < len(comp.operators)):  # nor a bool
             raise ValidationError(f"duration for unknown operator index {idx!r}")
         out[idx] = check_duration(comp.operators[idx].name, d)
     return out
@@ -139,8 +137,8 @@ def simulate_concurrent(
                 )
             event = commit(idx)
             touched += affects[idx]
-            emit(new(ScheduleEntry, (started, clock, idx, event.op_name, event)))
-            if run.steps >= run.max_steps:
+            emit(new(ScheduleEntry, (started, clock, event)))
+            if run.state.step >= run.stop_step:
                 # An operator in flight is still enabled, since nothing has
                 # touched its neighbourhood since it started: run.order holds it.
                 return run.result(), schedule
@@ -153,7 +151,7 @@ def schedule_row(entry: ScheduleEntry, writes: str = "") -> str:
     """
     return (
         f"{format_value(entry.start)}\t{format_value(entry.end)}"
-        f"\t{entry.op_name}\t{{{writes or format_pairs(entry.event.writes)}}}\n"
+        f"\t{entry.event.op_name}\t{{{writes or format_pairs(entry.event.writes)}}}\n"
     )
 
 

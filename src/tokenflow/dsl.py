@@ -54,7 +54,7 @@ _INIT = re.compile(
     rf"\s*init\s+(\S+)\s*=\s*(?=\S)(?:(?P<num>{_NUM})(?!\S)|(?P<lit>{_TEXT}|\S*))"
     r"\s*(.*?)\s*$"
 )
-_DUR = re.compile(rf"\s*dur\s+(\S+)\s*=\s*(?:({_NUM})|(\S+))\s*$")
+_DUR = re.compile(r"\s*dur\s+(\S+)\s*=\s*(\S+)\s*$")  # _NUMBER reads the value
 # Each declaration's regex, and what a line it does not match is called.
 _READERS = {
     "op": (_OP, "bad operator declaration"),
@@ -170,11 +170,12 @@ class CompositionDocument:
                     raise ParseError(lineno, str(exc)) from None
                 inits[name] = (value, rest == "old", lineno)
             else:
-                name, num, token = m.groups()
+                name, token = m.groups()
+                value = float(token) if _NUMBER.match(token) else token
                 if name in durations:
                     raise ParseError(lineno, f"duplicate dur for {name!r}")
                 try:
-                    duration = check_duration(name, token if num is None else float(num))
+                    duration = check_duration(name, value)
                 except ValidationError as exc:
                     raise ParseError(lineno, str(exc)) from exc
                 durations[name] = (duration, lineno)
@@ -250,18 +251,22 @@ def trace_renderer(
     A caller that has already formatted the event's writes with
     format_pairs passes that text as a second argument, to format them once.
     The marking column is the post-firing marking of every data node,
-    rebuilt by replaying each event's marking delta over start.
+    rebuilt over start from each event's reads (now Old) and writes (New).
     """
-    # cell[d][m]: the marking cell of data node d under marking m
-    void, old, new = (m.code for m in TokenState)
-    cell = [(f"{name}:{void}", f"{name}:{old}", f"{name}:{new}") for name, _ in start]
-    cells = [cell[d][m] for d, (_, m) in enumerate(start)]
+    index = {name: d for d, (name, _) in enumerate(start)}  # data name -> index
+    # each data node's marking cell, and its cell under an Old and a New token
+    cells = [f"{name}:{m.code}" for name, m in start]
+    olds, news = ([f"{name}:{m.code}" for name, _ in start] for m in (OLD, NEW))
     join = ",".join
 
     def render(event: TraceEvent, writes: str = "") -> str:
-        step, _, name, reads, wrote, delta = event
-        for d, m in delta:
-            cells[d] = cell[d][m]
+        step, _, name, reads, wrote = event
+        for node, _ in reads:
+            d = index[node]
+            cells[d] = olds[d]
+        for node, _ in wrote:
+            d = index[node]
+            cells[d] = news[d]
         return (
             f"step={step} op={name} reads={{{format_pairs(reads)}}}"
             f" writes={{{writes or format_pairs(wrote)}}} marking={join(cells)}\n"

@@ -464,7 +464,7 @@ def initial_state(
         if not hasattr(arg, "items"):
             raise ValidationError(f"initial_state {role} must be a mapping or a list")
         for idx in arg:
-            if not (isinstance(idx, int) and 0 <= idx < n):
+            if not (type(idx) is int and 0 <= idx < n):  # bool is no index
                 raise ValidationError(f"no data node with index {idx}")
 
     state = ExecutionState([VOID] * n, [None] * n, [0] * len(comp.operators))

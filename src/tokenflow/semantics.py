@@ -7,9 +7,9 @@ A Run keeps two lists indexed by operator, hoods (each operator's
 neighbourhood) and affects (the operators its firing can affect), and
 copies its initial state once. It commits every firing to that copy in
 place by calling fire() with owned=True, keeps its set of enabled
-operators and its step count current, and hands each event to its commit
-hook (by default, its trace). Run.commit is the one firing path of both
-processors, which differ only in which enabled operator they pick.
+operators current, and hands each firing's one record, its TraceEvent, to
+its commit hook (by default, its trace). Run.commit is the one firing path
+of both processors, which differ only in which enabled operator they pick.
 """
 from __future__ import annotations
 
@@ -114,8 +114,8 @@ class TraceEvent(NamedTuple):
     """One completed firing.
 
     reads/writes pair data names with the values the operator consumed and
-    produced; marking_delta pairs the data indices whose marking the firing
-    set with their new marking: consumed inputs Old, written outputs New.
+    produced. They also give the firing's whole change of marking: each
+    node in reads is now Old, and each node in writes New.
     """
 
     step: int
@@ -123,15 +123,14 @@ class TraceEvent(NamedTuple):
     op_name: str
     reads: tuple[tuple[str, Value], ...]
     writes: tuple[tuple[str, Value], ...]
-    marking_delta: tuple[tuple[int, TokenState], ...]
 
 
 class Trace(list):
     """The events of one run in firing order, and the marking it started from.
 
-    Events carry only marking deltas; start holds (data name, marking) for
-    every data node in declaration order, so replaying the deltas over it
-    recovers the full marking after each firing.
+    start holds (data name, marking) for every data node in declaration
+    order. Replaying each event over it, its reads made Old and its writes
+    New, recovers the full marking after each firing.
     """
 
     def __init__(self, comp: Composition, initial: ExecutionState):
@@ -184,20 +183,17 @@ def fire(
         raise
 
     values, marking = state.values, state.marking
-    reads, wrote, delta = [], [], []
+    reads, wrote = [], []
     for d in consumed:
         reads.append((data[d].name, values[d]))
-        delta.append((d, OLD))
         marking[d] = OLD
     for d, v in writes:
         wrote.append((data[d].name, v))
-        delta.append((d, NEW))
         values[d] = v
         marking[d] = NEW
     index = spec.index
     event = tuple.__new__(  # TraceEvent(...) without the frame of its __new__
-        TraceEvent,
-        (state.step, index, spec.name, tuple(reads), tuple(wrote), tuple(delta)),
+        TraceEvent, (state.step, index, spec.name, tuple(reads), tuple(wrote))
     )
     state.exec_counts[index] += 1
     state.step += 1
@@ -252,7 +248,7 @@ class Run:
     the run changes. The processors differ only in which operator they
     commit next. Each firing's event goes to on_commit, which by default
     appends it to the trace; a run given a hook keeps no event itself.
-    steps counts the firings either way.
+    It fires until its state's step reaches stop_step, max_steps past start_step.
 
     order lists the enabled operators in declaration order, and enabled
     holds the same operators as a set; both start from one enabled_set scan
@@ -265,11 +261,11 @@ class Run:
     def __init__(self, comp, initial, registry, limits, on_commit=None):
         self.comp = comp
         self.registry = registry
-        self.max_steps = limits.max_steps
+        self.start_step = initial.step
+        self.stop_step = initial.step + limits.max_steps
         self.state = initial.copy()
         self.trace = Trace(comp, initial)
         self.on_commit = self.trace.append if on_commit is None else on_commit
-        self.steps = 0
         self.hoods = hoods = [neighborhood(comp, op) for op in comp.operators]
         touching: dict[int, list[int]] = {}
         for i, hood in enumerate(hoods):
@@ -312,10 +308,10 @@ class Run:
             elif j in enabled:
                 enabled.remove(j)
                 del order[bisect_left(order, j)]
-        self.steps += 1
         self.on_commit(event)
         return event
 
     def result(self) -> RunResult:
         """The run so far, converged when no operator is enabled."""
-        return RunResult(self.state, self.trace, not self.order, self.steps)
+        steps = self.state.step - self.start_step
+        return RunResult(self.state, self.trace, not self.order, steps)

@@ -67,6 +67,6 @@ def run_to_convergence(
     event as it commits, and the result's trace stays empty.
     """
     run = Run(comp, initial, registry, limits, on_commit)
-    while run.steps < run.max_steps and (choice := select_next(run)) is not None:
+    while run.state.step < run.stop_step and (choice := select_next(run)) is not None:
         run.commit(choice)
     return run.result()

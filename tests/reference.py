@@ -131,7 +131,7 @@ def simulate(
             started, _ = running.pop(idx)
             state, event = fire(comp, idx, state.copy(), registry)
             lines.append(trace_line(comp, event, state))
-            schedule.append(ScheduleEntry(started, clock, idx, event.op_name, event))
+            schedule.append(ScheduleEntry(started, clock, event))
             if len(lines) >= max_steps:
                 truncated = True
                 break

@@ -278,23 +278,27 @@ def _check_schedule(comp, initial, schedule):
         for b in schedule[i + 1 :]:
             if a.start < b.end and b.start < a.end:
                 assert not (
-                    neighborhood(comp, a.op_index) & neighborhood(comp, b.op_index)
-                ), (a.op_name, b.op_name)
+                    neighborhood(comp, a.event.op_index)
+                    & neighborhood(comp, b.event.op_index)
+                ), (a.event.op_name, b.event.op_name)
 
     # greedy maximality: whenever an operator is enabled on committed data
     # and touches nothing in flight, it is running
     times = sorted({e.start for e in schedule} | {e.end for e in schedule} | {0.0})
     for t in times:
-        running = [e.op_index for e in schedule if e.start <= t < e.end]
+        running = [e.event.op_index for e in schedule if e.start <= t < e.end]
         busy = set()
         for idx in running:
             busy |= neighborhood(comp, idx)
-        # the committed marking: every delta due by t, replayed in commit order
+        # the committed marking: every firing due by t, replayed in commit
+        # order, its reads made Old and its writes New
         marking = list(initial.marking)
         for e in schedule:
             if e.end <= t:
-                for d, m in e.event.marking_delta:
-                    marking[d] = m
+                for name, _ in e.event.reads:
+                    marking[comp.data_named(name).index] = O
+                for name, _ in e.event.writes:
+                    marking[comp.data_named(name).index] = N
         for op in comp.operators:
             if op.index in running:
                 continue

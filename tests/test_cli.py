@@ -261,7 +261,7 @@ def test_streamed_lines_and_rows_match_their_events(tmp_path_factory, data):
         if command == "simulate" and not failed:
             rows = lines[len(committed) : 2 * len(committed)]
             assert rows == [
-                f"{format_value(e.start)}\t{format_value(e.end)}\t{e.op_name}"
+                f"{format_value(e.start)}\t{format_value(e.end)}\t{e.event.op_name}"
                 f"\t{{{format_pairs(e.event.writes)}}}"
                 for e in committed
             ]
@@ -507,7 +507,7 @@ def test_a_run_imports_only_what_it_uses(tmp_path):
 # compiles them from source when no bytecode is cached, so this bounds the
 # fixed cost of each run. A budget only goes down: lower it when a change
 # shrinks the path, and never raise it.
-RUN_PATH_BUDGETS = {"run": 8_107, "simulate": 8_796}
+RUN_PATH_BUDGETS = {"run": 8_103, "simulate": 8_780}
 
 
 def test_the_run_path_stays_within_its_budget():

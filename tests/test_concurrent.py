@@ -59,7 +59,7 @@ def test_a_start_pass_excludes_overlapping_neighborhoods():
     assert startable_set(run_of(comp, state), (), {1: 0.0, 2: 0.0}) == [1, 2]
     # Only op1 starts at time 0; its firing consumes d2, so op2 never fires.
     result, schedule = simulate_concurrent(comp, state, default_registry())
-    assert [(e.start, e.end, e.op_name) for e in schedule] == [(0.0, 1.0, "op1")]
+    assert [(e.start, e.end, e.event.op_name) for e in schedule] == [(0.0, 1.0, "op1")]
     assert result.converged
 
 
@@ -70,7 +70,7 @@ def test_simulated_branch_serializes_on_shared_data():
         comp, branch_state(pattern, True, 5.0), default_registry()
     )
     assert result.converged
-    assert [(e.start, e.end, e.op_name) for e in schedule] == [
+    assert [(e.start, e.end, e.event.op_name) for e in schedule] == [
         (0.0, 1.0, "ifelse"),
         (1.0, 2.0, "p1"),
         (2.0, 3.0, "merge"),
@@ -87,7 +87,7 @@ def test_simulated_loop_overlaps_disjoint_operators():
     pattern, result, schedule = sim_loop(10.0)
     assert result.converged
     assert len(schedule) == 62
-    starts = [(e.op_name, e.start) for e in schedule[:2]]
+    starts = [(e.event.op_name, e.start) for e in schedule[:2]]
     assert starts == [("merge", 0.0), ("incr", 0.0)]  # disjoint, start together
     makespan = max(e.end for e in schedule)
     assert makespan == 41.0
@@ -100,8 +100,10 @@ def test_overlapping_intervals_never_share_data():
     for i, a in enumerate(schedule):
         for b in schedule[i + 1 :]:
             if a.start < b.end and b.start < a.end:
-                shared = neighborhood(comp, a.op_index) & neighborhood(comp, b.op_index)
-                assert not shared, (a.op_name, b.op_name)
+                shared = neighborhood(comp, a.event.op_index) & neighborhood(
+                    comp, b.event.op_index
+                )
+                assert not shared, (a.event.op_name, b.event.op_name)
 
 
 def test_simultaneous_completions_commit_in_declaration_order():
@@ -145,7 +147,7 @@ def test_non_unit_durations_still_converge():
     assert result.converged
     assert result.final_state.values[pattern.role_map["result"]] == 9.0
     for entry in schedule:
-        if entry.op_index == p1:
+        if entry.event.op_index == p1:
             assert entry.end - entry.start == 2.5
 
 
@@ -169,8 +171,9 @@ def test_duration_must_be_positive():
         ({5: -1}, "'p1'"),
         ({0: "x"}, "'merge'"),
         ({6: 1.0}, "index 6"),
+        ({True: 1.0}, "index True"),
     ],
-    ids=["nan", "inf", "zero", "negative", "text", "unknown-index"],
+    ids=["nan", "inf", "zero", "negative", "text", "unknown-index", "bool-index"],
 )
 def test_bad_durations_are_refused_before_the_run(durations, named):
     pattern = build_loop_pattern("add1")
@@ -240,13 +243,13 @@ def test_schedule_rows_print_equal_clocks_by_their_own_text():
     # Clocks equal in value but distinct as objects, one pair printing
     # differently.
     row = concurrent.schedule_row
-    event = TraceEvent(0, 0, "p", (), (("a", 1.0),), ((0, 2),))
+    event = TraceEvent(0, 0, "p", (), (("a", 1.0),))
     neg, pos = -0.0, float("0")
     clocks = [(neg, pos), (pos, neg), (0.5, 1.0 + 0.5), (1.5, 1.0 + 0.5)]
     clocks += [(k / 4, k / 4 + 0.25) for k in range(20)]
     for start, end in clocks:
-        entry = ScheduleEntry(start, end, 0, "p", event)
+        entry = ScheduleEntry(start, end, event)
         want = f"{format_value(start)}\t{format_value(end)}\tp\t{{a=1}}\n"
         assert row(entry) == want
         assert row(entry, "a=1") == want
-    assert row(ScheduleEntry(neg, pos, 0, "p", event)) == "-0\t0\tp\t{a=1}\n"
+    assert row(ScheduleEntry(neg, pos, event)) == "-0\t0\tp\t{a=1}\n"

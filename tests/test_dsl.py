@@ -594,8 +594,8 @@ def test_serialize_trace_line_shape():
     assert lines[0] == "step=0 op=inc reads={} writes={a=1} marking=a:N,b:V"
     assert lines[1] == "step=1 op=eat reads={a=1} writes={b=1} marking=a:O,b:N"
     assert serialize_trace([]) == ""
-    # events carry marking deltas only: without its start marking a list of
-    # them cannot be printed
+    # events carry what each firing read and wrote only: without its start
+    # marking a list of them cannot be printed
     with pytest.raises(TypeError):
         serialize_trace(list(result.trace))
 
@@ -622,10 +622,9 @@ def test_trace_lines_print_equal_values_by_their_own_text():
     shared = 2.5 + 0.0  # one object, written to two nodes
     events, step = [], 0
     for first, second in ((neg, pos), (True, one), (shared, shared)):
-        events.append(TraceEvent(step, 0, "p", (), (("a", first), ("b", second)),
-                                 ((0, N), (1, N))))
-        events.append(TraceEvent(step + 1, 1, "q", (("a", first),), (), ((0, O),)))
-        events.append(TraceEvent(step + 2, 1, "q", (("b", second),), (), ((1, O),)))
+        events.append(TraceEvent(step, 0, "p", (), (("a", first), ("b", second))))
+        events.append(TraceEvent(step + 1, 1, "q", (("a", first),), ()))
+        events.append(TraceEvent(step + 2, 1, "q", (("b", second),), ()))
         step += 3
     render = trace_renderer(start)
     lines = [render(event) for event in events]

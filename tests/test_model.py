@@ -333,8 +333,9 @@ def test_initial_state_rejects_bad_index():
     comp = branch_structure()
     with pytest.raises(ValidationError, match="no data node with index 99"):
         initial_state(comp, {99: N}, {99: 1.0})
-    # the state is a list indexed by data index, so an index is an int
-    for idx in (-1, 1.0, "d1"):
+    # the state is a list indexed by data index, so an index is an int, and
+    # not a bool
+    for idx in (-1, 1.0, "d1", True):
         with pytest.raises(ValidationError, match=f"^no data node with index {idx}$"):
             initial_state(comp, {idx: N}, {idx: 1.0})
 

@@ -215,6 +215,14 @@ def test_fire_requires_enablement():
     assert run.state == state and not run.trace
 
 
+def _assert_reads_old_and_writes_new(comp, event, state):
+    """The marking change an event records holds in the state after it."""
+    for name, _ in event.reads:
+        assert state.marking[comp.data_named(name).index] == O, (event, name)
+    for name, _ in event.writes:
+        assert state.marking[comp.data_named(name).index] == N, (event, name)
+
+
 def test_fire_general_demotes_inputs_and_promotes_outputs():
     comp = branch_structure()
     state = state_of(comp, {"d0": N, "d1": O}, {"d0": 2.0, "d1": 3.0})
@@ -228,7 +236,7 @@ def test_fire_general_demotes_inputs_and_promotes_outputs():
     assert event.op_name == "op0"
     assert event.reads == (("d0", 2.0), ("d1", 3.0))
     assert event.writes == (("d2", 2.0), ("d3", 3.0))
-    assert event.marking_delta == ((0, O), (1, O), (2, N), (3, N))
+    _assert_reads_old_and_writes_new(comp, event, after)
     # the input state is untouched
     assert state.marking[0] == N and state.values[2] is None
 
@@ -600,6 +608,7 @@ def test_library_fire_and_run_commit_make_the_same_firings(data):
         assert state == before
         assert run.commit(idx) == event
         assert run.state == after
+        _assert_reads_old_and_writes_new(comp, event, after)
         state = after
 
 
