@@ -100,10 +100,9 @@ def test_overlapping_intervals_never_share_data():
     for i, a in enumerate(schedule):
         for b in schedule[i + 1 :]:
             if a.start < b.end and b.start < a.end:
-                shared = neighborhood(comp, a.event.op_index) & neighborhood(
-                    comp, b.event.op_index
-                )
-                assert not shared, (a.event.op_name, b.event.op_name)
+                x, y = a.event, b.event
+                shared = neighborhood(comp, x.op_index) & neighborhood(comp, y.op_index)
+                assert not shared, (x.op_name, y.op_name)
 
 
 def test_simultaneous_completions_commit_in_declaration_order():
