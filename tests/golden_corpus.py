@@ -23,7 +23,9 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -214,9 +216,6 @@ def run_in_process(argv: list[str], trace: Path) -> dict:
 
 
 def main() -> None:
-    import os
-    import tempfile
-
     sys.dont_write_bytecode = True  # keep src/ free of cached bytecode
     write_documents()
     os.chdir(REPO)
