@@ -105,6 +105,23 @@ FAILING: dict[str, str] = {
     ),
 }
 
+# Documents that run to the end, with what a trace line must spell out:
+# data names with non-ASCII letters, which NAME admits after the first, and
+# text holding a quote, a backslash and a line separator (U+2028), which
+# format_value escapes. Each value is written, then read by a later firing.
+EDGES: dict[str, str] = {
+    "edge-names-and-text.flow": (
+        "data aé1 text\ndata bñ2 text\ndata cü3 bool\ndata d名4 text\n"
+        "data eß5 bool\ndata fø6 text\ndata gø7 text\ndata hå8 num\ndata iå9 num\n"
+        "op pé process:identity (aé1) -> (bñ2)\n"
+        "op sñ sync (bñ2, cü3) -> (d名4, eß5)\n"
+        "op iü ifelse (d名4, eß5) -> (fø6, gø7)\n"
+        "op qå process:add1 (hå8) -> (iå9)\n"
+        'init aé1 = "say \\"hi\\" \\\\ then\\u2028more"\n'
+        "init cü3 = true\ninit hå8 = -0\n"
+    ),
+}
+
 WORKLOADS = ("loop-long", "loops-wide", "tree-fanin")
 
 
@@ -124,7 +141,7 @@ def write_documents() -> None:
         old.unlink()
     gen = _gen()
     docs = {f"{w}.flow": gen.make(w, WORKLOAD_SEED).text for w in WORKLOADS}
-    for name, text in {**FAULTY, **FAILING, **docs}.items():
+    for name, text in {**FAULTY, **FAILING, **EDGES, **docs}.items():
         data = text if isinstance(text, bytes) else text.encode("utf-8")
         (DOCS / name).write_bytes(data)
 
@@ -160,6 +177,10 @@ def cases() -> dict[str, list[str]]:
     for name in FAILING:
         for command in ("run", "simulate"):
             out[f"{command} {_doc(name)}"] = [command, _doc(name)]
+    for name in EDGES:
+        for label in ("run-trace-file", "simulate"):
+            command, *options = commands[label]
+            out[f"{label} {_doc(name)}"] = [command, _doc(name), *options]
     branch, loop = "flows/c0_ifelse.flow", "flows/c1_loop.flow"
     overrides = [
         ("run", branch, "d0=false"),

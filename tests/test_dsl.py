@@ -640,3 +640,26 @@ def test_trace_lines_print_equal_values_by_their_own_text():
     writes = format_pairs(events[0].writes)
     assert writes == "a=-0,b=0"
     assert again(events[0], writes) == lines[0]
+
+
+@pytest.mark.parametrize(
+    "written, read, text", [(True, 1.0, "true"), (0.0, -0.0, "0")]
+)
+def test_a_node_read_as_an_equal_value_prints_the_value_read(written, read, text):
+    # a is written one value, then read back as an equal value that prints
+    # differently (True == 1.0, 0.0 == -0.0). Every line must print each
+    # event's own values, whatever was written to the node before.
+    start = (("a", V), ("b", V))
+    events = [
+        TraceEvent(0, 0, "p", (), (("a", written),)),
+        TraceEvent(1, 1, "q", (("a", read),), (("b", written),)),
+        TraceEvent(2, 2, "r", (("b", written),), (("a", read),)),
+        TraceEvent(3, 1, "q", (("a", written),), (("b", read),)),
+    ]
+    render = trace_renderer(start)
+    lines = [render(event) for event in events]
+    for event, line in zip(events, lines):
+        assert line.startswith(_line_prefix(event)), line
+    assert lines[0] == f"step=0 op=p reads={{}} writes={{a={text}}} marking=a:N,b:V\n"
+    assert lines[1].startswith(f"step=1 op=q reads={{a={format_value(read)}}} ")
+    assert lines[3].startswith(f"step=3 op=q reads={{a={text}}} ")
