@@ -10,15 +10,8 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .dsl import (
-    CompositionDocument,
-    format_pairs,
-    format_value,
-    parse_literal,
-    trace_renderer,
-)
+from .dsl import CompositionDocument, format_value, parse_literal, trace_renderer
 from .errors import FlowError, ParseError, ValidationError
-from .model import Composition, ExecutionState
 
 # Each command's help line, the help of its file argument, and its options in
 # the order --help lists them, as (option, kind, default, metavar, help). The
@@ -44,7 +37,7 @@ COMMANDS = {
 }
 
 
-def _read(argv: list[str]) -> SimpleNamespace | None:
+def _read(argv):
     """What argparse makes of argv when every option in it is spelled out.
 
     That is a command, then its file and its options in any order, each
@@ -92,7 +85,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     return None if args["file"] is None else SimpleNamespace(**args)
 
 
-def _load(path: str, overrides: list[str]):
+def _load(path, overrides):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -115,7 +108,7 @@ def _load(path: str, overrides: list[str]):
     return doc.build()
 
 
-def _summary(comp: Composition, state: ExecutionState) -> str:
+def _summary(comp, state):
     parts = [
         f"{n.name}={format_value(state.values[n.index])}({state.marking[n.index].code})"
         for n in comp.data
@@ -206,7 +199,8 @@ def _command(args, out):
 
     from .semantics import RunLimits, Trace, default_registry, discard
 
-    registry, render = default_registry(), trace_renderer(Trace(comp, state).start)
+    registry, start = default_registry(), Trace(comp, state).start
+    render = trace_renderer(start)
     if args.command != "simulate":
         from .sequential import run_to_convergence
     if args.command == "step":
@@ -238,11 +232,12 @@ def _command(args, out):
     if args.quiet:
         hook = discard
     else:
-        def hook(entry):  # the writes are formatted once, for both lines
-            event = entry.event
-            writes = format_pairs(event.writes)
-            out(render(event, writes))
-            keep(schedule_row(entry, writes))
+        writes = []  # each line's writes text, formatted once for its row too
+        render = trace_renderer(start, writes.append)
+
+        def hook(entry):
+            out(render(entry.event))
+            keep(schedule_row(entry, writes.pop()))
 
     result, _ = simulate_concurrent(
         comp, state, registry, durations, limits, hook

@@ -65,7 +65,7 @@ def startable_set(
 
 def check_durations(comp: Composition, durations: Mapping | None) -> dict[int, float]:
     """Validate an operator index -> duration map; see check_duration."""
-    out: dict[int, float] = {}
+    out = {}
     for idx, d in (durations or {}).items():
         if not (type(idx) is int and 0 <= idx < len(comp.operators)):  # nor a bool
             raise ValidationError(f"duration for unknown operator index {idx!r}")
@@ -93,7 +93,7 @@ def simulate_concurrent(
     """
     durs = {op.index: 1.0 for op in comp.operators} | check_durations(comp, durations)
 
-    schedule: list[ScheduleEntry] = []
+    schedule = []
     emit = schedule.append if on_commit is None else on_commit
     run = Run(comp, initial, registry, limits, None if on_commit is None else discard)
     values, enabled, commit = run.state.values, run.enabled, run.commit
@@ -105,11 +105,11 @@ def simulate_concurrent(
     push, pop, new = heapq.heappush, heapq.heappop, tuple.__new__
     clock = 0.0
     # op index -> (start time, input snapshot)
-    running: dict[int, tuple[float, object]] = {}
-    completions: list[tuple[float, int]] = []  # heap of (end time, op index)
-    busy: set[int] = set()  # the data of the running operators
+    running = {}
+    completions = []  # heap of (end time, op index)
+    busy = set()  # the data of the running operators
     waited = dict.fromkeys(run.order, 0.0)
-    touched: list[int] = []  # operators the last instant's commits may affect
+    touched = []  # operators the last instant's commits may affect
     while True:
         for idx in touched:
             if idx in enabled:

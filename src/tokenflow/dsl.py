@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Sequence
 
 from .errors import FlowError, ParseError, TypeMismatch, ValidationError
 from .model import (
@@ -32,9 +32,6 @@ from .model import (
     coerce_value,
     initial_state,
 )
-if TYPE_CHECKING:  # loaded only by commands that fire
-    from .semantics import Trace, TraceEvent
-
 # The grammar of a number literal, composed into the readers below.
 _NUM = r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _NUMBER = re.compile(_NUM + "$")
@@ -124,10 +121,10 @@ class CompositionDocument:
     __slots__ = ("data_decls", "op_decls", "inits", "durations")
 
     def __init__(self):
-        self.data_decls: list[tuple[int, tuple[str, str]]] = []
-        self.op_decls: list[tuple[int, tuple]] = []
-        self.inits: dict[str, tuple[Value, bool, int | str | None]] = {}
-        self.durations: dict[str, tuple[float, int]] = {}
+        self.data_decls = []
+        self.op_decls = []
+        self.inits = {}
+        self.durations = {}
 
     @classmethod
     def parse(cls, text: str) -> "CompositionDocument":
@@ -194,7 +191,7 @@ class CompositionDocument:
     def build(self) -> tuple[Composition, ExecutionState, dict[int, float]]:
         line = None  # where the declaration in hand came from, if known
 
-        def handed(decls: list) -> Iterator:
+        def handed(decls):
             nonlocal line
             for line, decl in decls:
                 yield decl
@@ -207,7 +204,7 @@ class CompositionDocument:
                 node = comp.data_named(name)
                 state.marking[node.index] = OLD if old else NEW
                 state.values[node.index] = admit_seed(node, value)
-            durs: dict[int, float] = {}
+            durs = {}
             for name, (d, line) in self.durations.items():
                 durs[comp.operator_named(name).index] = d
         except FlowError as exc:
@@ -226,7 +223,7 @@ def parse_composition(
     return CompositionDocument.parse(text).build()
 
 
-def format_pairs(pairs: Sequence[tuple[str, Value]]) -> str:
+def format_pairs(pairs) -> str:
     """(name, value) pairs as traces and schedules print them: a=1,b="x"."""
     # Text added to in a loop: for the one or two pairs of a firing, a list
     # and its join, let alone a comprehension's own frame, cost more.
@@ -237,9 +234,7 @@ def format_pairs(pairs: Sequence[tuple[str, Value]]) -> str:
     return text
 
 
-def trace_renderer(
-    start: Sequence[tuple[str, TokenState]],
-) -> Callable[..., str]:
+def trace_renderer(start: Sequence[tuple[str, TokenState]], keep_writes=None):
     """A function rendering the events of one run, in firing order, as lines.
 
     start is the marking the run began from, as (data name, marking) pairs
@@ -248,35 +243,53 @@ def trace_renderer(
 
     step=<n> op=<name> reads={...} writes={...} marking=<name:V|O|N,...>
 
-    A caller that has already formatted the event's writes with
-    format_pairs passes that text as a second argument, to format them once.
-    The marking column is the post-firing marking of every data node,
-    rebuilt over start from each event's reads (now Old) and writes (New).
+    reads and writes print as format_pairs prints them. keep_writes, when
+    given, receives each line's writes text before the line is returned, so
+    that a caller printing it again need not format it twice. The marking
+    column is the post-firing marking of every data node, rebuilt over
+    start from each event's reads (now Old) and writes (New).
+
+    Each data node has one slot: the value the renderer last printed as
+    written to it, and that text. A read whose value is that very object
+    reuses the text, with no format_value call; any other read, such as an
+    equal value of another type or sign (1.0 after True, -0.0 after 0.0),
+    or a seed, is formatted.
     """
     index = {name: d for d, (name, _) in enumerate(start)}  # data name -> index
     # each data node's marking cell, and its cell under an Old and a New token
     cells = [f"{name}:{m.code}" for name, m in start]
     olds, news = ([f"{name}:{m.code}" for name, _ in start] for m in (OLD, NEW))
+    held = [None] * len(start)  # each node's slot: a value, and name=its text
+    texts = [f"{name}=-" for name, _ in start]
     join = ",".join
 
-    def render(event: TraceEvent, writes: str = "") -> str:
+    def render(event):
         step, _, name, reads, wrote = event
-        for node, _ in reads:
+        read = write = ""
+        for node, value in reads:
             d = index[node]
             cells[d] = olds[d]
-        for node, _ in wrote:
+            text = texts[d] if value is held[d] else f"{node}={format_value(value)}"
+            read = f"{read},{text}" if read else text
+        for node, value in wrote:
             d = index[node]
             cells[d] = news[d]
+            held[d] = value
+            texts[d] = text = f"{node}={format_value(value)}"
+            write = f"{write},{text}" if write else text
+        if keep_writes is not None:
+            keep_writes(write)
         return (
-            f"step={step} op={name} reads={{{format_pairs(reads)}}}"
-            f" writes={{{writes or format_pairs(wrote)}}} marking={join(cells)}\n"
+            f"step={step} op={name} reads={{{read}}} writes={{{write}}}"
+            f" marking={join(cells)}\n"
         )
 
     return render
 
 
-def serialize_trace(trace: Trace) -> str:
-    """One deterministic line per firing; see trace_renderer."""
+def serialize_trace(trace) -> str:
+    """One deterministic line per firing of trace, a semantics.Trace; see
+    trace_renderer."""
     from .semantics import Trace
 
     if not trace:

@@ -130,7 +130,8 @@ class OperatorSpec(NamedTuple):
 
 
 class Composition:
-    """Data nodes and operators, each in declaration order.
+    """Data nodes and operators, each in declaration order: data is a tuple
+    of DataNode, and operators a tuple of OperatorSpec.
 
     Two compositions are equal when their declarations are.
     """
@@ -138,8 +139,8 @@ class Composition:
     __slots__ = ("data", "operators", "_data_by_name", "_operator_by_name")
 
     def __init__(self, data, operators):
-        self.data: tuple[DataNode, ...] = data
-        self.operators: tuple[OperatorSpec, ...] = operators
+        self.data = data
+        self.operators = operators
         self._data_by_name = {node.name: node for node in data}
         self._operator_by_name = {op.name: op for op in operators}
 
@@ -161,7 +162,7 @@ class Composition:
 # ------------------------------------------------------------ operator kinds
 
 
-def want_numbers(values: Sequence[Value], ctx: str) -> Sequence[float]:
+def want_numbers(values, ctx):
     """values, once each is found to be a number."""
     for v in values:
         if isinstance(v, bool) or not isinstance(v, float):
@@ -218,10 +219,11 @@ def _process(spec, state, registry):
 
 def _ifelse(spec, state, registry):
     """Input 0 goes to output 0 when input 1 holds, else to output 1."""
-    value, condition = map(state.values.__getitem__, spec.inputs)
-    if not isinstance(condition, bool):
+    d, c = spec.inputs
+    condition = state.values[c]
+    if type(condition) is not bool:
         raise TypeMismatch(f"if/else condition must be a boolean, got {condition!r}")
-    return spec.inputs, ((spec.outputs[0 if condition else 1], value),)
+    return spec.inputs, ((spec.outputs[0 if condition else 1], state.values[d]),)
 
 
 def _merge(spec, state, registry):
@@ -232,7 +234,11 @@ def _merge(spec, state, registry):
 
 
 def _sync(spec, state, registry):
-    return spec.inputs, tuple(zip(spec.outputs, map(state.values.__getitem__, spec.inputs)))
+    """Input i goes to output i."""
+    if not spec.outputs:  # only a hand-built operator writes nothing
+        return spec.inputs, ()
+    (a, b), (x, y), values = spec.inputs, spec.outputs, state.values
+    return spec.inputs, ((x, values[a]), (y, values[b]))
 
 
 def _incr(spec, state, registry):
@@ -240,7 +246,10 @@ def _incr(spec, state, registry):
 
 
 def _lt(spec, state, registry):
-    x, y = want_numbers([*map(state.values.__getitem__, spec.inputs)], "less-than")
+    a, b = spec.inputs
+    x, y = state.values[a], state.values[b]
+    if type(x) is not float or type(y) is not float:
+        want_numbers((x, y), "less-than")
     return spec.inputs, ((spec.outputs[0], x < y),)
 
 
@@ -254,16 +263,23 @@ class Kind(NamedTuple):
     effect(spec, state, registry) returns the data indices the firing
     consumes and the (output index, value) pairs it writes; fire() makes
     the consumed inputs Old and the written outputs New.
+
+    An effect reads state.values at spec.inputs in place. A kind of fixed
+    arity unpacks them, as many as build_composition lets through; a
+    hand-built operator of another arity may fail with a ValueError, except
+    a sync one without outputs, which writes nothing. Stored numbers are
+    exact floats (coerce_value), so an effect tests type(x) is float first
+    and calls want_numbers only for the error it raises.
     """
 
     inputs: int | None
     outputs: int | None
-    rule: Callable[..., bool]
-    effect: Callable[..., tuple]
+    rule: Callable
+    effect: Callable
     takes_process: bool = False
 
 
-KINDS: dict[str, Kind] = {
+KINDS = {  # kind name -> Kind
     "process": Kind(None, None, _ready, _process, takes_process=True),
     "ifelse": Kind(2, 2, _ready, _ifelse),
     "merge": Kind(2, 1, _any_new, _merge),
@@ -273,7 +289,7 @@ KINDS: dict[str, Kind] = {
 }
 
 
-def _is_name(name) -> bool:
+def _is_name(name):
     """Whether name is text that NAME matches in full.
 
     Every ASCII identifier does, so the common name skips the regex.
@@ -283,7 +299,7 @@ def _is_name(name) -> bool:
     )
 
 
-def _resolve(op: str, role: str, names: Sequence[str], by_name: dict) -> tuple[int, ...]:
+def _resolve(op, role, names, by_name):
     """Indices of the data nodes an operator's inputs or outputs name."""
     out = []
     try:
@@ -318,8 +334,8 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
     data before any operator, so when an error is raised the declaration
     taken last is the one at fault.
     """
-    nodes: list[DataNode] = []
-    by_name: dict[str, int] = {}
+    nodes = []
+    by_name = {}  # data name -> index
     for index, decl in enumerate(data_decls):
         if isinstance(decl, str):
             decl = (decl,)
@@ -338,8 +354,8 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
         # DataNode(...) without the frame of its __new__
         nodes.append(tuple.__new__(DataNode, (index, name, sort)))
 
-    ops: list[OperatorSpec] = []
-    op_names: set[str] = set()
+    ops = []
+    op_names = set()
     for index, decl in enumerate(op_decls):
         try:
             name, kind, in_names, out_names, process_name = (
@@ -424,9 +440,9 @@ class ExecutionState:
     __slots__ = ("marking", "values", "exec_counts", "step", "scan_start")
 
     def __init__(self, marking, values, exec_counts, step=0, scan_start=0):
-        self.marking: list[TokenState] = marking
-        self.values: list[Value] = values
-        self.exec_counts: list[int] = exec_counts
+        self.marking = marking
+        self.values = values
+        self.exec_counts = exec_counts
         self.step = step
         self.scan_start = scan_start
 

@@ -43,7 +43,7 @@ class ProcessRegistry:
     """
 
     def __init__(self, funcs: Mapping[str, ProcessFn] | None = None):
-        self._funcs: dict[str, ProcessFn] = dict(funcs or {})
+        self._funcs = dict(funcs or {})
 
     def register(self, name: str, fn: ProcessFn) -> None:
         self._funcs[name] = fn
@@ -63,7 +63,9 @@ def _identity(values, count):
 
 
 def _add1(values, count):
-    (a,) = want_numbers(values, "add1")
+    if len(values) != 1 or type(values[0]) is not float:
+        want_numbers(values, "add1")  # names a non-number before the count
+    (a,) = values
     return [a + 1.0]
 
 
@@ -150,7 +152,8 @@ def fire(
     are the consumed inputs, with their values before the firing. The
     effect and the checks of its writes run before anything is written, so
     an error leaves the state untouched; any FlowError they raise is
-    prefixed with the operator and the step. Each write must be a value,
+    prefixed with the operator and the step. The effect reads the input
+    values from the state as they stand (see model.Kind). Each write must be a value,
     not None, which only a process function can return (a ProcessError
     naming the process and the data node), and of its output's sort.
 
@@ -218,16 +221,17 @@ class RunLimits:
 
 
 class RunResult:
-    """How a run ended. steps_taken counts its firings, which trace holds
-    unless the run handed each one to a commit hook instead."""
+    """How a run ended: the ExecutionState it ended in, and whether it
+    converged. steps_taken counts its firings, which trace holds unless the
+    run handed each one to a commit hook instead."""
 
     __slots__ = ("final_state", "trace", "converged", "steps_taken")
 
     def __init__(self, final_state, trace, converged, steps_taken):
-        self.final_state: ExecutionState = final_state
-        self.trace: Trace = trace
+        self.final_state = final_state
+        self.trace = trace
         self.converged = converged
-        self.steps_taken: int = steps_taken
+        self.steps_taken = steps_taken
 
 
 def discard(event) -> None:
@@ -267,7 +271,7 @@ class Run:
         self.trace = Trace(comp, initial)
         self.on_commit = self.trace.append if on_commit is None else on_commit
         self.hoods = hoods = [neighborhood(comp, op) for op in comp.operators]
-        touching: dict[int, list[int]] = {}
+        touching = {}  # data index -> the operators touching it
         for i, hood in enumerate(hoods):
             for d in hood:
                 touching.setdefault(d, []).append(i)

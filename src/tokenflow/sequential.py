@@ -30,7 +30,7 @@ from .semantics import (  # enabled_set, fire: re-exported for callers of this m
 )
 
 
-def select_next(run: Run) -> int | None:
+def select_next(run):
     """Operator the scheduler will fire next, or None at convergence.
 
     The first enabled index at or after the scan_start of the run's state,

@@ -635,11 +635,12 @@ def test_trace_lines_print_equal_values_by_their_own_text():
     assert lines[3].startswith("step=3 op=p reads={} writes={a=true,b=1} ")
     assert lines[5].startswith("step=5 op=q reads={b=1} ")
     assert lines[6].startswith("step=6 op=p reads={} writes={a=2.5,b=2.5} ")
-    # Writes text handed in is the one the line holds.
-    again = trace_renderer(start)
-    writes = format_pairs(events[0].writes)
-    assert writes == "a=-0,b=0"
-    assert again(events[0], writes) == lines[0]
+    # The writes text handed to keep_writes is the one each line holds.
+    kept = []
+    again = trace_renderer(start, kept.append)
+    assert [again(event) for event in events] == lines
+    assert kept == [format_pairs(event.writes) for event in events]
+    assert kept[0] == "a=-0,b=0"
 
 
 @pytest.mark.parametrize(

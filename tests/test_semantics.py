@@ -80,6 +80,49 @@ def test_builtins_reject_wrong_operand_types():
         reg.resolve("not")([1.0], 0)
 
 
+# Each effect with float, bool and text operands: what it writes, or the
+# error it raises, with the operator and step that fire() puts before it.
+_OPERANDS = [
+    ("lt", None, 1, (1.0, 2.0), (("o0", True),)),
+    ("lt", None, 1, (1.0, True), (TypeMismatch, "less-than needs number operands, got True")),
+    ("lt", None, 1, ("x", 2.0), (TypeMismatch, "less-than needs number operands, got 'x'")),
+    ("lt", None, 1, (True, "x"), (TypeMismatch, "less-than needs number operands, got True")),
+    ("ifelse", None, 2, ("x", True), (("o0", "x"),)),
+    ("ifelse", None, 2, (1.0, False), (("o1", 1.0),)),
+    ("ifelse", None, 2, (True, 1.0), (TypeMismatch, "if/else condition must be a boolean, got 1.0")),
+    ("ifelse", None, 2, (1.0, "x"), (TypeMismatch, "if/else condition must be a boolean, got 'x'")),
+    ("sync", None, 2, (1.0, True), (("o0", 1.0), ("o1", True))),
+    ("sync", None, 2, ("x", -0.0), (("o0", "x"), ("o1", -0.0))),
+    ("process", "add1", 1, (1.5,), (("o0", 2.5),)),
+    ("process", "add1", 1, (True,), (TypeMismatch, "add1 needs number operands, got True")),
+    ("process", "add1", 1, ("x",), (TypeMismatch, "add1 needs number operands, got 'x'")),
+    # add1 wired to two inputs names a non-number before it counts them
+    ("process", "add1", 1, (1.0, "x"), (TypeMismatch, "add1 needs number operands, got 'x'")),
+    ("process", "add1", 1, (1.0, 2.0), (
+        ProcessError, "process 'add1' raised ValueError: too many values to unpack (expected 1)"
+    )),
+    ("process", "add", 1, (1.0, 2.5), (("o0", 3.5),)),
+    ("process", "add", 1, (1.0, False), (TypeMismatch, "add needs number operands, got False")),
+    ("process", "add", 1, ("x", 1.0), (TypeMismatch, "add needs number operands, got 'x'")),
+]
+
+
+@pytest.mark.parametrize("kind, process, n_out, values, want", _OPERANDS)
+def test_each_effect_writes_or_names_its_operands(kind, process, n_out, values, want):
+    marks = (N,) * len(values)
+    if isinstance(want[0], tuple):
+        _, event = _fire_lone(kind, marks, values, n_out, process)
+        assert event.writes == want
+        for (_, got), (_, wanted) in zip(event.writes, want):
+            assert type(got) is type(wanted) and repr(got) == repr(wanted)
+        return
+    error, message = want
+    with pytest.raises(error) as exc:
+        _fire_lone(kind, marks, values, n_out, process)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"operator 'op' at step 0: {message}"
+
+
 def test_const_factory():
     fn = const(7)
     assert fn([1.0, 2.0], 9) == [7.0]
