@@ -223,7 +223,8 @@ class RunLimits:
 class RunResult:
     """How a run ended: the ExecutionState it ended in, and whether it
     converged. steps_taken counts its firings, which trace holds unless the
-    run handed each one to a commit hook instead."""
+    run handed each one to a commit hook instead; trace is then an empty
+    list."""
 
     __slots__ = ("final_state", "trace", "converged", "steps_taken")
 
@@ -251,7 +252,8 @@ class Run:
     The initial state is copied once, here; commit() is then the only way
     the run changes. The processors differ only in which operator they
     commit next. Each firing's event goes to on_commit, which by default
-    appends it to the trace; a run given a hook keeps no event itself.
+    appends it to the trace; a run given a hook keeps no event itself, and
+    its trace is an empty list, without the start marking a Trace holds.
     It fires until its state's step reaches stop_step, max_steps past start_step.
 
     order lists the enabled operators in declaration order, and enabled
@@ -268,7 +270,7 @@ class Run:
         self.start_step = initial.step
         self.stop_step = initial.step + limits.max_steps
         self.state = initial.copy()
-        self.trace = Trace(comp, initial)
+        self.trace = Trace(comp, initial) if on_commit is None else []
         self.on_commit = self.trace.append if on_commit is None else on_commit
         self.hoods = hoods = [neighborhood(comp, op) for op in comp.operators]
         touching = {}  # data index -> the operators touching it

@@ -848,6 +848,26 @@ def test_a_streamed_run_holds_no_more_memory_for_more_firings(tmp_path, monkeypa
     assert grown <= 2 * (rows[1] - rows[0]), (grown, rows)
 
 
+def test_a_cli_run_builds_its_start_marking_once(tmp_path, capsys, monkeypatch):
+    # Cost gate: the CLI builds the start pairs its renderer needs, and a
+    # run given a commit hook builds no Trace of its own.
+    from tokenflow import semantics
+
+    built = []
+
+    class Counted(semantics.Trace):
+        def __init__(self, comp, initial):
+            built.append(len(comp.data))
+            super().__init__(comp, initial)
+
+    monkeypatch.setattr(semantics, "Trace", Counted)
+    out = str(tmp_path / "out.trace")
+    for argv in (["run", LOOP], ["run", LOOP, "--trace", out], ["simulate", LOOP]):
+        built.clear()
+        code, _, _ = run_cli(capsys, *argv)
+        assert (code, built) == (0, [10]), argv
+
+
 def test_broken_exclusion_exits_one_without_a_traceback(tmp_path, capsys, monkeypatch):
     # With neighborhoods ignored, inc and eat start together although both
     # touch a; inc commits first and moves eat's input mid-flight.
