@@ -100,8 +100,10 @@ def parse_literal(token: str) -> Value:
         raise ValueError(f"bad literal {token!r}")
     try:
         return coerce_value(value)  # refuses lone surrogates, and 1e999
-    except TypeMismatch as exc:
-        raise ValueError(str(exc)) from None
+    except TypeMismatch as exc:  # a number is named as written
+        raise ValueError(
+            f"number {token} is not finite" if type(value) is float else str(exc)
+        ) from None
 
 
 class CompositionDocument:
@@ -163,7 +165,9 @@ class CompositionDocument:
                     raise ParseError(lineno, f"unexpected trailing {rest!r}")
                 try:
                     value = parse_literal(lit) if num is None else coerce_value(float(num))
-                except (ValueError, TypeMismatch) as exc:  # 1e999 is a TypeMismatch
+                except TypeMismatch:  # a number beyond binary64, named as written
+                    raise ParseError(lineno, f"number {num} is not finite") from None
+                except ValueError as exc:
                     raise ParseError(lineno, str(exc)) from None
                 inits[name] = (value, rest == "old", lineno)
             else:
@@ -172,7 +176,8 @@ class CompositionDocument:
                 if name in durations:
                     raise ParseError(lineno, f"duplicate dur for {name!r}")
                 try:
-                    duration = check_duration(name, value)
+                    # a number is named as written (1e999, not inf)
+                    duration = check_duration(name, value, None if value is token else token)
                 except ValidationError as exc:
                     raise ParseError(lineno, str(exc)) from exc
                 durations[name] = (duration, lineno)

@@ -409,15 +409,19 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
     return Composition(tuple(nodes), tuple(ops))
 
 
-def check_duration(op_name: str, d) -> float:
-    """A duration in virtual time units: a real number with 0 < d < inf."""
+def check_duration(op_name: str, d, text: str | None = None) -> float:
+    """A duration in virtual time units: a real number with 0 < d < inf.
+
+    An error names d by text, how it was written, when given, else by repr.
+    """
     try:
         x = coerce_value(d)
     except TypeMismatch:
         x = None
     if not isinstance(x, float) or x <= 0:
         raise ValidationError(
-            f"operator {op_name!r}: duration {d!r} is not a positive finite number"
+            f"operator {op_name!r}: duration {text or repr(d)} is not a positive"
+            " finite number"
         )
     return x
 

@@ -154,13 +154,28 @@ def test_parse_errors_carry_line_numbers():
     assert "bad literal" in str(exc.value)
     with pytest.raises(ParseError) as exc:
         CompositionDocument.parse("data a num\ninit a = -1e999\n")
-    assert exc.value.line == 2 and "not finite" in str(exc.value)
+    # a number is named as written, not as the float it would be stored as
+    assert str(exc.value) == "line 2: number -1e999 is not finite"
     with pytest.raises(ParseError) as exc:
         CompositionDocument.parse("data a\ndur x = -1\n")
-    assert "positive" in str(exc.value)
+    assert str(exc.value) == "line 2: operator 'x': duration -1 is not a positive finite number"
     with pytest.raises(ParseError) as exc:
         CompositionDocument.parse("data a\ndur x = 1e999\n")
-    assert "positive" in str(exc.value)
+    assert str(exc.value) == (
+        "line 2: operator 'x': duration 1e999 is not a positive finite number"
+    )
+    with pytest.raises(ParseError) as exc:
+        CompositionDocument.parse("data a\ndur x = 0.0e5\n")
+    assert str(exc.value) == (
+        "line 2: operator 'x': duration 0.0e5 is not a positive finite number"
+    )
+    with pytest.raises(ParseError) as exc:  # a word is named by its repr
+        CompositionDocument.parse("data a\ndur x = 5x\n")
+    assert str(exc.value) == (
+        "line 2: operator 'x': duration '5x' is not a positive finite number"
+    )
+    with pytest.raises(ValueError, match=r"^number 1E\+999 is not finite$"):
+        dsl.parse_literal("1E+999")
     # faults in names, sorts and kinds are found when the document is built
     with pytest.raises(ParseError):
         parse_composition("data a weird\n")
@@ -433,7 +448,9 @@ def _old_literal(token):
         raise ValueError(f"bad literal {token!r}")
     try:
         return coerce_value(value)
-    except TypeMismatch as exc:
+    except TypeMismatch as exc:  # a number is named as written: 1e999, not inf
+        if isinstance(value, float):
+            raise ValueError(f"number {token} is not finite") from None
         raise ValueError(str(exc)) from None
 
 
@@ -481,12 +498,16 @@ def _old_parse(text):
             name, token = m.groups()
             if name in doc.durations:
                 raise ParseError(lineno, f"duplicate dur for {name!r}")
+            number = _OLD_NUMBER.match(token)
             try:
-                duration = check_duration(
-                    name, float(token) if _OLD_NUMBER.match(token) else token
-                )
+                duration = check_duration(name, float(token) if number else token)
             except ValidationError as exc:
-                raise ParseError(lineno, str(exc)) from exc
+                message = str(exc)
+                if number:  # a number is named as written: 1e999, not inf
+                    message = (
+                        f"operator {name!r}: duration {token} is not a positive finite number"
+                    )
+                raise ParseError(lineno, message) from exc
             doc.durations[name] = (duration, lineno)
         else:
             raise ParseError(lineno, f"unknown declaration {head!r}")
