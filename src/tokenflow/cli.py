@@ -200,9 +200,10 @@ def _command(args, out):
     from .semantics import RunLimits, Trace, default_registry, discard
 
     registry, start = default_registry(), Trace(comp, state).start
-    render = trace_renderer(start)
     if args.command != "simulate":
         from .sequential import run_to_convergence
+
+        render = trace_renderer(start)
     if args.command == "step":
         if args.steps >= 1:
             limits, hook = RunLimits(args.steps), _lines_to(out, render)
