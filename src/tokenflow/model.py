@@ -163,7 +163,8 @@ class Composition:
 
 
 def want_numbers(values, ctx):
-    """values, once each is found to be a number."""
+    """The sequence values, once each is found to be a number: a float, not
+    a bool. The error names ctx, the operation that wanted them."""
     for v in values:
         if isinstance(v, bool) or not isinstance(v, float):
             raise TypeMismatch(f"{ctx} needs number operands, got {v!r}")
@@ -435,8 +436,8 @@ def neighborhood(comp: Composition, op: OperatorSpec | int) -> frozenset[int]:
 class ExecutionState:
     """Mutable execution snapshot: markings, values, firing counters.
 
-    marking and values are lists indexed by data index, and exec_counts a
-    list indexed by operator index. scan_start is the declaration index at
+    marking (of TokenState) and values (of Value) are lists indexed by data
+    index, and exec_counts a list of ints indexed by operator index. scan_start is the declaration index at
     which the sequential scheduler begins its next scan. Two states are
     equal when all five fields are.
     """
