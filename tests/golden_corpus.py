@@ -120,6 +120,49 @@ EDGES: dict[str, str] = {
         'init aé1 = "say \\"hi\\" \\\\ then\\u2028more"\n'
         "init cü3 = true\ninit hå8 = -0\n"
     ),
+    # Text seeds written with every escape of the JSON string grammar, in
+    # both cases of hex digit and as an escaped surrogate pair, and values
+    # that print escaped: control characters as \u00XX, and U+0085, U+2028
+    # and U+2029, which str.splitlines breaks lines at. U+007F, U+00A0 and
+    # an astral character print as they are.
+    "edge-json-escapes.flow": (
+        "data a text\ndata b text\ndata c text\ndata d text\n"
+        "data e text\ndata f any\ndata g text\ndata h text\ndata k bool\n"
+        "op p process:identity (a) -> (b)\n"
+        "op q process:identity (c) -> (d)\n"
+        "op s sync (b, k) -> (e, f)\n"
+        "op t process:identity (d) -> (g)\n"
+        "op u merge (e, g) -> (h)\n"
+        'init a = "q\\" bs\\\\ sl\\/ b\\b f\\f n\\n r\\r t\\t'
+        ' e\\u00e9 E\\u00C9 pair\\ud83d\\ude00 PAIR\\uD83D\\uDE00"\n'
+        'init c = "nul\\u0000 one\\u0001 us\\u001f del\\u007f nel\\u0085'
+        ' ls\\u2028 ps\\u2029 nbsp\\u00a0 raw😀 é/"\n'
+        "init k = true\n"
+    ),
+    # More than 100 data nodes, named with letters of two, three and four
+    # UTF-8 bytes, so that the offsets of the marking column are not those
+    # of the characters.
+    "edge-wide-names.flow": "".join(
+        f"data aé{i} any\ndata b名{i}\ndata c𝔡{i}\n"
+        f"op pñ{i} process:identity (aé{i}) -> (b名{i})\n"
+        f"op qø{i} process:identity (b名{i}) -> (c𝔡{i})\n"
+        + (f'init aé{i} = "v{i}é\\n"\n' if i % 3 else f"init aé{i} = {i}.5\n")
+        for i in range(40)
+    ),
+}
+
+# Text literals the reader refuses: an escape JSON does not have, a \u with
+# fewer than four hex digits, a raw tab, and halves of a surrogate pair that
+# do not make one ("\ud800" alone is read-lone-surrogate above).
+FAULTY_TEXT: dict[str, str] = {
+    f"read-text-{label}.flow": f"data a\ninit a = {literal}\n"
+    for label, literal in {
+        "bad-escape": '"\\x"',
+        "short-u-escape": '"\\u12"',
+        "raw-tab": '"a\tb"',
+        "lone-low-surrogate": '"\\udc00"',
+        "high-then-letter": '"\\ud83d\\u0041"',
+    }.items()
 }
 
 WORKLOADS = ("loop-long", "loops-wide", "tree-fanin")
@@ -141,7 +184,7 @@ def write_documents() -> None:
         old.unlink()
     gen = _gen()
     docs = {f"{w}.flow": gen.make(w, WORKLOAD_SEED).text for w in WORKLOADS}
-    for name, text in {**FAULTY, **FAILING, **EDGES, **docs}.items():
+    for name, text in {**FAULTY, **FAULTY_TEXT, **FAILING, **EDGES, **docs}.items():
         data = text if isinstance(text, bytes) else text.encode("utf-8")
         (DOCS / name).write_bytes(data)
 
@@ -177,8 +220,11 @@ def cases() -> dict[str, list[str]]:
     for name in FAILING:
         for command in ("run", "simulate"):
             out[f"{command} {_doc(name)}"] = [command, _doc(name)]
+    for name in FAULTY_TEXT:
+        for command in ("validate", "run", "simulate"):
+            out[f"{command} {_doc(name)}"] = [command, _doc(name)]
     for name in EDGES:
-        for label in ("run-trace-file", "simulate"):
+        for label in ("run-trace-file", "simulate", "validate"):
             command, *options = commands[label]
             out[f"{label} {_doc(name)}"] = [command, _doc(name), *options]
     branch, loop = "flows/c0_ifelse.flow", "flows/c1_loop.flow"
@@ -197,6 +243,19 @@ def cases() -> dict[str, list[str]]:
         ("run", branch, "d0=5"),
         ("run", branch, "nosuch=1"),
         ("run", loop, "d0=1e999"),
+        # text literals, read as the reader reads them in a document
+        ("run", branch, 'd1="tab\\there \\"q\\" \\u00e9\\ud83d\\ude00 \\/"'),
+        ("simulate", branch, 'd1="ls\\u2028 nel\\u0085 us\\u001F é😀"'),
+        ("run", branch, 'd1=""'),
+        ("run", branch, 'd1=" padded "'),
+        ("run", branch, 'd1="\\x"'),
+        ("run", branch, 'd1="\\ud800"'),
+        ("run", branch, 'd1="\\u12"'),
+        ("run", branch, 'd1="a"b"'),
+        ("run", branch, 'd1="a\tb"'),  # a raw tab
+        ("run", branch, 'd1="abc\\"'),
+        ("run", branch, 'd1="'),
+        ("run", branch, 'd1="a" "b"'),
     ]
     for command, path, item in overrides:
         out[f"{command} {path} --seed-override {item}"] = [
