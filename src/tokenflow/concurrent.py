@@ -25,8 +25,9 @@ virtual time and its firing's event, which names the operator.
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Mapping, NamedTuple
+from typing import Callable, Collection, Iterable, Mapping
 
 from .dsl import format_pairs, format_value
 from .errors import FlowError, ValidationError
@@ -36,17 +37,13 @@ from .semantics import (
     Run,
     RunLimits,
     RunResult,
-    TraceEvent,
     discard,
 )
 
 
-class ScheduleEntry(NamedTuple):
-    """One executed interval, [start, end) in virtual time, and its event."""
-
-    start: float
-    end: float
-    event: TraceEvent
+ScheduleEntry = namedtuple("ScheduleEntry", "start end event")
+ScheduleEntry.__doc__ = """One executed interval, [start, end) in virtual time (floats),
+and its event (a TraceEvent)."""
 
 
 def startable_set(

@@ -8,8 +8,9 @@ Document grammar, one declaration per line, # starts a comment:
     dur <name> = <positive number>
 
 Kinds: process (needs :name), ifelse, merge, sync, incr, lt. Literals are
-true, false, decimal numbers, or double-quoted text. init grants a New token
-unless suffixed with old. Declaration order of op lines is the scheduler's
+true, false, decimal numbers, or double-quoted text, a JSON string read and
+written here without the json module. init grants a New token unless
+suffixed with old. Declaration order of op lines is the scheduler's
 scan order.
 """
 from __future__ import annotations
@@ -60,8 +61,49 @@ _READERS = {
 }
 
 
-# Characters str.splitlines breaks lines at that JSON leaves unescaped.
-_LINE_BREAKS = str.maketrans({c: f"\\u{ord(c):04x}" for c in "\x85\u2028\u2029"})
+# What text escapes: what json.dumps(text, ensure_ascii=False) escapes, the
+# quote, the backslash and each character below U+0020, and also those that
+# str.splitlines breaks lines at. A character with a short escape takes it.
+_ESCAPES = {c: f"\\u{c:04x}" for c in (*range(32), 0x85, 0x2028, 0x2029)} | dict(
+    zip(b'"\\\b\f\n\r\t', ['\\"', "\\\\", "\\b", "\\f", "\\n", "\\r", "\\t"])
+)
+
+
+def _unescape(m):
+    """The text one escape of a text literal stands for.
+
+    Each escape reads as the same escape in Python source, but \\/, which
+    is a slash. A \\u escape is matched together with a \\u escape of a low
+    surrogate after it, so that a high and a low surrogate so written read
+    as one character, as json.loads reads them; a surrogate written as a
+    character stays alone.
+    """
+    escape = m[0]
+    if len(escape) == 1:  # a quote, a lone backslash or a control character
+        raise ValueError
+    return (
+        escape.replace("\\/", "/").encode().decode("unicode_escape")
+        .encode("utf-16", "surrogatepass").decode("utf-16", "surrogatepass")
+    )
+
+
+def _read_text(token):
+    """The text a literal token starting with a quote stands for, read by
+    the JSON string grammar as json.loads(token) reads it; ValueError when
+    the token is not one such string."""
+    text, quote, rest = token[1:].rpartition('"')
+    if rest.strip(" \t\n\r") or not quote:  # JSON white space may follow
+        raise ValueError
+    if "\\" not in text and '"' not in text and text.isprintable():
+        return text  # nothing to unescape and nothing to refuse
+    # each escape, and each character the text may not hold raw; re compiles
+    # the pattern on first use and keeps it in its cache
+    return re.sub(
+        r'\\(?:u[0-9a-fA-F]{4}(?:\\u[dD][c-fC-F][0-9a-fA-F]{2})?|["\\/bfnrt])'
+        r'|["\\\x00-\x1f]',
+        _unescape,
+        text,
+    )
 
 
 def format_value(value: Value) -> str:
@@ -78,9 +120,7 @@ def format_value(value: Value) -> str:
         return "-"
     if isinstance(value, bool):
         return "true" if value else "false"
-    import json  # only text needs it, and many runs carry none
-
-    return json.dumps(value, ensure_ascii=False).translate(_LINE_BREAKS)
+    return f'"{value.translate(_ESCAPES)}"'
 
 
 def parse_literal(token: str) -> Value:
@@ -90,10 +130,8 @@ def parse_literal(token: str) -> Value:
     if _NUMBER.match(token):
         value = float(token)
     elif token.startswith('"'):
-        import json
-
         try:
-            value = json.loads(token)
+            value = _read_text(token)
         except ValueError:
             raise ValueError(f"bad text literal {token}") from None
     else:
@@ -251,42 +289,43 @@ def trace_renderer(start: Sequence[tuple[str, TokenState]], keep_writes=None):
     reads and writes print as format_pairs prints them. keep_writes, when
     given, receives each line's writes text before the line is returned, so
     that a caller printing it again need not format it twice. The marking
-    column is the post-firing marking of every data node, rebuilt over
-    start from each event's reads (now Old) and writes (New).
+    column is the post-firing marking of every data node. It is held as
+    one bytearray of UTF-8, first written from start, in which each event
+    sets only the codes of its reads (now Old) and writes (New), at byte
+    offsets fixed for the run; it is decoded once a line.
 
-    Each data node has one slot: the value the renderer last printed as
-    written to it, and that text. A read whose value is that very object
-    reuses the text, with no format_value call; any other read, such as an
-    equal value of another type or sign (1.0 after True, -0.0 after 0.0),
-    or a seed, is formatted.
+    Each data node has one slot: the offset of its code in the column, the
+    value the renderer last printed as written to it, and that text. A read
+    whose value is that very object reuses the text, with no format_value
+    call; any other read, such as an equal value of another type or sign
+    (1.0 after True, -0.0 after 0.0), or a seed, is formatted.
     """
-    index = {name: d for d, (name, _) in enumerate(start)}  # data name -> index
-    # each data node's marking cell, and its cell under an Old and a New token
-    cells = [f"{name}:{m.code}" for name, m in start]
-    olds, news = ([f"{name}:{m.code}" for name, _ in start] for m in (OLD, NEW))
-    held = [None] * len(start)  # each node's slot: a value, and name=its text
-    texts = [f"{name}=-" for name, _ in start]
-    join = ",".join
+    column = bytearray()
+    slots = {}  # data name -> [offset of its code in column, value, name=its text]
+    for name, m in start:
+        column += f",{name}:{m.code}".encode()
+        slots[name] = [len(column) - 2, None, f"{name}=-"]  # less the first comma
+    del column[:1]
 
     def render(event):
         step, _, name, reads, wrote = event
         read = write = ""
         for node, value in reads:
-            d = index[node]
-            cells[d] = olds[d]
-            text = texts[d] if value is held[d] else f"{node}={format_value(value)}"
+            slot = slots[node]
+            column[slot[0]] = 79  # O
+            text = slot[2] if value is slot[1] else f"{node}={format_value(value)}"
             read = f"{read},{text}" if read else text
         for node, value in wrote:
-            d = index[node]
-            cells[d] = news[d]
-            held[d] = value
-            texts[d] = text = f"{node}={format_value(value)}"
+            slot = slots[node]
+            column[slot[0]] = 78  # N
+            slot[1] = value
+            slot[2] = text = f"{node}={format_value(value)}"
             write = f"{write},{text}" if write else text
-        if keep_writes is not None:
+        if keep_writes:
             keep_writes(write)
         return (
             f"step={step} op={name} reads={{{read}}} writes={{{write}}}"
-            f" marking={join(cells)}\n"
+            f" marking={column.decode()}\n"
         )
 
     return render

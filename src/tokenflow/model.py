@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from enum import IntEnum
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import FlowError, ProcessError, TypeMismatch, ValidationError
 
@@ -114,19 +115,19 @@ def _same_slots(self, other):
     return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
-class DataNode(NamedTuple):
-    index: int
-    name: str
-    sort: str = "any"
+# The record types are collections.namedtuple classes: a process builds one
+# in a fraction of the time a typing.NamedTuple class takes.
+DataNode = namedtuple("DataNode", "index name sort", defaults=("any",))
+DataNode.__doc__ = """One data node: index (int), its place in declaration order;
+name (str); and sort (str), one of SORTS."""
 
-
-class OperatorSpec(NamedTuple):
-    index: int
-    name: str
-    kind: str
-    inputs: tuple[int, ...]
-    outputs: tuple[int, ...]
-    process_name: str | None = None
+OperatorSpec = namedtuple(
+    "OperatorSpec", "index name kind inputs outputs process_name", defaults=(None,)
+)
+OperatorSpec.__doc__ = """One operator: index (int), its place in declaration and scan
+order; name (str); kind (str), a key of KINDS; inputs and outputs (tuples
+of int), the data indices it reads and writes, in port order; and
+process_name (str or None), the function a process operator runs."""
 
 
 class Composition:
@@ -254,34 +255,29 @@ def _lt(spec, state, registry):
     return spec.inputs, ((spec.outputs[0], x < y),)
 
 
-class Kind(NamedTuple):
-    """One operator kind: its arity, firing rule and effect.
+Kind = namedtuple("Kind", "inputs outputs rule effect takes_process", defaults=(False,))
+Kind.__doc__ = """One operator kind: its arity, firing rule and effect.
 
-    inputs/outputs are arities, None for any count (every operator still
-    needs an output). rule(marking, inputs) decides enablement from the
-    marking of the data indices inputs, in port order, reading the marking
-    in place; can_fire adds that no output may hold a New token.
-    effect(spec, state, registry) returns the data indices the firing
-    consumes and the (output index, value) pairs it writes; fire() makes
-    the consumed inputs Old and the written outputs New.
+inputs/outputs (int or None) are arities, None for any count (every
+operator still needs an output). rule(marking, inputs) decides enablement
+from the marking of the data indices inputs, in port order, reading the
+marking in place; can_fire adds that no output may hold a New token.
+effect(spec, state, registry) returns the data indices the firing consumes
+and the (output index, value) pairs it writes; fire() makes the consumed
+inputs Old and the written outputs New. takes_process (bool) says whether
+an operator of the kind names a process function.
 
-    An effect reads state.values at spec.inputs in place. A kind of fixed
-    arity unpacks them, as many as build_composition lets through; a
-    hand-built operator of another arity may fail with a ValueError, except
-    a sync one without outputs, which writes nothing. Stored numbers are
-    exact floats (coerce_value), so an effect tests type(x) is float first
-    and calls want_numbers only for the error it raises.
-    """
-
-    inputs: int | None
-    outputs: int | None
-    rule: Callable
-    effect: Callable
-    takes_process: bool = False
+An effect reads state.values at spec.inputs in place. A kind of fixed arity
+unpacks them, as many as build_composition lets through. A hand-built
+operator of another arity fails to unpack them, except a sync one without
+outputs, which writes nothing, and fire() reports that as a ValidationError.
+Stored numbers are exact floats (coerce_value), so an effect tests
+type(x) is float first and calls want_numbers only for the error it raises.
+"""
 
 
 KINDS = {  # kind name -> Kind
-    "process": Kind(None, None, _ready, _process, takes_process=True),
+    "process": Kind(None, None, _ready, _process, True),  # takes a process
     "ifelse": Kind(2, 2, _ready, _ifelse),
     "merge": Kind(2, 1, _any_new, _merge),
     "sync": Kind(2, 2, _all_new, _sync),

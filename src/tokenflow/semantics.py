@@ -14,8 +14,9 @@ of both processors, which differ only in which enabled operator they pick.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import namedtuple
 from math import prod
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import FlowError, NotEnabled, ProcessError, TypeMismatch, ValidationError
 from .model import (
@@ -26,7 +27,6 @@ from .model import (
     ExecutionState,
     OperatorSpec,
     TokenState,
-    Value,
     check_sort,
     neighborhood,
     want_numbers,
@@ -112,19 +112,15 @@ def can_fire(
     return KINDS[spec.kind].rule(marking, spec.inputs)
 
 
-class TraceEvent(NamedTuple):
-    """One completed firing.
+TraceEvent = namedtuple("TraceEvent", "step op_index op_name reads writes")
+TraceEvent.__doc__ = """One completed firing: step (int), the state's step it fired at;
+op_index (int) and op_name (str), the operator; and reads and writes.
 
-    reads/writes pair data names with the values the operator consumed and
-    produced. They also give the firing's whole change of marking: each
-    node in reads is now Old, and each node in writes New.
-    """
-
-    step: int
-    op_index: int
-    op_name: str
-    reads: tuple[tuple[str, Value], ...]
-    writes: tuple[tuple[str, Value], ...]
+reads/writes (tuples of (str, Value) pairs) pair data names with the values
+the operator consumed and produced. They also give the firing's whole
+change of marking: each node in reads is now Old, and each node in writes
+New.
+"""
 
 
 class Trace(list):
@@ -171,7 +167,13 @@ def fire(
         state = state.copy()
     data = comp.data
     try:
-        consumed, writes = KINDS[spec.kind].effect(spec, state, registry)
+        try:
+            consumed, writes = KINDS[spec.kind].effect(spec, state, registry)
+        except (ValueError, IndexError):  # ports it cannot unpack; see model.Kind
+            raise ValidationError(
+                f"kind {spec.kind!r} cannot fire with inputs {spec.inputs}"
+                f" and outputs {spec.outputs}"
+            ) from None
         for d, v in writes:
             if v is None:  # only a process function can return no value
                 raise ProcessError(

@@ -30,7 +30,7 @@ from tokenflow import cli
 from tokenflow.cli import CHUNK, COMMANDS, _read, _summary, main
 from tokenflow.dsl import format_pairs, format_value
 from tokenflow.usage import parse_args
-from conftest import FLOWS, marked_states, small_compositions
+from conftest import FLOWS, REPO, marked_states, small_compositions
 
 LOOP = str(FLOWS / "c1_loop.flow")
 BRANCH = str(FLOWS / "c0_ifelse.flow")
@@ -503,11 +503,30 @@ def test_a_run_imports_only_what_it_uses(tmp_path):
     )
 
 
+def test_text_is_read_and_written_without_the_json_module(tmp_path):
+    # A text literal is read and printed by dsl itself: a run of a document
+    # carrying text, escaped or plain, does not load json.
+    if _python("import sys; print('json' in sys.modules)").stdout.split() != ["False"]:
+        pytest.skip("a bare interpreter loads json already")
+    trace = str(tmp_path / "out.trace")
+    for doc in ("edge-json-escapes.flow", "loops-wide.flow"):
+        path = str(REPO / "tests" / "golden" / "docs" / doc)
+        for argv in (["run", path, "--trace", trace], ["simulate", path]):
+            script = (
+                "import contextlib, io, sys\n"
+                "from tokenflow import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert cli.main({argv!r}) == 0\n"
+                "print('json' in sys.modules)\n"
+            )
+            assert _python(script).stdout.split() == ["False"], argv
+
+
 # AST nodes of the tokenflow modules a command loads. Every CLI process
 # compiles them from source when no bytecode is cached, so this bounds the
 # fixed cost of each run. A budget only goes down: lower it when a change
 # shrinks the path, and never raise it.
-RUN_PATH_BUDGETS = {"run": 8_098, "simulate": 8_722}
+RUN_PATH_BUDGETS = {"run": 8_098, "simulate": 8_716}
 
 
 def test_the_run_path_stays_within_its_budget():

@@ -13,6 +13,7 @@ from tokenflow import (
     CompositionDocument,
     FlowError,
     ParseError,
+    RunLimits,
     TokenState,
     ValidationError,
     build_composition,
@@ -23,6 +24,7 @@ from tokenflow import (
     parse_composition,
     run_to_convergence,
     serialize_trace,
+    simulate_concurrent,
 )
 from tokenflow import dsl, model
 from tokenflow.dsl import _CODE, format_pairs, trace_renderer
@@ -80,6 +82,124 @@ def test_format_value():
     comp = build_composition([("t", "text")], [])
     state = initial_state(comp, {0: N}, {0: text})
     assert parse_composition(emit_composition(comp, state))[1] == state
+
+
+# Text literals are JSON strings, read and written without the json module;
+# json, imported here only, is the oracle. Characters are drawn from every
+# code point, lone surrogates included, and from those JSON escapes.
+_JSON_LINE_BREAKS = str.maketrans({c: f"\\u{ord(c):04x}" for c in "\x85\u2028\u2029"})
+_TEXT_CHARS = st.characters(exclude_categories=()) | st.sampled_from(
+    '"\\/\b\f\n\r\t\x00\x1f\x7f\x85\xa0\u2028\u2029\ufeffé😀'
+)
+# Pieces of a literal's body: escapes JSON has and ones it has not, with
+# surrogate pairs that are and are not whole, and characters it refuses raw.
+_ESCAPE_PIECES = st.sampled_from([
+    '\\"', "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t", "\\u00e9", "\\u00C9",
+    "\\ud83d", "\\ude00", "\\uD83D", "\\uDE00", "\\udbff", "\\udfff", "\\u0000",
+    "\\u001f", "\\u2028", "\\ufeff", "\\x", "\\u12", "\\uZZZZ", "\\U0041", "\\", '"',
+    "\t", "\x00", "\x7f", "\ud83d", "\ude00", "a", " ", "é", "😀",
+])
+
+
+def _json_literal(token):
+    """What parse_literal makes of a quoted token, as json reads it."""
+    try:
+        value = json.loads(token)
+    except ValueError:
+        return ValueError, f"bad text literal {token}"
+    try:
+        return coerce_value(value)
+    except TypeMismatch as exc:
+        return ValueError, str(exc)
+
+
+def _literal(token):
+    try:
+        return dsl.parse_literal(token)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@settings(max_examples=500)
+@given(text=st.text(_TEXT_CHARS))
+@example(text="".join(map(chr, range(0x21))) + '"\\\x7f\x85\u2028\u2029')
+def test_text_prints_as_json_writes_it_with_every_line_break_escaped(text):
+    want = json.dumps(text, ensure_ascii=False).translate(_JSON_LINE_BREAKS)
+    assert format_value(text) == want
+
+
+@settings(max_examples=500)
+@given(
+    text=st.text(_TEXT_CHARS),
+    pieces=st.lists(_ESCAPE_PIECES | _TEXT_CHARS, max_size=8),
+    open_end=st.booleans(),
+)
+@example(text="", pieces=["\\ud83d", "\\ude00"], open_end=False)
+@example(text="", pieces=["\\ud83d", "\ude00"], open_end=False)
+@example(text="", pieces=["\ud83d", "\\ude00"], open_end=False)
+@example(text="", pieces=["\\ud83d", "\\u0041"], open_end=False)
+@example(text="", pieces=["\\"], open_end=False)
+@example(text="", pieces=[], open_end=True)
+def test_a_text_literal_reads_as_json_reads_it(text, pieces, open_end):
+    # Quoted and escaped forms of drawn text, and bodies made of pieces,
+    # each with and without its closing quote; parse_literal must give the
+    # value json.loads and coerce_value give, or the same error.
+    body = "".join(pieces)
+    for token in (
+        json.dumps(text),
+        json.dumps(text, ensure_ascii=False),
+        f'"{text}"',
+        f'"{body}"',
+        f'"{body}' if open_end else f'"{text}{body}"',
+    ):
+        assert _literal(token) == _json_literal(token), token
+
+
+# The marking column as a join of every node's cell, rebuilt for each line:
+# what trace_renderer's column updated in place must print.
+def _joined_lines(trace):
+    marking = dict(trace.start)
+    pairs = lambda items: ",".join(f"{n}={format_value(v)}" for n, v in items)
+    for event in trace:
+        marking.update((node, O) for node, _ in event.reads)
+        marking.update((node, N) for node, _ in event.writes)
+        cells = ",".join(f"{name}:{m.code}" for name, m in marking.items())
+        yield (
+            f"step={event.step} op={event.op_name} reads={{{pairs(event.reads)}}}"
+            f" writes={{{pairs(event.writes)}}} marking={cells}\n"
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_trace_lines_equal_a_renderer_that_joins_every_cell(data):
+    # Data names of one to four UTF-8 bytes a letter, so that the byte
+    # offsets of the column differ from the character offsets.
+    comp = data.draw(small_compositions(max_data=8, max_ops=6))
+    prefix = data.draw(st.lists(st.sampled_from(["d", "é", "名", "𝔡"]), max_size=3))
+    name = {n.name: "d" + "".join(prefix) + n.name for n in comp.data}
+    comp = build_composition(
+        [(name[n.name], n.sort) for n in comp.data],
+        [
+            (op.name, op.kind, *(tuple(name[comp.data[i].name] for i in ports)
+             for ports in (op.inputs, op.outputs)), op.process_name)
+            for op in comp.operators
+        ],
+    )
+    state = data.draw(marked_states(comp, with_text=True))
+    registry, limits = default_registry(), RunLimits(40)
+    for processor in (
+        lambda: run_to_convergence(comp, state, registry, limits),
+        lambda: simulate_concurrent(comp, state, registry, None, limits)[0],
+    ):
+        try:
+            trace = processor().trace
+        except FlowError as exc:  # a firing failed: the lines up to it
+            trace = exc.result.trace
+        kept = []
+        render = trace_renderer(trace.start, kept.append)
+        assert [render(event) for event in trace] == list(_joined_lines(trace))
+        assert kept == [format_pairs(event.writes) for event in trace]
 
 
 # ----------------------------------------------------------------- parsing

@@ -1,4 +1,6 @@
 """Firing predicates, value rules, and the atomic fire transition."""
+import re
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -28,6 +30,7 @@ from tokenflow import (
 from tokenflow import concurrent, semantics, sequential
 from tokenflow.concurrent import startable_set
 from tokenflow.sequential import enabled_set, select_next
+from tokenflow.model import Composition, DataNode, OperatorSpec
 from tokenflow.semantics import Run
 from conftest import (
     N, O, V, branch_structure, marked_states, run_of, small_compositions, state_of,
@@ -143,6 +146,35 @@ def test_apply_user_process_checks_output_arity():
         match="^operator 'op' at step 0: no process registered under 'nope'$",
     ):
         _fire_lone("process", (N,), (1.0,), process="nope")
+
+
+@pytest.mark.parametrize(
+    "op, values",
+    [
+        (OperatorSpec(0, "s", "sync", (0, 1), (2,)), (1.0, 2.0)),  # one output short
+        (OperatorSpec(0, "l", "lt", (0,), (2,)), (1.0, 2.0)),  # one input short
+        (OperatorSpec(0, "i", "ifelse", (0, 1), (2,)), (1.0, False)),  # no else output
+    ],
+)
+def test_a_hand_built_operator_of_an_arity_its_kind_has_not_fails_as_a_flow_error(
+    op, values
+):
+    # Only build_composition checks arities; a firing of an operator built
+    # by hand names it and the step, and changes nothing, also in a run.
+    data = tuple(DataNode(i, f"d{i}") for i in range(3))
+    comp = Composition(data, (op,))
+    state = initial_state(comp, {0: N, 1: N}, dict(enumerate(values)))
+    message = (
+        f"^operator '{op.name}' at step 0: kind '{op.kind}' cannot fire with inputs"
+        rf" {re.escape(str(op.inputs))} and outputs \(2,\)$"
+    )
+    with pytest.raises(ValidationError, match=message):
+        fire(comp, 0, state, default_registry())
+    run = Run(comp, state, default_registry(), RunLimits())
+    with pytest.raises(ValidationError, match=message) as exc:
+        run.commit(0)
+    assert exc.value.result.final_state == state
+    assert exc.value.result.steps_taken == 0
 
 
 # --------------------------------------------------------------- predicate
