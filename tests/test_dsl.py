@@ -155,18 +155,21 @@ def test_a_text_literal_reads_as_json_reads_it(text, pieces, open_end):
         assert _literal(token) == _json_literal(token), token
 
 
+def _joined(pairs):
+    return ",".join(f"{name}={format_value(value)}" for name, value in pairs)
+
+
 # The marking column as a join of every node's cell, rebuilt for each line:
 # what trace_renderer's column updated in place must print.
 def _joined_lines(trace):
     marking = dict(trace.start)
-    pairs = lambda items: ",".join(f"{n}={format_value(v)}" for n, v in items)
     for event in trace:
         marking.update((node, O) for node, _ in event.reads)
         marking.update((node, N) for node, _ in event.writes)
         cells = ",".join(f"{name}:{m.code}" for name, m in marking.items())
         yield (
-            f"step={event.step} op={event.op_name} reads={{{pairs(event.reads)}}}"
-            f" writes={{{pairs(event.writes)}}} marking={cells}\n"
+            f"step={event.step} op={event.op_name} reads={{{_joined(event.reads)}}}"
+            f" writes={{{_joined(event.writes)}}} marking={cells}\n"
         )
 
 
@@ -176,13 +179,15 @@ def test_trace_lines_equal_a_renderer_that_joins_every_cell(data):
     # Data names of one to four UTF-8 bytes a letter, so that the byte
     # offsets of the column differ from the character offsets.
     comp = data.draw(small_compositions(max_data=8, max_ops=6))
-    prefix = data.draw(st.lists(st.sampled_from(["d", "é", "名", "𝔡"]), max_size=3))
-    name = {n.name: "d" + "".join(prefix) + n.name for n in comp.data}
+    prefix = "".join(data.draw(st.lists(st.sampled_from(["d", "é", "名", "𝔡"]), max_size=3)))
+    names = [f"d{prefix}{n.name}" for n in comp.data]
     comp = build_composition(
-        [(name[n.name], n.sort) for n in comp.data],
+        [(name, n.sort) for name, n in zip(names, comp.data)],
         [
-            (op.name, op.kind, *(tuple(name[comp.data[i].name] for i in ports)
-             for ports in (op.inputs, op.outputs)), op.process_name)
+            (
+                op.name, op.kind, tuple(names[i] for i in op.inputs),
+                tuple(names[i] for i in op.outputs), op.process_name,
+            )
             for op in comp.operators
         ],
     )
