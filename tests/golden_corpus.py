@@ -151,6 +151,31 @@ EDGES: dict[str, str] = {
     ),
 }
 
+# Documents on which run and simulate end differently: a reachable marking
+# enables two operators that share a data node, so the scan and the start
+# pass may pick different ones. Two writers of one node, re-enabled at one
+# instant; two readers of one node; and a merge whose inputs arrive at one
+# instant under simulate, since pb takes 2, and one after the other under
+# run, so that each processor forwards a different one.
+DIVERGING: dict[str, str] = {
+    "diverge-two-writers.flow": (
+        "data d0\ndata d1\n"
+        "op op0 incr () -> (d0)\nop op1 process:add (d0) -> (d1)\n"
+        "op op2 incr () -> (d0)\n"
+    ),
+    "diverge-two-readers.flow": (
+        "data d0\ndata d1\ndata d2\n"
+        "op op0 merge (d0, d1) -> (d2)\nop op1 incr () -> (d0)\n"
+        "op op2 merge (d0, d2) -> (d1)\n"
+    ),
+    "diverge-merge-race.flow": (
+        "data s1\ndata s2\ndata t\ndata a\ndata b\ndata c\n"
+        "op pb process:identity (s2) -> (b)\nop m merge (a, b) -> (c)\n"
+        "op pt process:identity (s1) -> (t)\nop pa process:identity (t) -> (a)\n"
+        "init s1 = 1\ninit s2 = 2\ndur pb = 2\n"
+    ),
+}
+
 # Text literals the reader refuses: an escape JSON does not have, a \u with
 # fewer than four hex digits, a raw tab, and halves of a surrogate pair that
 # do not make one ("\ud800" alone is read-lone-surrogate above).
@@ -184,7 +209,7 @@ def write_documents() -> None:
         old.unlink()
     gen = _gen()
     docs = {f"{w}.flow": gen.make(w, WORKLOAD_SEED).text for w in WORKLOADS}
-    for name, text in {**FAULTY, **FAULTY_TEXT, **FAILING, **EDGES, **docs}.items():
+    for name, text in {**FAULTY, **FAULTY_TEXT, **FAILING, **EDGES, **DIVERGING, **docs}.items():
         data = text if isinstance(text, bytes) else text.encode("utf-8")
         (DOCS / name).write_bytes(data)
 
@@ -227,6 +252,9 @@ def cases() -> dict[str, list[str]]:
         for label in ("run-trace-file", "simulate", "validate"):
             command, *options = commands[label]
             out[f"{label} {_doc(name)}"] = [command, _doc(name), *options]
+    for name in DIVERGING:
+        for command in ("run", "simulate"):
+            out[f"{command} {_doc(name)}"] = [command, _doc(name)]
     branch, loop = "flows/c0_ifelse.flow", "flows/c1_loop.flow"
     overrides = [
         ("run", branch, "d0=false"),
