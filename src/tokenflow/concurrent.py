@@ -1,7 +1,6 @@
 """Concurrent processor: discrete-event simulation over virtual time.
 
-Operators may overlap only when the sets of data they touch are disjoint, so
-every run observes the same per-node value sequences as a sequential one.
+Operators may overlap only when the sets of data they touch are disjoint.
 An operator reads its inputs when it starts and commits its writes atomically
 when it ends; since nobody may touch its neighborhood in between, committing
 against the current state is equivalent to using the start-time snapshot
@@ -9,18 +8,28 @@ against the current state is equivalent to using the start-time snapshot
 completion, keep starting the enabled operator that has waited longest
 (ties to the lowest declaration index) until nothing else fits.
 
+A run ends in the state a sequential one ends in, with the same value
+sequence on each node, when no reachable marking enables two operators
+that share a data node: enabled operators then commute and cannot disable
+one another, so both processors fire reorderings of the same firings.
+Where such a marking is reachable, the start pass and the sequential scan
+may choose differently, as in the golden corpus's three diverge-*.flow
+documents: two writers of one node, two readers of one node, and a merge
+whose inputs arrive at one instant.
+
 A run is a semantics.Run: it owns a copy of the initial state and commits
 each completion to it through Run.commit, as the sequential processor does,
 so only the selection differs. Completions wait in a heap ordered by (end
-time, declaration index). Run.commit re-tests only the operators its
-run.affects lists for the committed one, and the wait times of exactly
-those are brought up to date once all commits of the instant are in. The
-data of the running operators is kept in one busy set, grown when an
-operator starts and shrunk when it completes. A start pass is one sweep, in
-(wait time, index) order, over the startable_set of the run (the enabled
-operators that are not running), starting each one that touches no busy
-data. Each commit is recorded once, as a ScheduleEntry: its interval in
-virtual time and its firing's event, which names the operator.
+time, declaration index). Run.commit keeps run.order, the enabled
+operators, current, and each start pass rebuilds the wait times from it:
+an operator enabled at the previous pass keeps its time, and any other
+takes the clock. The data of the running operators is kept in one busy
+set, grown when an operator starts and shrunk when it completes. A start
+pass is one sweep, in (wait time, index) order, over the startable_set of
+the run (the enabled operators that are not running), starting each one
+that touches no busy data. Each commit is recorded once, as a
+ScheduleEntry: its interval in virtual time and its firing's event, which
+names the operator.
 """
 from __future__ import annotations
 
@@ -93,8 +102,7 @@ def simulate_concurrent(
     schedule = []
     emit = schedule.append if on_commit is None else on_commit
     run = Run(comp, initial, registry, limits, None if on_commit is None else discard)
-    values, enabled, commit = run.state.values, run.enabled, run.commit
-    hoods, affects = run.hoods, run.affects
+    values, commit, hoods = run.state.values, run.commit, run.hoods
     # inputs[i](values): the values of operator i's inputs, to compare at its
     # end; len, which gives the same for any state of one run, if it has none
     inputs = [itemgetter(*op.inputs) if op.inputs else len for op in comp.operators]
@@ -105,14 +113,9 @@ def simulate_concurrent(
     running = {}
     completions = []  # heap of (end time, op index)
     busy = set()  # the data of the running operators
-    waited = dict.fromkeys(run.order, 0.0)
-    touched = []  # operators the last instant's commits may affect
+    waited = {}  # enabled op index -> the time it has been enabled since
     while True:
-        for idx in touched:
-            if idx in enabled:
-                waited.setdefault(idx, clock)
-            else:
-                waited.pop(idx, None)
+        waited = {idx: waited.get(idx, clock) for idx in run.order}
         for idx in startable_set(run, running, waited):
             hood = hoods[idx]
             if hood.isdisjoint(busy):
@@ -122,7 +125,6 @@ def simulate_concurrent(
         if not completions:  # so nothing is running either
             return run.result(), schedule
         clock = completions[0][0]
-        touched = []
         while completions and completions[0][0] == clock:
             idx = pop(completions)[1]
             started, snapshot = running.pop(idx)
@@ -133,7 +135,6 @@ def simulate_concurrent(
                     f" moved mid-flight at time {clock}"
                 )
             event = commit(idx)
-            touched += affects[idx]
             emit(new(ScheduleEntry, (started, clock, event)))
             if run.state.step >= run.stop_step:
                 # An operator in flight is still enabled, since nothing has
