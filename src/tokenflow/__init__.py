@@ -3,7 +3,9 @@
 Compositions wire operators to data nodes; tokens on the nodes gate which
 operators may fire. A sequential processor fires one operator per step with
 a rotating scan; a concurrent processor overlaps operators with disjoint
-neighborhoods over virtual time. Both produce identical final states.
+neighborhoods over virtual time. Both end in the same state when no
+reachable marking enables two operators that share a data node; the golden
+corpus's diverge-*.flow documents are three where they do not.
 
 The names of the processors, their firing semantics, the patterns and the
 document writer load on first use, so a command loads only what it uses.
@@ -43,9 +45,7 @@ _LAZY = {
     "sequential": ("run_to_convergence", "step"),
     "concurrent": ("ScheduleEntry", "schedule_tsv", "simulate_concurrent"),
     "emit": ("emit_composition",),
-    "patterns": (
-        "PatternInstance", "build_ifelse_pattern", "build_loop_pattern", "const",
-    ),
+    "patterns": ("build_ifelse_pattern", "build_loop_pattern"),
 }
 
 
@@ -65,7 +65,6 @@ __all__ = [
     "FlowError",
     "NotEnabled",
     "ParseError",
-    "PatternInstance",
     "ProcessError",
     "ProcessRegistry",
     "RunLimits",
@@ -80,7 +79,6 @@ __all__ = [
     "build_ifelse_pattern",
     "build_loop_pattern",
     "can_fire",
-    "const",
     "default_registry",
     "emit_composition",
     "fire",

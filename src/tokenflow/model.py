@@ -116,7 +116,7 @@ def _same_slots(self, other):
 
 
 # The record types are collections.namedtuple classes: a process builds one
-# in a fraction of the time a typing.NamedTuple class takes.
+# in a fraction of the time a named tuple class from typing takes.
 DataNode = namedtuple("DataNode", "index name sort", defaults=("any",))
 DataNode.__doc__ = """One data node: index (int), its place in declaration order;
 name (str); and sort (str), one of SORTS."""

@@ -1,30 +1,14 @@
-"""Canonical composition patterns: branch-and-merge and the counted loop.
-
-Also const, a factory of process functions that emit a fixed value.
-"""
+"""Canonical composition patterns: branch-and-merge and the counted loop."""
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
-from .model import Composition, Value, build_composition, coerce_value
-from .semantics import ProcessFn, ProcessRegistry
+from .model import build_composition
+from .semantics import ProcessRegistry
 
-
-class PatternInstance(NamedTuple):
-    """A built pattern plus the data indices that matter to callers."""
-
-    composition: Composition
-    role_map: dict[str, int]
-
-
-def const(value: Value) -> ProcessFn:
-    """Process factory: ignore the inputs and emit a fixed value."""
-    value = coerce_value(value)
-
-    def fn(values, count):
-        return [value]
-
-    return fn
+PatternInstance = namedtuple("PatternInstance", "composition role_map")
+PatternInstance.__doc__ = """A built pattern (a Composition) plus role_map, the data
+indices that matter to callers, by role name."""
 
 
 def _check_registered(registry: ProcessRegistry | None, *names: str) -> None:

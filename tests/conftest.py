@@ -18,7 +18,6 @@ from tokenflow import (  # noqa: E402
     Composition,
     ExecutionState,
     ParseError,
-    PatternInstance,
     RunLimits,
     RunResult,
     TokenState,
@@ -34,6 +33,7 @@ from tokenflow import (  # noqa: E402
     run_to_convergence,
 )
 from tokenflow.model import KINDS  # noqa: E402
+from tokenflow.patterns import PatternInstance  # noqa: E402
 from tokenflow.semantics import Run  # noqa: E402
 
 REPO = Path(__file__).resolve().parent.parent

@@ -17,7 +17,6 @@ from tokenflow import (
     build_composition,
     build_loop_pattern,
     can_fire,
-    const,
     default_registry,
     emit_composition,
     fire,
@@ -124,12 +123,6 @@ def test_each_effect_writes_or_names_its_operands(kind, process, n_out, values, 
         _fire_lone(kind, marks, values, n_out, process)
     assert type(exc.value) is error
     assert str(exc.value) == f"operator 'op' at step 0: {message}"
-
-
-def test_const_factory():
-    fn = const(7)
-    assert fn([1.0, 2.0], 9) == [7.0]
-    assert const("done")([], 0) == ["done"]
 
 
 def test_apply_user_process_checks_output_arity():
