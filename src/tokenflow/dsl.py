@@ -35,7 +35,7 @@ from .model import (
 )
 # The grammar of a number literal, composed into the readers below.
 _NUM = r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_NUMBER = re.compile(_NUM + "$")
+_NUMBER = re.compile(_NUM + r"\Z")  # the whole token, no final line break
 # A double-quoted text literal with backslash escapes. Group "end" holds its
 # closing quote and is empty for a literal left open, which runs to the end
 # of the line.
@@ -124,7 +124,11 @@ def format_value(value: Value) -> str:
 
 
 def parse_literal(token: str) -> Value:
-    """The value of one literal; ValueError when the token is none."""
+    """The value of one literal; ValueError when the token is none.
+
+    A boolean or a number is exactly its token. Text follows JSON, which
+    allows white space after the closing quote.
+    """
     if token in ("true", "false"):
         return token == "true"
     if _NUMBER.match(token):

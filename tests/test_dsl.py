@@ -251,6 +251,15 @@ def test_parse_literal_forms():
     assert doc.inits["q"] == ('"#', False, 12)
 
 
+def test_a_number_or_a_boolean_literal_is_exactly_its_token():
+    # white space around the token is refused, a final line break included
+    for token in ("5\n", "5 ", " 5", "-1.5e3\n", "true\n", "false "):
+        with pytest.raises(ValueError, match="^bad literal "):
+            dsl.parse_literal(token)
+    # text follows JSON: white space may follow its closing quote
+    assert dsl.parse_literal('"a" \n') == "a"
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as exc:
         CompositionDocument.parse("data a\n\ninit a =\n")
