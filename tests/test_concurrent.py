@@ -1,7 +1,14 @@
 """Concurrent processor: exclusion, greedy starts, sequential equivalence."""
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+import reference
 
 from tokenflow import (
+    FlowError,
     RunLimits,
     ValidationError,
     build_loop_pattern,
@@ -19,12 +26,16 @@ from tokenflow.dsl import format_value
 from tokenflow.semantics import TraceEvent
 from conftest import (
     FLOWS,
+    REPO,
     N,
+    O,
     branch_state,
     branch_structure,
     build_ifelse_pattern,
     loop_state,
+    marked_states,
     run_of,
+    small_compositions,
     state_of,
 )
 
@@ -136,6 +147,93 @@ def test_concurrent_matches_sequential_final_state():
         )
         assert conc.final_state.values == seq.final_state.values
         assert conc.final_state.marking == seq.final_state.marking
+
+
+def _outcomes(op, marking):
+    """The markings one firing of op may leave, whatever the values.
+
+    A merge consumes its New input, input 0 on a tie, and any other kind
+    all its inputs; an if/else writes either one of its outputs, and any
+    other kind all of them.
+    """
+    consumed = op.inputs
+    if op.kind == "merge":
+        consumed = (op.inputs[0] if marking[op.inputs[0]] == N else op.inputs[1],)
+    writes = [(out,) for out in op.outputs] if op.kind == "ifelse" else [op.outputs]
+    for written in writes:
+        after = list(marking)
+        for d in consumed:
+            after[d] = O
+        for d in written:
+            after[d] = N
+        yield tuple(after)
+
+
+# The most markings one search visits, which keeps it fast; a drawn
+# composition of at most 6 data nodes has at most 3**6 = 729.
+SEARCH_LIMIT = 1_000
+
+
+def find_shared_enabling(comp, marking):
+    """Search the markings reachable from marking, values left out, for one
+    that enables two operators sharing a data node.
+
+    Enablement is reference.py's. Returns that marking, or None, and the
+    number of markings visited. A None after SEARCH_LIMIT of them decides
+    nothing.
+    """
+    hoods = [set(op.inputs) | set(op.outputs) for op in comp.operators]
+    seen = {tuple(marking)}
+    todo = [tuple(marking)]
+    while todo and len(seen) < SEARCH_LIMIT:
+        marking = todo.pop()
+        enabled = [op for op in comp.operators if reference.can_fire(comp, op, marking)]
+        if any(hoods[a.index] & hoods[b.index] for a, b in combinations(enabled, 2)):
+            return marking, len(seen)
+        for op in enabled:
+            for after in _outcomes(op, marking):
+                if after not in seen:
+                    seen.add(after)
+                    todo.append(after)
+    return None, len(seen)
+
+
+def test_the_search_finds_a_shared_enabling_in_each_diverging_document():
+    # The golden corpus's documents on which run and simulate end
+    # differently each reach such a marking; the two flows reach none, in
+    # 7 and 40 markings.
+    for path in sorted((REPO / "tests" / "golden" / "docs").glob("diverge-*.flow")):
+        comp, state, _ = parse_composition(path.read_text(encoding="utf-8"))
+        assert find_shared_enabling(comp, state.marking)[0] is not None, path.name
+    for name, count in (("c0_ifelse.flow", 7), ("c1_loop.flow", 40)):
+        comp, state, _ = parse_composition((FLOWS / name).read_text(encoding="utf-8"))
+        assert find_shared_enabling(comp, state.marking) == (None, count), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_composition_without_shared_enablings_ends_as_sequential(data):
+    # When no reachable marking enables two operators that share a data
+    # node, enabled operators commute, so every converged run of either
+    # processor ends in one state, whatever the durations.
+    comp = data.draw(small_compositions())
+    state = data.draw(marked_states(comp))
+    found, visited = find_shared_enabling(comp, state.marking)
+    if found is not None or visited >= SEARCH_LIMIT:
+        return
+    durations = {
+        op.index: data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]))
+        for op in comp.operators
+    }
+    registry, limits = default_registry(), RunLimits(200)
+    try:
+        seq = run_to_convergence(comp, state, registry, limits)
+        conc, _ = simulate_concurrent(comp, state, registry, durations, limits)
+    except FlowError:
+        return
+    if seq.converged and conc.converged:
+        for field in ("values", "marking", "exec_counts"):
+            assert getattr(conc.final_state, field) == getattr(seq.final_state, field)
 
 
 def test_non_unit_durations_still_converge():
