@@ -134,24 +134,20 @@ class Composition:
     """Data nodes and operators, each in declaration order: data is a tuple
     of DataNode, and operators a tuple of OperatorSpec.
 
-    Two compositions are equal when their declarations are.
+    Only build_composition makes one, so every operator in it has passed
+    its checks; Composition(...) raises TypeError. Two compositions are
+    equal when their declarations are.
     """
 
     __slots__ = ("data", "operators", "_data_by_name", "_operator_by_name")
 
-    def __init__(self, data, operators):
-        self.data = data
-        self.operators = operators
-        self._data_by_name = {node.name: node for node in data}
-        self._operator_by_name = {op.name: op for op in operators}
-
     __eq__ = _same_slots
 
     def data_named(self, name: str) -> DataNode:
-        node = self._data_by_name.get(name)
-        if node is None:
+        index = self._data_by_name.get(name)  # data name -> index
+        if index is None:
             raise ValidationError(f"no data node named {name!r}")
-        return node
+        return self.data[index]
 
     def operator_named(self, name: str) -> OperatorSpec:
         op = self._operator_by_name.get(name)
@@ -237,8 +233,6 @@ def _merge(spec, state, registry):
 
 def _sync(spec, state, registry):
     """Input i goes to output i."""
-    if not spec.outputs:  # only a hand-built operator writes nothing
-        return spec.inputs, ()
     (a, b), (x, y), values = spec.inputs, spec.outputs, state.values
     return spec.inputs, ((x, values[a]), (y, values[b]))
 
@@ -268,11 +262,9 @@ inputs Old and the written outputs New. takes_process (bool) says whether
 an operator of the kind names a process function.
 
 An effect reads state.values at spec.inputs in place. A kind of fixed arity
-unpacks them, as many as build_composition lets through. A hand-built
-operator of another arity fails to unpack them, except a sync one without
-outputs, which writes nothing, and fire() reports that as a ValidationError.
-Stored numbers are exact floats (coerce_value), so an effect tests
-type(x) is float first and calls want_numbers only for the error it raises.
+unpacks its ports, as many as build_composition lets through. Stored
+numbers are exact floats (coerce_value), so an effect tests type(x) is
+float first and calls want_numbers only for the error it raises.
 """
 
 
@@ -351,8 +343,7 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
         # DataNode(...) without the frame of its __new__
         nodes.append(tuple.__new__(DataNode, (index, name, sort)))
 
-    ops = []
-    op_names = set()
+    op_by_name = {}  # operator name -> OperatorSpec, in declaration order
     for index, decl in enumerate(op_decls):
         try:
             name, kind, in_names, out_names, process_name = (
@@ -365,9 +356,8 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
             ) from None
         if not _is_name(name):
             raise ValidationError(f"bad operator name {name!r}")
-        if name in op_names:
+        if name in op_by_name:
             raise ValidationError(f"operator name {name!r} declared twice")
-        op_names.add(name)
         entry = KINDS.get(kind) if isinstance(kind, str) else None
         if entry is None:
             raise ValidationError(f"operator {name!r}: unknown kind {kind!r}")
@@ -399,11 +389,14 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
             raise ValidationError(
                 f"operator {name!r} reads and writes the same data: {names}"
             )
-        ops.append(tuple.__new__(  # OperatorSpec(...) without the frame of its __new__
+        op_by_name[name] = tuple.__new__(  # OperatorSpec(...) without the frame of its __new__
             OperatorSpec, (index, name, kind, inputs, outputs, process_name)
-        ))
+        )
 
-    return Composition(tuple(nodes), tuple(ops))
+    comp = object.__new__(Composition)  # Composition has no __init__
+    comp.data, comp.operators = tuple(nodes), tuple(op_by_name.values())
+    comp._data_by_name, comp._operator_by_name = by_name, op_by_name
+    return comp
 
 
 def check_duration(op_name: str, d, text: str | None = None) -> float:
@@ -423,9 +416,10 @@ def check_duration(op_name: str, d, text: str | None = None) -> float:
     return x
 
 
-def neighborhood(comp: Composition, op: OperatorSpec | int) -> frozenset[int]:
-    """All data indices an operator touches: inputs plus outputs."""
-    spec = comp.operators[op] if isinstance(op, int) else op
+def neighborhood(comp: Composition, op: int) -> frozenset[int]:
+    """All data indices operator op, an index into comp.operators, touches:
+    inputs plus outputs."""
+    spec = comp.operators[op]
     return frozenset(spec.inputs + spec.outputs)
 
 

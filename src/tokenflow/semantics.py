@@ -25,7 +25,6 @@ from .model import (
     OLD,
     Composition,
     ExecutionState,
-    OperatorSpec,
     TokenState,
     check_sort,
     neighborhood,
@@ -96,16 +95,15 @@ def default_registry() -> ProcessRegistry:
     )
 
 
-def can_fire(
-    comp: Composition, op: OperatorSpec | int, marking: Sequence[TokenState]
-) -> bool:
-    """Enablement predicate for one operator under a marking.
+def can_fire(comp: Composition, op: int, marking: Sequence[TokenState]) -> bool:
+    """Enablement predicate for operator op, an index into comp.operators,
+    under a marking.
 
     marking is indexed by data index, as ExecutionState.marking is. No
     output may hold a New token, and the kind's rule must accept the input
     markings, which it reads in place.
     """
-    spec = comp.operators[op] if isinstance(op, int) else op
+    spec = comp.operators[op]
     for d in spec.outputs:
         if marking[d] == NEW:
             return False
@@ -135,45 +133,50 @@ class Trace(list):
         self.start = tuple(zip([n.name for n in comp.data], initial.marking))
 
 
+def _operator(comp: Composition, op: int):
+    """comp.operators[op], for an op that is an int naming an operator; any
+    other op, a negative index, a bool or an OperatorSpec too, is a
+    ValidationError."""
+    if not (type(op) is int and 0 <= op < len(comp.operators)):  # nor a bool
+        raise ValidationError(f"no operator with index {op!r}")
+    return comp.operators[op]
+
+
 def fire(
     comp: Composition,
-    op: OperatorSpec | int,
+    op: int,
     state: ExecutionState,
     registry: ProcessRegistry,
     owned: bool = False,
 ) -> tuple[ExecutionState, TraceEvent]:
-    """Fire one enabled operator. Returns the state it fired on and the event.
+    """Fire enabled operator op, an index into comp.operators. Returns the
+    state it fired on and the event.
 
     Consumed inputs become Old and written outputs New; the event's reads
     are the consumed inputs, with their values before the firing. The
     effect and the checks of its writes run before anything is written, so
     an error leaves the state untouched; any FlowError they raise is
     prefixed with the operator and the step. The effect reads the input
-    values from the state as they stand (see model.Kind). Each write must be a value,
-    not None, which only a process function can return (a ProcessError
-    naming the process and the data node), and of its output's sort.
+    values from the state as they stand. Each write must be a value, not
+    None, which only a process function can return (a ProcessError naming
+    the process and the data node), and of its output's sort.
 
-    Called as fire(comp, op, state, registry), it checks that op is enabled
+    Called as fire(comp, op, state, registry), it checks that op is an int
+    naming an operator (a ValidationError if not) and that it is enabled,
     and commits the firing to a copy: the state passed in never changes. A
     Run, for an operator it holds as enabled, passes owned=True with the
     state it owns. The firing is then committed to that state in place, in
     work bounded by the operator's neighbourhood, with no second check and
     no copy. The same code below makes every firing, in a run or not.
     """
-    spec = comp.operators[op] if isinstance(op, int) else op
     if not owned:
-        if not can_fire(comp, spec, state.marking):
-            raise NotEnabled(f"operator {spec.name!r} is not enabled")
+        name = _operator(comp, op).name
+        if not can_fire(comp, op, state.marking):
+            raise NotEnabled(f"operator {name!r} is not enabled")
         state = state.copy()
-    data = comp.data
+    spec, data = comp.operators[op], comp.data
     try:
-        try:
-            consumed, writes = KINDS[spec.kind].effect(spec, state, registry)
-        except (ValueError, IndexError):  # ports it cannot unpack; see model.Kind
-            raise ValidationError(
-                f"kind {spec.kind!r} cannot fire with inputs {spec.inputs}"
-                f" and outputs {spec.outputs}"
-            ) from None
+        consumed, writes = KINDS[spec.kind].effect(spec, state, registry)
         for d, v in writes:
             if v is None:  # only a process function can return no value
                 raise ProcessError(
@@ -243,9 +246,7 @@ def discard(event) -> None:
 
 def enabled_set(comp: Composition, state: ExecutionState) -> list[int]:
     """Indices of every enabled operator, in declaration order."""
-    return [
-        op.index for op in comp.operators if can_fire(comp, op, state.marking)
-    ]
+    return [i for i in range(len(comp.operators)) if can_fire(comp, i, state.marking)]
 
 
 class Run:
@@ -274,7 +275,7 @@ class Run:
         self.state = initial.copy()
         self.trace = Trace(comp, initial) if on_commit is None else []
         self.on_commit = self.trace.append if on_commit is None else on_commit
-        self.hoods = hoods = [neighborhood(comp, op) for op in comp.operators]
+        self.hoods = hoods = [neighborhood(comp, i) for i in range(len(comp.operators))]
         touching = {}  # data index -> the operators touching it
         for i, hood in enumerate(hoods):
             for d in hood:
@@ -288,20 +289,17 @@ class Run:
     def commit(self, idx: int) -> TraceEvent:
         """Fire enabled operator idx in place; returns its event.
 
-        A FlowError from the firing leaves the state as it was before it and
-        carries the run so far as its result, not converged, since the
-        failing operator stays enabled. Only the operators the firing can
-        affect are re-tested, and not the fired one, which its firing
-        disables. A firing that wrote an output left a New token on it. One
-        that wrote nothing, which only a hand-built process or sync operator
-        with no outputs can do, consumed every input, so its rule no longer
-        holds. An operator with neither inputs nor outputs affects no
-        operator, itself included, and stays enabled.
+        An idx that is no operator's index raises ValidationError, and one
+        of an operator not enabled NotEnabled. A FlowError from the firing
+        leaves the state as it was before it and carries the run so far as
+        its result, not converged, since the failing operator stays enabled.
+        Only the operators the firing can affect are re-tested, and not the
+        fired one: every firing writes an output, and the New token it
+        leaves there disables it.
         """
         comp, enabled, order = self.comp, self.enabled, self.order
-        ops = comp.operators
-        if idx not in enabled:
-            raise NotEnabled(f"operator {ops[idx].name!r} is not enabled")
+        if idx not in enabled or type(idx) is not int:  # True and 2.0 hash as 1 and 2
+            raise NotEnabled(f"operator {_operator(comp, idx).name!r} is not enabled")
         try:
             _, event = fire(comp, idx, self.state, self.registry, owned=True)
         except FlowError as exc:
@@ -309,7 +307,7 @@ class Run:
             raise
         marking = self.state.marking
         for j in self.affects[idx]:
-            if j != idx and can_fire(comp, ops[j], marking):
+            if j != idx and can_fire(comp, j, marking):
                 if j not in enabled:
                     enabled.add(j)
                     insort(order, j)

@@ -3,8 +3,8 @@
 Both processors here re-test every operator before every decision and keep
 whole-state snapshots, with no index of any kind; the engine's processors
 must produce exactly what these do. Enablement is decided by this module's
-own statement of each kind's firing rule, which shares no code with the
-engine's. Trace lines are rendered from the full marking of the state after
+own statement of each kind's firing rule and of an operator's
+neighbourhood, which share no code with the engine's. Trace lines are rendered from the full marking of the state after
 each firing, not from marking deltas.
 """
 from __future__ import annotations
@@ -17,7 +17,6 @@ from tokenflow import (
     TokenState,
     fire,
     format_value,
-    neighborhood,
 )
 
 VOID, NEW = TokenState.VOID, TokenState.NEW
@@ -86,16 +85,21 @@ def _enabled(comp: Composition, state: ExecutionState) -> list[int]:
     return [op.index for op in comp.operators if can_fire(comp, op, state.marking)]
 
 
+def _touches(op) -> set[int]:
+    """An operator's neighbourhood: every data index it reads or writes."""
+    return set(op.inputs) | set(op.outputs)
+
+
 def _startable(comp, state, running, waited) -> list[int]:
     busy = set()
     for idx in running:
-        busy |= neighborhood(comp, idx)
+        busy |= _touches(comp.operators[idx])
     out = [
         op.index
         for op in comp.operators
         if op.index not in running
         and can_fire(comp, op, state.marking)
-        and not (neighborhood(comp, op) & busy)
+        and not (_touches(op) & busy)
     ]
     return sorted(out, key=lambda i: (waited.get(i, 0), i))
 

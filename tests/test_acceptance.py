@@ -260,7 +260,7 @@ def test_criterion_6_stalled_marking_has_no_enabled_operator():
         state = state_of(comp, marks, values)
         assert [state.marking[i] for i in range(7)] == [O, O, O, V, N, V, V]
         for op in comp.operators:
-            assert not can_fire(comp, op, state.marking)
+            assert not can_fire(comp, op.index, state.marking)
         assert enabled_set(comp, state) == []
         result = run_to_convergence(comp, state, default_registry())
         assert result.converged
@@ -302,8 +302,8 @@ def _check_schedule(comp, initial, schedule):
         for op in comp.operators:
             if op.index in running:
                 continue
-            startable = can_fire(comp, op, marking) and not (
-                neighborhood(comp, op) & busy
+            startable = can_fire(comp, op.index, marking) and not (
+                neighborhood(comp, op.index) & busy
             )
             assert not startable, (t, op.name)
 

@@ -22,9 +22,7 @@ from tokenflow import (
 from tokenflow.model import (
     KINDS,
     NAME,
-    Composition,
     DataNode,
-    OperatorSpec,
     _all_new,
     _any_new,
     _ready,
@@ -279,7 +277,7 @@ def test_declarations_are_frozen():
 
 def test_neighborhood_is_inputs_and_outputs():
     comp = branch_structure()
-    assert neighborhood(comp, comp.operator_named("op0")) == frozenset({0, 1, 2, 3})
+    assert neighborhood(comp, comp.operator_named("op0").index) == frozenset({0, 1, 2, 3})
     assert neighborhood(comp, 1) == frozenset({2, 4})
 
 
@@ -443,8 +441,7 @@ def test_each_rule_agrees_with_its_list_specification():
 
 def _lone_shapes():
     """(composition, spec rule) for one operator of every kind and arity the
-    rule test covers: built ones, and the hand-built operators without
-    outputs that only a Composition made directly can hold."""
+    rule test covers."""
     shapes = [("process", n_in, n_out) for n_in in range(5) for n_out in (1, 2)]
     shapes += [
         (kind, entry.inputs, entry.outputs)
@@ -457,13 +454,6 @@ def _lone_shapes():
         if kind == "process":
             decl += ("add",)
         yield build_composition(names, [decl]), _KIND_SPECS[kind]
-    for op in (
-        OperatorSpec(0, "p", "process", (), (), "identity"),
-        OperatorSpec(0, "p", "process", (0,), (), "drop"),
-        OperatorSpec(0, "p", "sync", (0, 1), ()),
-    ):
-        data = tuple(DataNode(i, f"d{i}") for i in range(len(op.inputs)))
-        yield Composition(data, (op,)), _KIND_SPECS[op.kind]
 
 
 def test_can_fire_agrees_with_the_specification_on_every_marking():
@@ -475,4 +465,4 @@ def test_can_fire_agrees_with_the_specification_on_every_marking():
             ins, outs = marks[:n_in], marks[n_in:]
             want = N not in outs and spec(list(ins))
             assert can_fire(comp, 0, marking) == want, (op.kind, ins, outs)
-            assert can_fire(comp, op, dict(enumerate(marks))) == want, (op.kind, ins, outs)
+            assert can_fire(comp, op.index, dict(enumerate(marks))) == want, (op.kind, ins, outs)

@@ -4,20 +4,16 @@ import hypothesis.strategies as st
 
 import reference
 from tokenflow import (
-    Composition,
     FlowError,
-    ProcessRegistry,
     RunLimits,
     default_registry,
-    initial_state,
     parse_composition,
     run_to_convergence,
     schedule_tsv,
     serialize_trace,
     simulate_concurrent,
 )
-from tokenflow.model import NEW, DataNode, OperatorSpec
-from tokenflow.semantics import Run, enabled_set
+from tokenflow.semantics import enabled_set
 from conftest import marked_states, small_compositions
 
 # Step limits that bind on most drawn runs, and one that binds only on runs
@@ -115,54 +111,3 @@ def test_reenabled_operator_keeps_its_wait_time():
     engine = _engine_simulate(comp, state, durations, 100)
     assert engine == _reference_simulate(comp, state, durations, 100)
     assert engine[3] == "0\t2\tA\t{ao=1}\n0\t2\tB\t{j=3}\n2\t3\tX\t{xo=4}\n"
-
-
-def test_an_operator_without_outputs_stays_enabled():
-    # Only a hand-built composition can hold an operator with no outputs.
-    # Its firings write nothing, so nothing disables it, and the step limit
-    # ends both runs.
-    comp = Composition((), (OperatorSpec(0, "p", "process", (), (), "identity"),))
-    state = initial_state(comp)
-    engine = _engine_run(comp, state, 5)
-    assert engine == reference.run(comp, state, default_registry(), 5)
-    assert engine[1].count("step=") == 5 and not engine[2]
-    durations = {0: 1.0}
-    engine = _engine_simulate(comp, state, durations, 5)
-    assert engine == _reference_simulate(comp, state, durations, 5)
-    assert engine[3] == "".join(f"{t}\t{t + 1}\tp\t{{}}\n" for t in range(5))
-    # With an empty neighbourhood no busy data holds p back, so only being
-    # in flight keeps it from starting again while q completes around it.
-    q = OperatorSpec(1, "q", "process", (), (), "identity")
-    comp = Composition((), (*comp.operators, q))
-    state = initial_state(comp)
-    durations = {0: 2.0, 1: 1.0}
-    engine = _engine_simulate(comp, state, durations, 5)
-    assert engine == _reference_simulate(comp, state, durations, 5)
-    assert engine[3] == "0\t1\tq\t{}\n0\t2\tp\t{}\n1\t2\tq\t{}\n2\t3\tq\t{}\n2\t4\tp\t{}\n"
-
-
-def test_an_operator_writing_nothing_is_disabled_by_its_firing():
-    # Only a hand-built operator can have no outputs. A process or sync one
-    # that reads a New input consumes it, so its one firing, which writes
-    # nothing, disables it in both processors.
-    registry = ProcessRegistry({"drop": lambda values, count: []})
-    data = (DataNode(0, "a"), DataNode(1, "b"))
-    for op in (
-        OperatorSpec(0, "p", "process", (0,), (), "drop"),
-        OperatorSpec(0, "p", "sync", (0, 1), ()),
-    ):
-        comp = Composition(data, (op,))
-        state = initial_state(comp, {0: NEW, 1: NEW}, {0: 1.0, 1: 2.0})
-        run = Run(comp, state, registry, RunLimits())
-        run.commit(0)
-        assert (run.order, run.enabled) == ([], set()), op.kind
-        result = run_to_convergence(comp, state, registry)
-        engine = (result.final_state, serialize_trace(result.trace), result.converged)
-        assert engine == reference.run(comp, state, registry, 100), op.kind
-        assert result.converged and len(result.trace) == 1, op.kind
-        result, schedule = simulate_concurrent(comp, state, registry)
-        final, text, converged, expected = reference.simulate(comp, state, registry, {}, 100)
-        assert (result.final_state, serialize_trace(result.trace), result.converged) == (
-            final, text, converged
-        ), op.kind
-        assert schedule_tsv(schedule) == schedule_tsv(expected) == "0\t1\tp\t{}\n", op.kind

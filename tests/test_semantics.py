@@ -29,10 +29,10 @@ from tokenflow import (
 from tokenflow import concurrent, semantics, sequential
 from tokenflow.concurrent import startable_set
 from tokenflow.sequential import enabled_set, select_next
-from tokenflow.model import Composition, DataNode, OperatorSpec
+from tokenflow.model import Composition
 from tokenflow.semantics import Run
 from conftest import (
-    N, O, V, branch_structure, marked_states, run_of, small_compositions, state_of,
+    FLOWS, N, O, V, branch_structure, marked_states, run_of, small_compositions, state_of,
 )
 
 
@@ -139,35 +139,6 @@ def test_apply_user_process_checks_output_arity():
         match="^operator 'op' at step 0: no process registered under 'nope'$",
     ):
         _fire_lone("process", (N,), (1.0,), process="nope")
-
-
-@pytest.mark.parametrize(
-    "op, values",
-    [
-        (OperatorSpec(0, "s", "sync", (0, 1), (2,)), (1.0, 2.0)),  # one output short
-        (OperatorSpec(0, "l", "lt", (0,), (2,)), (1.0, 2.0)),  # one input short
-        (OperatorSpec(0, "i", "ifelse", (0, 1), (2,)), (1.0, False)),  # no else output
-    ],
-)
-def test_a_hand_built_operator_of_an_arity_its_kind_has_not_fails_as_a_flow_error(
-    op, values
-):
-    # Only build_composition checks arities; a firing of an operator built
-    # by hand names it and the step, and changes nothing, also in a run.
-    data = tuple(DataNode(i, f"d{i}") for i in range(3))
-    comp = Composition(data, (op,))
-    state = initial_state(comp, {0: N, 1: N}, dict(enumerate(values)))
-    message = (
-        f"^operator '{op.name}' at step 0: kind '{op.kind}' cannot fire with inputs"
-        rf" {re.escape(str(op.inputs))} and outputs \(2,\)$"
-    )
-    with pytest.raises(ValidationError, match=message):
-        fire(comp, 0, state, default_registry())
-    run = Run(comp, state, default_registry(), RunLimits())
-    with pytest.raises(ValidationError, match=message) as exc:
-        run.commit(0)
-    assert exc.value.result.final_state == state
-    assert exc.value.result.steps_taken == 0
 
 
 # --------------------------------------------------------------- predicate
@@ -309,13 +280,40 @@ def test_fire_general_demotes_inputs_and_promotes_outputs():
     assert state.marking[0] == N and state.values[2] is None
 
 
-def test_fire_accepts_spec_or_index():
+def test_operators_come_from_build_composition_and_are_named_by_index():
+    # A Composition is never built by hand, so every operator the engine
+    # sees has passed build_composition's checks; one is named by index.
     comp = branch_structure()
+    with pytest.raises(TypeError):
+        Composition(comp.data, comp.operators)
     state = state_of(comp, {"d0": N, "d1": N}, {"d0": 1.0, "d1": 1.0})
-    by_index, _ = fire(comp, 0, state, default_registry())
-    by_spec, _ = fire(comp, comp.operators[0], state, default_registry())
-    assert by_index.marking == by_spec.marking
-    assert by_index.values == by_spec.values
+    spec = comp.operators[0]
+    with pytest.raises(ValidationError, match=r"^no operator with index OperatorSpec\("):
+        fire(comp, spec, state, default_registry())
+    with pytest.raises(TypeError):
+        can_fire(comp, spec, state.marking)
+    with pytest.raises(TypeError):
+        neighborhood(comp, spec)
+
+
+def test_an_index_naming_no_operator_is_refused_not_aliased():
+    # A negative index would alias an operator from the end, True and 2.0
+    # the operators 1 and 2 they equal (operator 2, incr, is enabled), and
+    # 99 none at all.
+    comp, state, _ = parse_composition((FLOWS / "c1_loop.flow").read_text(encoding="utf-8"))
+    registry = default_registry()
+    assert fire(comp, 2, state, registry)[1].op_name == "incr"  # enabled
+    for bad in (-4, -1, 6, 99, True, 2.0, "2", None, comp.operators[2]):
+        message = f"^no operator with index {re.escape(repr(bad))}$"
+        with pytest.raises(ValidationError, match=message):
+            fire(comp, bad, state, registry)
+        run = run_of(comp, state)
+        with pytest.raises(ValidationError, match=message):
+            run.commit(bad)
+        assert run.state == state and not run.trace
+    # An index of an operator that is not enabled is still NotEnabled.
+    with pytest.raises(NotEnabled, match="^operator 'p1' is not enabled$"):
+        run_of(comp, state).commit(5)
 
 
 def test_fire_ifelse_leaves_untaken_branch_alone():
