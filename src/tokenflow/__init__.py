@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 _LAZY = {
     "semantics": (
         "ProcessRegistry", "RunLimits", "RunResult", "Trace", "TraceEvent",
-        "can_fire", "default_registry", "fire",
+        "can_fire", "default_registry",
     ),
     "sequential": ("run_to_convergence", "step"),
     "concurrent": ("ScheduleEntry", "schedule_tsv", "simulate_concurrent"),
@@ -81,7 +81,6 @@ __all__ = [
     "can_fire",
     "default_registry",
     "emit_composition",
-    "fire",
     "format_value",
     "initial_state",
     "neighborhood",

@@ -110,7 +110,8 @@ def format_value(value: Value) -> str:
     """A value as documents and traces print it.
 
     A number takes its shortest decimal form, and an integral one below
-    1e16 in size prints without a point.
+    1e16 in size prints without a point. Any other value prints as
+    coerce_value stores it (an int as a number), or raises its TypeMismatch.
     """
     if isinstance(value, float):  # the common case, tested first
         if value.is_integer() and -1e16 < value < 1e16:
@@ -120,7 +121,9 @@ def format_value(value: Value) -> str:
         return "-"
     if isinstance(value, bool):
         return "true" if value else "false"
-    return f'"{value.translate(_ESCAPES)}"'
+    if isinstance(value, str):
+        return f'"{value.translate(_ESCAPES)}"'
+    return format_value(coerce_value(value))
 
 
 def parse_literal(token: str) -> Value:

@@ -45,4 +45,4 @@ class ProcessError(FlowError):
 
 
 class NotEnabled(FlowError):
-    """fire() was handed an operator whose firing rule does not hold."""
+    """Run.commit was handed an operator whose firing rule does not hold."""

@@ -143,6 +143,9 @@ class Composition:
 
     __eq__ = _same_slots
 
+    def __init__(self, *args, **kwargs):  # copy and pickle make one without it
+        raise TypeError("a Composition is made only by build_composition")
+
     def data_named(self, name: str) -> DataNode:
         index = self._data_by_name.get(name)  # data name -> index
         if index is None:
@@ -393,7 +396,7 @@ def build_composition(data_decls: Iterable, op_decls: Iterable) -> Composition:
             OperatorSpec, (index, name, kind, inputs, outputs, process_name)
         )
 
-    comp = object.__new__(Composition)  # Composition has no __init__
+    comp = object.__new__(Composition)  # without the __init__ that refuses
     comp.data, comp.operators = tuple(nodes), tuple(op_by_name.values())
     comp._data_by_name, comp._operator_by_name = by_name, op_by_name
     return comp
@@ -416,10 +419,19 @@ def check_duration(op_name: str, d, text: str | None = None) -> float:
     return x
 
 
+def operator_at(comp: Composition, op: int) -> OperatorSpec:
+    """comp.operators[op], for an op that is an int naming an operator; any
+    other op, a negative index, a bool or an OperatorSpec too, is a
+    ValidationError."""
+    if not (type(op) is int and 0 <= op < len(comp.operators)):  # nor a bool
+        raise ValidationError(f"no operator with index {op!r}")
+    return comp.operators[op]
+
+
 def neighborhood(comp: Composition, op: int) -> frozenset[int]:
     """All data indices operator op, an index into comp.operators, touches:
     inputs plus outputs."""
-    spec = comp.operators[op]
+    spec = operator_at(comp, op)
     return frozenset(spec.inputs + spec.outputs)
 
 

@@ -1,15 +1,15 @@
 """Process registry, the firing of one operator, and runs.
 
 The rule and effect of every operator kind live in model.KINDS, and fire()
-makes every firing from the operator and its kind's effect. Called on its
-own, it checks the rule and copies the state, so its input never changes.
-A Run keeps two lists indexed by operator, hoods (each operator's
-neighbourhood) and affects (the operators its firing can affect), and
-copies its initial state once. It commits every firing to that copy in
-place by calling fire() with owned=True, keeps its set of enabled
-operators current, and hands each firing's one record, its TraceEvent, to
-its commit hook (by default, its trace). Run.commit is the one firing path
-of both processors, which differ only in which enabled operator they pick.
+makes every firing from the operator and its kind's effect, committing it
+to the state it is handed, in place. A Run keeps two lists indexed by
+operator, hoods (each operator's neighbourhood) and affects (the operators
+its firing can affect), and copies its initial state once. Run.commit
+checks that the operator it is handed is enabled, fires it on that copy,
+keeps its set of enabled operators current, and hands each firing's one
+record, its TraceEvent, to its commit hook (by default, its trace). It is
+the one firing path of both processors, which differ only in which enabled
+operator they pick, and the one checked way to fire a chosen operator.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from .model import (
     TokenState,
     check_sort,
     neighborhood,
+    operator_at,
     want_numbers,
 )
 
@@ -101,9 +102,10 @@ def can_fire(comp: Composition, op: int, marking: Sequence[TokenState]) -> bool:
 
     marking is indexed by data index, as ExecutionState.marking is. No
     output may hold a New token, and the kind's rule must accept the input
-    markings, which it reads in place.
+    markings, which it reads in place. An op naming no operator is a
+    ValidationError.
     """
-    spec = comp.operators[op]
+    spec = operator_at(comp, op)
     for d in spec.outputs:
         if marking[d] == NEW:
             return False
@@ -133,24 +135,11 @@ class Trace(list):
         self.start = tuple(zip([n.name for n in comp.data], initial.marking))
 
 
-def _operator(comp: Composition, op: int):
-    """comp.operators[op], for an op that is an int naming an operator; any
-    other op, a negative index, a bool or an OperatorSpec too, is a
-    ValidationError."""
-    if not (type(op) is int and 0 <= op < len(comp.operators)):  # nor a bool
-        raise ValidationError(f"no operator with index {op!r}")
-    return comp.operators[op]
-
-
 def fire(
-    comp: Composition,
-    op: int,
-    state: ExecutionState,
-    registry: ProcessRegistry,
-    owned: bool = False,
-) -> tuple[ExecutionState, TraceEvent]:
-    """Fire enabled operator op, an index into comp.operators. Returns the
-    state it fired on and the event.
+    comp: Composition, op: int, state: ExecutionState, registry: ProcessRegistry
+) -> TraceEvent:
+    """Commit operator op, an index into comp.operators that the caller has
+    found enabled, to state in place; returns the firing's event.
 
     Consumed inputs become Old and written outputs New; the event's reads
     are the consumed inputs, with their values before the firing. The
@@ -159,21 +148,11 @@ def fire(
     prefixed with the operator and the step. The effect reads the input
     values from the state as they stand. Each write must be a value, not
     None, which only a process function can return (a ProcessError naming
-    the process and the data node), and of its output's sort.
-
-    Called as fire(comp, op, state, registry), it checks that op is an int
-    naming an operator (a ValidationError if not) and that it is enabled,
-    and commits the firing to a copy: the state passed in never changes. A
-    Run, for an operator it holds as enabled, passes owned=True with the
-    state it owns. The firing is then committed to that state in place, in
-    work bounded by the operator's neighbourhood, with no second check and
-    no copy. The same code below makes every firing, in a run or not.
+    the process and the data node), and of its output's sort. The work is
+    bounded by the operator's neighbourhood: fire() neither checks op nor
+    copies state. Run.commit checks a chosen operator and fires it on the
+    copy its run holds.
     """
-    if not owned:
-        name = _operator(comp, op).name
-        if not can_fire(comp, op, state.marking):
-            raise NotEnabled(f"operator {name!r} is not enabled")
-        state = state.copy()
     spec, data = comp.operators[op], comp.data
     try:
         consumed, writes = KINDS[spec.kind].effect(spec, state, registry)
@@ -206,7 +185,7 @@ def fire(
     state.exec_counts[index] += 1
     state.step += 1
     state.scan_start = (index + 1) % len(comp.operators)
-    return state, event
+    return event
 
 
 # ------------------------------------------------------------------ runs
@@ -287,10 +266,12 @@ class Run:
         self.enabled = set(self.order)
 
     def commit(self, idx: int) -> TraceEvent:
-        """Fire enabled operator idx in place; returns its event.
+        """Fire operator idx on the run's state, in place; returns its event.
 
-        An idx that is no operator's index raises ValidationError, and one
-        of an operator not enabled NotEnabled. A FlowError from the firing
+        The checked way to fire a chosen operator, as Run(comp, state,
+        registry, RunLimits()).commit(op), which leaves state as it was: an
+        idx that is no operator's index raises ValidationError, and one of
+        an operator not enabled NotEnabled. A FlowError from the firing
         leaves the state as it was before it and carries the run so far as
         its result, not converged, since the failing operator stays enabled.
         Only the operators the firing can affect are re-tested, and not the
@@ -299,9 +280,9 @@ class Run:
         """
         comp, enabled, order = self.comp, self.enabled, self.order
         if idx not in enabled or type(idx) is not int:  # True and 2.0 hash as 1 and 2
-            raise NotEnabled(f"operator {_operator(comp, idx).name!r} is not enabled")
+            raise NotEnabled(f"operator {operator_at(comp, idx).name!r} is not enabled")
         try:
-            _, event = fire(comp, idx, self.state, self.registry, owned=True)
+            event = fire(comp, idx, self.state, self.registry)
         except FlowError as exc:
             exc.result = self.result()
             raise

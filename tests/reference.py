@@ -15,9 +15,9 @@ from tokenflow import (
     ProcessRegistry,
     ScheduleEntry,
     TokenState,
-    fire,
     format_value,
 )
+from tokenflow.semantics import fire
 
 VOID, NEW = TokenState.VOID, TokenState.NEW
 
@@ -77,7 +77,8 @@ def run(
             return state, "".join(lines), True
         if len(lines) >= max_steps:
             return state, "".join(lines), False
-        state, event = fire(comp, choice, state.copy(), registry)
+        state = state.copy()
+        event = fire(comp, choice, state, registry)
         lines.append(trace_line(comp, event, state))
 
 
@@ -133,7 +134,8 @@ def simulate(
         clock = min(end for _, end in running.values())
         for idx in sorted(i for i, (_, end) in running.items() if end == clock):
             started, _ = running.pop(idx)
-            state, event = fire(comp, idx, state.copy(), registry)
+            state = state.copy()
+            event = fire(comp, idx, state, registry)
             lines.append(trace_line(comp, event, state))
             schedule.append(ScheduleEntry(started, clock, event))
             if len(lines) >= max_steps:

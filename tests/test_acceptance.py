@@ -21,7 +21,6 @@ from tokenflow import (
     can_fire,
     default_registry,
     emit_composition,
-    fire,
     neighborhood,
     parse_composition,
     run_to_convergence,
@@ -41,6 +40,7 @@ from conftest import (
     marked_states,
     run_branch,
     run_loop,
+    run_of,
     small_compositions,
     stalled_marks,
     state_of,
@@ -233,16 +233,16 @@ def _assert_frame(comp, before, after, event):
 def _frame_property(data):
     comp = data.draw(small_compositions())
     state = data.draw(marked_states(comp))
-    registry = default_registry()
     for idx in enabled_set(comp, state):
         snapshot = state.copy()
+        run = run_of(comp, state)
         try:
-            after, event = fire(comp, idx, state, registry)
+            event = run.commit(idx)
         except FlowError:
-            assert state == snapshot  # failed firings leave no residue
+            assert run.state == state == snapshot  # failed firings leave no residue
             continue
         assert state == snapshot
-        _assert_frame(comp, state, after, event)
+        _assert_frame(comp, state, run.state, event)
 
 
 def test_criterion_5_firings_touch_only_their_neighborhood():

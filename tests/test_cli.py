@@ -496,7 +496,7 @@ def test_a_run_imports_only_what_it_uses(tmp_path):
     _python(
         "import tokenflow\n"
         "from tokenflow import build_loop_pattern\n"
-        "assert tokenflow.fire is tokenflow.semantics.fire\n"
+        "assert tokenflow.can_fire is tokenflow.semantics.can_fire\n"
         "from tokenflow import *\n"
         "assert build_loop_pattern is tokenflow.build_loop_pattern\n"
         "assert all(name in globals() for name in tokenflow.__all__)\n"
@@ -526,7 +526,7 @@ def test_text_is_read_and_written_without_the_json_module(tmp_path):
 # compiles them from source when no bytecode is cached, so this bounds the
 # fixed cost of each run. A budget only goes down: lower it when a change
 # shrinks the path, and never raise it.
-RUN_PATH_BUDGETS = {"run": 8_063, "simulate": 8_626}
+RUN_PATH_BUDGETS = {"run": 8_018, "simulate": 8_581}
 
 
 def test_the_run_path_stays_within_its_budget():

@@ -82,6 +82,16 @@ def test_format_value():
     comp = build_composition([("t", "text")], [])
     state = initial_state(comp, {0: N}, {0: text})
     assert parse_composition(emit_composition(comp, state))[1] == state
+    # any other value prints as coerce_value stores it, or is refused as it
+    assert format_value(3) == "3" and format_value(-0) == "0"
+    assert format_value(2**53 + 1) == "9007199254740992"
+    for bad, message in (
+        ([1.0], "unsupported value type 'list'"),
+        (b"x", "unsupported value type 'bytes'"),
+        (10**400, "number inf is not finite"),
+    ):
+        with pytest.raises(TypeMismatch, match=f"^{re.escape(message)}$"):
+            format_value(bad)
 
 
 # Text literals are JSON strings, read and written without the json module;

@@ -1,4 +1,6 @@
-"""Firing predicates, value rules, and the atomic fire transition."""
+"""Firing predicates, value rules, and the atomic firing of one operator."""
+import copy
+import pickle
 import re
 
 import pytest
@@ -19,7 +21,6 @@ from tokenflow import (
     can_fire,
     default_registry,
     emit_composition,
-    fire,
     initial_state,
     neighborhood,
     parse_composition,
@@ -28,9 +29,9 @@ from tokenflow import (
 )
 from tokenflow import concurrent, semantics, sequential
 from tokenflow.concurrent import startable_set
-from tokenflow.sequential import enabled_set, select_next
+from tokenflow.sequential import enabled_set
 from tokenflow.model import Composition
-from tokenflow.semantics import Run
+from tokenflow.semantics import Run, fire
 from conftest import (
     FLOWS, N, O, V, branch_structure, marked_states, run_of, small_compositions, state_of,
 )
@@ -43,11 +44,35 @@ def _lone(kind: str, n_in: int, n_out: int, process: str | None = None):
     return build_composition(names, [decl])
 
 
+def _commit(comp, op, state):
+    """Fire operator op as a library caller does, through Run.commit on a
+    fresh run of state: the state after and the event. state never changes."""
+    run = run_of(comp, state)
+    event = run.commit(op)
+    return run.state, event
+
+
+def _fails_alike(comp, op, state, registry, error, match=None):
+    """Fire op both ways, by fire() on a copy of state and by Run.commit on
+    a fresh run, each raising error and leaving its state exactly as it
+    was. Returns the error fire() raised."""
+    owned = state.copy()
+    with pytest.raises(error, match=match) as fired:
+        fire(comp, op, owned, registry)
+    assert owned == state
+    run = Run(comp, state, registry, RunLimits())
+    with pytest.raises(error, match=match) as committed:
+        run.commit(op)
+    assert str(committed.value) == str(fired.value)
+    assert run.state == state and not run.trace
+    return fired.value
+
+
 def _fire_lone(kind, marks, values, n_out=1, process=None):
     """Fire a lone operator whose inputs hold the given marks and values."""
     comp = _lone(kind, len(marks), n_out, process)
     state = initial_state(comp, dict(enumerate(marks)), dict(enumerate(values)))
-    return fire(comp, 0, state, default_registry())
+    return _commit(comp, 0, state)
 
 
 # ---------------------------------------------------------------- registry
@@ -200,11 +225,11 @@ def test_eval_less_than():
 def test_eval_increment_counts_from_one():
     comp = _lone("incr", 0, 1)
     state = initial_state(comp)
-    after, event = fire(comp, 0, state, default_registry())
+    after, event = _commit(comp, 0, state)
     assert event.writes == (("o0", 1.0),)
     assert isinstance(after.values[0], float)
     state.exec_counts[0] = 4
-    _, event = fire(comp, 0, state, default_registry())
+    _, event = _commit(comp, 0, state)
     assert event.writes == (("o0", 5.0),)
 
 
@@ -234,7 +259,7 @@ def test_eval_merge_prefers_first_new():
 def test_update_general_touches_only_the_neighborhood():
     comp = branch_structure()
     state = state_of(comp, {"d0": N, "d1": N, "d4": O}, {"d0": 1.0, "d1": 2.0, "d4": 3.0})
-    after, _ = fire(comp, 0, state, default_registry())
+    after, _ = _commit(comp, 0, state)
     assert after.marking == [O, O, N, N, O, V, V]
     assert state.marking[0] == N  # input untouched
 
@@ -245,11 +270,10 @@ def test_update_general_touches_only_the_neighborhood():
 def test_fire_requires_enablement():
     comp = branch_structure()
     state = initial_state(comp, {}, {})
-    with pytest.raises(NotEnabled):
-        fire(comp, 0, state, default_registry())
-    # inside a run its set of enabled operators is the test
+    # fire() is handed only enabled operators: Run.commit checks its index
+    # against the run's set of enabled operators
     run = run_of(comp, state)
-    with pytest.raises(NotEnabled):
+    with pytest.raises(NotEnabled, match="^operator 'op0' is not enabled$"):
         run.commit(0)
     assert run.state == state and not run.trace
 
@@ -265,7 +289,7 @@ def _assert_reads_old_and_writes_new(comp, event, state):
 def test_fire_general_demotes_inputs_and_promotes_outputs():
     comp = branch_structure()
     state = state_of(comp, {"d0": N, "d1": O}, {"d0": 2.0, "d1": 3.0})
-    after, event = fire(comp, 0, state, default_registry())
+    after, event = _commit(comp, 0, state)
     assert after.marking[0] == O and after.marking[1] == O
     assert after.marking[2] == N and after.marking[3] == N
     assert after.values[2] == 2.0 and after.values[3] == 3.0
@@ -284,15 +308,20 @@ def test_operators_come_from_build_composition_and_are_named_by_index():
     # A Composition is never built by hand, so every operator the engine
     # sees has passed build_composition's checks; one is named by index.
     comp = branch_structure()
-    with pytest.raises(TypeError):
-        Composition(comp.data, comp.operators)
+    for args in ((), (comp.data, comp.operators)):
+        with pytest.raises(TypeError, match="^a Composition is made only by build_composition$"):
+            Composition(*args)
+    # a copy or a pickle of a built one is made without calling Composition
+    for clone in (copy.copy(comp), copy.deepcopy(comp), pickle.loads(pickle.dumps(comp))):
+        assert clone == comp and clone.operator_named("op1") == comp.operators[1]
     state = state_of(comp, {"d0": N, "d1": N}, {"d0": 1.0, "d1": 1.0})
     spec = comp.operators[0]
-    with pytest.raises(ValidationError, match=r"^no operator with index OperatorSpec\("):
-        fire(comp, spec, state, default_registry())
-    with pytest.raises(TypeError):
+    message = r"^no operator with index OperatorSpec\("
+    with pytest.raises(ValidationError, match=message):
+        run_of(comp, state).commit(spec)
+    with pytest.raises(ValidationError, match=message):
         can_fire(comp, spec, state.marking)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError, match=message):
         neighborhood(comp, spec)
 
 
@@ -301,16 +330,17 @@ def test_an_index_naming_no_operator_is_refused_not_aliased():
     # the operators 1 and 2 they equal (operator 2, incr, is enabled), and
     # 99 none at all.
     comp, state, _ = parse_composition((FLOWS / "c1_loop.flow").read_text(encoding="utf-8"))
-    registry = default_registry()
-    assert fire(comp, 2, state, registry)[1].op_name == "incr"  # enabled
+    assert run_of(comp, state).commit(2).op_name == "incr"  # enabled
     for bad in (-4, -1, 6, 99, True, 2.0, "2", None, comp.operators[2]):
         message = f"^no operator with index {re.escape(repr(bad))}$"
-        with pytest.raises(ValidationError, match=message):
-            fire(comp, bad, state, registry)
         run = run_of(comp, state)
         with pytest.raises(ValidationError, match=message):
             run.commit(bad)
         assert run.state == state and not run.trace
+        with pytest.raises(ValidationError, match=message):
+            can_fire(comp, bad, state.marking)
+        with pytest.raises(ValidationError, match=message):
+            neighborhood(comp, bad)
     # An index of an operator that is not enabled is still NotEnabled.
     with pytest.raises(NotEnabled, match="^operator 'p1' is not enabled$"):
         run_of(comp, state).commit(5)
@@ -322,14 +352,14 @@ def test_fire_ifelse_leaves_untaken_branch_alone():
         [("br", "ifelse", ("v", "c"), ("t", "f"))],
     )
     state = initial_state(comp, {0: N, 1: N, 3: O}, {0: 9.0, 1: True, 3: 4.0})
-    after, event = fire(comp, 0, state, default_registry())
+    after, event = _commit(comp, 0, state)
     assert after.marking[2] == N and after.values[2] == 9.0
     assert after.marking[3] == O and after.values[3] == 4.0  # untaken: unchanged
     assert after.marking[0] == O and after.marking[1] == O
     assert event.writes == (("t", 9.0),)
 
     state = initial_state(comp, {0: N, 1: N, 3: O}, {0: 9.0, 1: False, 3: 4.0})
-    after, event = fire(comp, 0, state, default_registry())
+    after, event = _commit(comp, 0, state)
     assert after.marking[3] == N and after.values[3] == 9.0
     assert after.marking[2] == V and after.values[2] is None
     assert event.writes == (("f", 9.0),)
@@ -341,14 +371,14 @@ def test_fire_merge_demotes_only_the_chosen_input():
         [("m", "merge", ("a", "b"), ("out",))],
     )
     state = initial_state(comp, {0: N, 1: N}, {0: 1.0, 1: 2.0})
-    after, event = fire(comp, 0, state, default_registry())
+    after, event = _commit(comp, 0, state)
     assert after.values[2] == 1.0  # tie goes to input 0
     assert after.marking[0] == O
     assert after.marking[1] == N  # the other New token survives
     assert event.reads == (("a", 1.0),)
 
     state = initial_state(comp, {0: O, 1: N}, {0: 1.0, 1: 2.0})
-    after, event = fire(comp, 0, state, default_registry())
+    after, event = _commit(comp, 0, state)
     assert after.values[2] == 2.0
     assert after.marking[0] == O and after.marking[1] == O
     assert event.reads == (("b", 2.0),)
@@ -360,7 +390,7 @@ def test_fire_merge_propagates_from_a_void_side():
         [("m", "merge", ("a", "b"), ("out",))],
     )
     state = initial_state(comp, {1: N}, {1: 7.0})
-    after, _ = fire(comp, 0, state, default_registry())
+    after, _ = _commit(comp, 0, state)
     assert after.values[2] == 7.0
     assert after.marking[0] == V  # the void side stays void
 
@@ -387,7 +417,7 @@ def test_fire_lt_writes_a_boolean():
         [("cmp", "lt", ("a", "b"), ("lt",))],
     )
     state = initial_state(comp, {0: N, 1: O}, {0: 3.0, 1: 10.0})
-    after, event = fire(comp, 0, state, default_registry())
+    after, event = _commit(comp, 0, state)
     assert after.values[2] is True
     assert event.writes == (("lt", True),)
 
@@ -395,20 +425,12 @@ def test_fire_lt_writes_a_boolean():
 def test_fire_rolls_back_on_transform_errors():
     comp = branch_structure()  # op1 is add1, which rejects text
     state = state_of(comp, {"d2": N}, {"d2": "oops"})
-    before_marking = list(state.marking)
-    before_values = list(state.values)
-    with pytest.raises(TypeMismatch):
-        fire(comp, 1, state, default_registry())
+    _fails_alike(comp, 1, state, default_registry(), TypeMismatch)
     # any other exception from a process function becomes a ProcessError
     registry = default_registry()
     registry.register("add1", lambda values, count: 1 / 0)
-    with pytest.raises(ProcessError, match=r"operator 'op1' at step 0") as exc:
-        fire(comp, 1, state, registry)
-    assert isinstance(exc.value.__cause__, ZeroDivisionError)
-    assert state.marking == before_marking
-    assert state.values == before_values
-    assert state.step == 0
-    assert state.exec_counts[1] == 0
+    error = _fails_alike(comp, 1, state, registry, ProcessError, r"operator 'op1' at step 0")
+    assert isinstance(error.__cause__, ZeroDivisionError)
 
 
 def test_a_process_returning_no_value_fails_before_writing():
@@ -420,8 +442,7 @@ def test_a_process_returning_no_value_fails_before_writing():
         "data a num\ndata b\nop p process:nothing (a) -> (b)\ninit a = 1\n"
     )
     message = "^operator 'p' at step 0: process 'nothing' returned no value for data 'b'$"
-    with pytest.raises(ProcessError, match=message):
-        fire(comp, 0, state, registry)
+    _fails_alike(comp, 0, state, registry, ProcessError, message)
     for processor in (run_to_convergence, simulate_concurrent):
         with pytest.raises(ProcessError, match=message) as exc:
             processor(comp, state, registry)
@@ -445,8 +466,7 @@ def test_fire_checks_declared_output_sort():
         [("op", "process", ("raw",), ("out",), "identity")],
     )
     state = initial_state(comp, {0: N}, {0: "text"})
-    with pytest.raises(TypeMismatch):
-        fire(comp, 0, state, default_registry())
+    _fails_alike(comp, 0, state, default_registry(), TypeMismatch)
     assert state.values[1] is None and state.marking[1] == V
 
 
@@ -456,11 +476,8 @@ def test_fire_with_unknown_process_is_harmless():
         [("op", "process", ("a",), ("b",), "mystery")],
     )
     state = initial_state(comp, {0: N}, {0: 1.0})
-    with pytest.raises(
-        ValidationError,
-        match="^operator 'op' at step 0: no process registered under 'mystery'$",
-    ):
-        fire(comp, 0, state, default_registry())
+    message = "^operator 'op' at step 0: no process registered under 'mystery'$"
+    _fails_alike(comp, 0, state, default_registry(), ValidationError, message)
     assert state.marking[1] == V
 
 
@@ -469,7 +486,7 @@ def test_enabled_since_is_kept_across_unrelated_firings():
     comp = pattern.composition
     state = state_of(comp, {"d0": N, "d3": N}, {"d0": 10.0, "d3": 0.0})
     assert enabled_set(comp, state) == [0, 2]  # merge and incr
-    after, _ = fire(comp, 0, state, default_registry())
+    after, _ = _commit(comp, 0, state)
     assert enabled_set(comp, after) == [2]  # incr stays enabled, merge does not
     # a waiting map stamped before the merge firing still orders incr first
     assert startable_set(run_of(comp, after), (), {2: 0.0, 0: 0.0}) == [2]
@@ -495,8 +512,18 @@ def _many_loops(count: int):
     return comp, state_of(comp, marks, values)
 
 
-def test_fire_checks_enablement_and_copies_the_state_once(monkeypatch):
-    # Cost gate: no pass over every operator may come back into fire, and a
+# Enablement tests of one counted loop run to its end: a scan of its 6
+# operators at the start of the run, then 50 re-tests over its 26 firings.
+# A firing re-tests the operators sharing a data node with the fired one,
+# but not the fired one, which its own New output disables untested. The
+# run's set of enabled operators is its only enablement test.
+CAN_FIRE_PER_LOOP = 6 + 50
+
+
+def test_processors_retest_only_the_neighbourhood_of_each_firing(monkeypatch):
+    # Cost gate: enablement checks per firing must not grow with the number
+    # of operators, in either processor, and must not exceed the neighbourhood
+    # of the fired operator: the count is exact, for 1 loop and for 32. A
     # run copies the state once in all, not once per firing.
     calls = {"can_fire": 0, "copy": 0}
     real_can_fire, real_copy = semantics.can_fire, ExecutionState.copy
@@ -509,57 +536,21 @@ def test_fire_checks_enablement_and_copies_the_state_once(monkeypatch):
         calls["copy"] += 1
         return real_copy(self)
 
-    monkeypatch.setattr(semantics, "can_fire", counting_can_fire)
-    monkeypatch.setattr(ExecutionState, "copy", counting_copy)
-    comp, initial = _many_loops(16)
-    registry = default_registry()
-    state, firings = initial, 0
-    while (choice := select_next(run_of(comp, state))) is not None:
-        calls.update(can_fire=0, copy=0)  # after the run's own copy and scan
-        state, _ = fire(comp, choice, state, registry)
-        assert calls == {"can_fire": 1, "copy": 1}
-        firings += 1
-    assert firings == 16 * (6 * 4 + 2)
-    for processor in (run_to_convergence, simulate_concurrent):
-        calls.update(copy=0)
-        result = processor(comp, initial, registry)
-        trace = (result[0] if isinstance(result, tuple) else result).trace
-        assert len(trace) == firings
-        assert calls["copy"] == 1, processor.__name__
-
-
-# Enablement tests of one counted loop run to its end: a scan of its 6
-# operators at the start of the run, then 50 re-tests over its 26 firings.
-# A firing re-tests the operators sharing a data node with the fired one,
-# but not the fired one, which its own New output disables untested. The
-# run's set of enabled operators is its only enablement test.
-CAN_FIRE_PER_LOOP = 6 + 50
-
-
-def test_processors_retest_only_the_neighbourhood_of_each_firing(monkeypatch):
-    # Cost gate: enablement checks per firing must not grow with the number
-    # of operators, in either processor, and must not exceed the neighbourhood
-    # of the fired operator: the count is exact, for 1 loop and for 32.
-    calls = 0
-    real_can_fire = semantics.can_fire
-
-    def counting_can_fire(*args):
-        nonlocal calls
-        calls += 1
-        return real_can_fire(*args)
-
     for module in (semantics, sequential, concurrent):
         if getattr(module, "can_fire", None) is real_can_fire:
             monkeypatch.setattr(module, "can_fire", counting_can_fire)
+    monkeypatch.setattr(ExecutionState, "copy", counting_copy)
     registry = default_registry()
     for loops in (1, 32):
         comp, state = _many_loops(loops)
         for processor in (run_to_convergence, simulate_concurrent):
-            calls = 0
+            calls.update(can_fire=0, copy=0)
             result = processor(comp, state, registry)
             trace = (result[0] if isinstance(result, tuple) else result).trace
             assert len(trace) == loops * (6 * 4 + 2)
-            assert calls == CAN_FIRE_PER_LOOP * loops, (processor.__name__, loops, calls)
+            assert calls == {"can_fire": CAN_FIRE_PER_LOOP * loops, "copy": 1}, (
+                processor.__name__, loops, calls
+            )
 
 
 def _third_call_fails(values, count):
@@ -636,15 +627,17 @@ def test_a_failing_run_keeps_its_partial_result():
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_library_fire_and_run_commit_make_the_same_firings(data):
-    # Replayed through fire(), the firings a run commits give the same event
-    # and the same state at every step, and the library never touches the
-    # state it is handed. The run commits its operators in a drawn order, as
-    # the concurrent processor may. The process fails at a drawn firing
-    # count, or on text: then both fail alike, naming the operator and the
-    # step, and the run's state is what it was before the firing.
+def test_a_run_keeps_each_neighbourhood_and_an_owned_firing_commits_in_place(data):
+    # run.hoods and run.affects hold what neighborhood() and a brute-force
+    # search over every pair of operators give. fire() commits to the very
+    # state it is handed, a copy the test owns, with the event and the state
+    # Run.commit gives, and a run that commits in a drawn order, as the
+    # concurrent processor may, gives both at every firing. The process
+    # fails at a drawn firing count, or on text: then both fail alike,
+    # naming the operator and the step, and leave the state as it was.
     comp = data.draw(small_compositions())
     state = data.draw(marked_states(comp, with_text=True))
+    saved = state.copy()
     fail_at = data.draw(st.integers(0, 4))
 
     def add(values, count):
@@ -653,41 +646,6 @@ def test_library_fire_and_run_commit_make_the_same_firings(data):
         return default_registry().resolve("add")(values, count)
 
     registry = ProcessRegistry({"add": add})
-    run = Run(comp, state, registry, RunLimits())
-    for _ in range(30):
-        if not run.order:
-            break
-        idx = data.draw(st.sampled_from(run.order))
-        before = state.copy()
-        try:
-            after, event = fire(comp, idx, state, registry)
-        except FlowError as exc:
-            assert state == before
-            assert str(exc).startswith(
-                f"operator {comp.operators[idx].name!r} at step {state.step}: "
-            )
-            with pytest.raises(type(exc)) as failed:
-                run.commit(idx)
-            assert str(failed.value) == str(exc)
-            assert run.state == state
-            break
-        assert state == before
-        assert run.commit(idx) == event
-        assert run.state == after
-        _assert_reads_old_and_writes_new(comp, event, after)
-        state = after
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_a_run_keeps_each_neighbourhood_and_an_owned_firing_commits_in_place(data):
-    # run.hoods and run.affects hold what neighborhood() and a brute-force
-    # search over every pair of operators give. fire(..., owned=True) commits
-    # to the very state it is handed, with the event a plain fire returns;
-    # when the firing fails, both fail alike and the state stays as it was.
-    comp = data.draw(small_compositions())
-    state = data.draw(marked_states(comp, with_text=True))
-    registry = default_registry()
     run = Run(comp, state, registry, RunLimits())
     ops = comp.operators
     for i, op in enumerate(ops):
@@ -698,17 +656,23 @@ def test_a_run_keeps_each_neighbourhood_and_an_owned_firing_commits_in_place(dat
             if touches & (set(other.inputs) | set(other.outputs))
         ]
         assert i in run.affects[i]
-    for idx in run.order:
-        owned = state.copy()
+    for _ in range(30):
+        if not run.order:
+            break
+        idx = data.draw(st.sampled_from(run.order))
+        owned = run.state.copy()
         try:
-            after, event = fire(comp, idx, state, registry)
+            event = fire(comp, idx, owned, registry)
         except FlowError as exc:
+            assert owned == run.state
+            assert str(exc).startswith(f"operator {ops[idx].name!r} at step {owned.step}: ")
+            before = run.state.copy()
             with pytest.raises(type(exc)) as failed:
-                fire(comp, idx, owned, registry, owned=True)
+                run.commit(idx)
             assert str(failed.value) == str(exc)
-            assert owned == state
-            continue
-        in_place, owned_event = fire(comp, idx, owned, registry, owned=True)
-        assert in_place is owned
-        assert owned_event == event
-        assert owned == after
+            assert run.state == before
+            break
+        assert run.commit(idx) == event
+        assert run.state == owned
+        _assert_reads_old_and_writes_new(comp, event, owned)
+    assert state == saved  # the run never touched it
