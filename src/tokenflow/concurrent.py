@@ -39,8 +39,8 @@ from operator import itemgetter
 from typing import Callable, Collection, Iterable, Mapping
 
 from .dsl import format_pairs, format_value
-from .errors import FlowError, ValidationError
-from .model import Composition, ExecutionState, check_duration
+from .errors import FlowError
+from .model import Composition, ExecutionState, check_duration, operator_at
 from .semantics import (
     ProcessRegistry,
     Run,
@@ -71,12 +71,10 @@ def startable_set(
 
 def check_durations(comp: Composition, durations: Mapping | None) -> dict[int, float]:
     """Validate an operator index -> duration map; see check_duration."""
-    out = {}
-    for idx, d in (durations or {}).items():
-        if not (type(idx) is int and 0 <= idx < len(comp.operators)):  # nor a bool
-            raise ValidationError(f"duration for unknown operator index {idx!r}")
-        out[idx] = check_duration(comp.operators[idx].name, d)
-    return out
+    return {
+        idx: check_duration(operator_at(comp, idx).name, d)
+        for idx, d in (durations or {}).items()
+    }
 
 
 def simulate_concurrent(

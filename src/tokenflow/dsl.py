@@ -111,7 +111,8 @@ def format_value(value: Value) -> str:
 
     A number takes its shortest decimal form, and an integral one below
     1e16 in size prints without a point. Any other value prints as
-    coerce_value stores it (an int as a number), or raises its TypeMismatch.
+    coerce_value stores it (an int as a number), or raises its TypeMismatch,
+    as for text holding a lone surrogate.
     """
     if isinstance(value, float):  # the common case, tested first
         if value.is_integer() and -1e16 < value < 1e16:
@@ -122,6 +123,8 @@ def format_value(value: Value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, str):
+        if not value.isascii():  # O(1); only other text can hold a lone surrogate
+            coerce_value(value)
         return f'"{value.translate(_ESCAPES)}"'
     return format_value(coerce_value(value))
 

@@ -4,7 +4,7 @@ A composition is a bipartite structure: data nodes that hold a value and a
 token, and operators wired to read some data nodes and write others. All
 structural types are immutable once built; the mutable part of an execution
 lives in ExecutionState. KINDS describes every operator kind once: its arity,
-its firing rule over input markings, and its effect on values.
+the tag of its firing rule over input markings, and its effect on values.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ class TokenState(IntEnum):
         return "VON"[self]
 
 
-# Module-level names for the markings: the firing rules read them on every
+# Module-level names for the markings: can_fire reads them on every
 # enablement test, and a global is much cheaper than an enum attribute.
 VOID, OLD, NEW = TokenState
 
@@ -171,32 +171,6 @@ def want_numbers(values, ctx):
     return values
 
 
-def _ready(marking, inputs):
-    """Every input holds a token and one is New; true without inputs."""
-    new = not inputs
-    for d in inputs:
-        m = marking[d]
-        if m == NEW:
-            new = True
-        elif not m:  # Void
-            return False
-    return new
-
-
-def _any_new(marking, inputs):
-    for d in inputs:
-        if marking[d] == NEW:
-            return True
-    return False
-
-
-def _all_new(marking, inputs):
-    for d in inputs:
-        if marking[d] != NEW:
-            return False
-    return True
-
-
 def _process(spec, state, registry):
     """Run the registered function over the inputs; it writes every output."""
     fn = registry.resolve(spec.process_name)
@@ -256,9 +230,11 @@ Kind = namedtuple("Kind", "inputs outputs rule effect takes_process", defaults=(
 Kind.__doc__ = """One operator kind: its arity, firing rule and effect.
 
 inputs/outputs (int or None) are arities, None for any count (every
-operator still needs an output). rule(marking, inputs) decides enablement
-from the marking of the data indices inputs, in port order, reading the
-marking in place; can_fire adds that no output may hold a New token.
+operator still needs an output). rule names one of three firing rules over
+the markings of the inputs, which semantics.can_fire evaluates: "ready",
+every input holds a token and one is New (true without inputs); "any_new",
+some input is New; "all_new", every input is New. can_fire adds that no
+output may hold a New token.
 effect(spec, state, registry) returns the data indices the firing consumes
 and the (output index, value) pairs it writes; fire() makes the consumed
 inputs Old and the written outputs New. takes_process (bool) says whether
@@ -272,12 +248,12 @@ float first and calls want_numbers only for the error it raises.
 
 
 KINDS = {  # kind name -> Kind
-    "process": Kind(None, None, _ready, _process, True),  # takes a process
-    "ifelse": Kind(2, 2, _ready, _ifelse),
-    "merge": Kind(2, 1, _any_new, _merge),
-    "sync": Kind(2, 2, _all_new, _sync),
-    "incr": Kind(0, 1, _ready, _incr),
-    "lt": Kind(2, 1, _ready, _lt),
+    "process": Kind(None, None, "ready", _process, True),  # takes a process
+    "ifelse": Kind(2, 2, "ready", _ifelse),
+    "merge": Kind(2, 1, "any_new", _merge),
+    "sync": Kind(2, 2, "all_new", _sync),
+    "incr": Kind(0, 1, "ready", _incr),
+    "lt": Kind(2, 1, "ready", _lt),
 }
 
 

@@ -1,8 +1,9 @@
 """Process registry, the firing of one operator, and runs.
 
-The rule and effect of every operator kind live in model.KINDS, and fire()
-makes every firing from the operator and its kind's effect, committing it
-to the state it is handed, in place. A Run keeps two lists indexed by
+The rule tag and effect of every operator kind live in model.KINDS.
+can_fire() is the one evaluator of the rules, and fire() makes every
+firing from the operator and its kind's effect, committing it to the state
+it is handed, in place. A Run keeps two lists indexed by
 operator, hoods (each operator's neighbourhood) and affects (the operators
 its firing can affect), and copies its initial state once. Run.commit
 checks that the operator it is handed is enabled, fires it on that copy,
@@ -101,15 +102,32 @@ def can_fire(comp: Composition, op: int, marking: Sequence[TokenState]) -> bool:
     under a marking.
 
     marking is indexed by data index, as ExecutionState.marking is. No
-    output may hold a New token, and the kind's rule must accept the input
-    markings, which it reads in place. An op naming no operator is a
+    output may hold a New token, and the input markings, read in place,
+    must pass the rule KINDS[kind].rule names (see model.Kind). Each test
+    returns as soon as its answer is known. An op naming no operator is a
     ValidationError.
     """
     spec = operator_at(comp, op)
     for d in spec.outputs:
         if marking[d] == NEW:
             return False
-    return KINDS[spec.kind].rule(marking, spec.inputs)
+    rule = KINDS[spec.kind].rule
+    if rule == "ready":  # every input holds a token and one is New
+        new = not spec.inputs
+        for d in spec.inputs:
+            m = marking[d]
+            if m == NEW:
+                new = True
+            elif not m:  # Void
+                return False
+        return new
+    # any_new answers True at its first New input and all_new False at its
+    # first other one; with no such input, each gives the other answer
+    stop = rule == "any_new"
+    for d in spec.inputs:
+        if (marking[d] == NEW) == stop:
+            return stop
+    return not stop
 
 
 TraceEvent = namedtuple("TraceEvent", "step op_index op_name reads writes")

@@ -1,6 +1,7 @@
 """Shared builders, oracles, and hypothesis strategies for the test suite."""
 from __future__ import annotations
 
+import json
 import os
 import sys
 from pathlib import Path
@@ -206,16 +207,20 @@ _TEXT = st.text(_CHAR, max_size=6) | st.text(
 def usable_text(comp: Composition, text: str) -> str:
     """text, or, when it holds a lone surrogate, text with U+FFFD in its place.
 
-    Text UTF-8 cannot encode has no place in a document or a trace, so both
-    the library and the document parser must refuse it; that is asserted
-    here before the replacement goes on in its place.
+    Text UTF-8 cannot encode has no place in a document or a trace, so the
+    library, format_value and the document parser must refuse it; that is
+    asserted here before the replacement goes on in its place. The document
+    carries each lone surrogate raw and every other character escaped.
     """
     if not any(0xD800 <= ord(c) <= 0xDFFF for c in text):
         return text
     with pytest.raises(TypeMismatch, match="lone surrogate"):
         initial_state(comp, {0: TokenState.NEW}, {0: text})
+    with pytest.raises(TypeMismatch, match="lone surrogate"):
+        format_value(text)
+    body = "".join(c if 0xD800 <= ord(c) <= 0xDFFF else json.dumps(c)[1:-1] for c in text)
     document = emit_composition(comp)
-    document += f"init {comp.data[0].name} = {format_value(text)}\n"
+    document += f'init {comp.data[0].name} = "{body}"\n'
     lineno = document.count("\n")
     with pytest.raises(ParseError, match=f"^line {lineno}: text .* lone surrogate"):
         parse_composition(document)

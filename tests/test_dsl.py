@@ -89,6 +89,8 @@ def test_format_value():
         ([1.0], "unsupported value type 'list'"),
         (b"x", "unsupported value type 'bytes'"),
         (10**400, "number inf is not finite"),
+        ("\ud800", "text '\\ud800' holds a lone surrogate, which UTF-8 cannot encode"),
+        ("a\udfffb", "text 'a\\udfffb' holds a lone surrogate, which UTF-8 cannot encode"),
     ):
         with pytest.raises(TypeMismatch, match=f"^{re.escape(message)}$"):
             format_value(bad)
@@ -134,6 +136,13 @@ def _literal(token):
 @given(text=st.text(_TEXT_CHARS))
 @example(text="".join(map(chr, range(0x21))) + '"\\\x7f\x85\u2028\u2029')
 def test_text_prints_as_json_writes_it_with_every_line_break_escaped(text):
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate: no output could carry it
+        message = f"text {text!r} holds a lone surrogate, which UTF-8 cannot encode"
+        with pytest.raises(TypeMismatch, match=f"^{re.escape(message)}$"):
+            format_value(text)
+        return
     want = json.dumps(text, ensure_ascii=False).translate(_JSON_LINE_BREAKS)
     assert format_value(text) == want
 

@@ -23,9 +23,6 @@ from tokenflow.model import (
     KINDS,
     NAME,
     DataNode,
-    _all_new,
-    _any_new,
-    _ready,
     admit_seed,
     coerce_value,
 )
@@ -395,8 +392,8 @@ def test_state_copy_is_independent():
 # ------------------------------------------------------------ firing rules
 
 # The firing rules as the paper states them, over the list of input
-# markings in port order: the specification the rules, which read the
-# marking in place, are held to.
+# markings in port order: the specification can_fire, which reads the
+# marking in place, is held to. _RULE_SPECS is keyed by the tag KINDS holds.
 def _ready_spec(marks):
     return not marks or (V not in marks and N in marks)
 
@@ -409,7 +406,7 @@ def _all_new_spec(marks):
     return marks.count(N) == len(marks)
 
 
-_RULE_SPECS = {_ready: _ready_spec, _any_new: _any_new_spec, _all_new: _all_new_spec}
+_RULE_SPECS = {"ready": _ready_spec, "any_new": _any_new_spec, "all_new": _all_new_spec}
 _KIND_SPECS = {
     "process": _ready_spec,
     "ifelse": _ready_spec,
@@ -427,21 +424,21 @@ def _markings(k):
     return itertools.product(_MARKS, repeat=k)
 
 
-def test_each_rule_agrees_with_its_list_specification():
-    for rule, spec in _RULE_SPECS.items():
-        for k in range(5):
-            # The inputs sit in reverse order between two nodes no rule
-            # reads, so a rule must read each input by its index.
-            inputs = tuple(range(k, 0, -1))
-            for marks in _markings(k):
-                marking = [N, *reversed(marks), V]
-                assert [marking[d] for d in inputs] == list(marks)
-                assert rule(marking, inputs) == spec(list(marks)), (rule.__name__, marks)
+def test_each_kind_tags_the_rule_its_specification_gives():
+    assert set(KINDS) == set(_KIND_SPECS)
+    for kind, entry in KINDS.items():
+        assert entry.rule in _RULE_SPECS, (kind, entry.rule)
+        assert _RULE_SPECS[entry.rule] is _KIND_SPECS[kind], kind
 
 
 def _lone_shapes():
     """(composition, spec rule) for one operator of every kind and arity the
-    rule test covers."""
+    rule test covers.
+
+    Data is declared as a node no rule reads, the inputs in reverse port
+    order, another such node, then the outputs: can_fire must read each
+    input by its index.
+    """
     shapes = [("process", n_in, n_out) for n_in in range(5) for n_out in (1, 2)]
     shapes += [
         (kind, entry.inputs, entry.outputs)
@@ -449,10 +446,12 @@ def _lone_shapes():
         if entry.inputs is not None
     ]
     for kind, n_in, n_out in shapes:
-        names = [f"i{k}" for k in range(n_in)] + [f"o{k}" for k in range(n_out)]
-        decl = ("op", kind, tuple(names[:n_in]), tuple(names[n_in:]))
+        ins = [f"i{k}" for k in range(n_in)]
+        outs = [f"o{k}" for k in range(n_out)]
+        decl = ("op", kind, tuple(ins), tuple(outs))
         if kind == "process":
             decl += ("add",)
+        names = ["below", *reversed(ins), "above", *outs]
         yield build_composition(names, [decl]), _KIND_SPECS[kind]
 
 
@@ -460,9 +459,49 @@ def test_can_fire_agrees_with_the_specification_on_every_marking():
     for comp, spec in _lone_shapes():
         (op,) = comp.operators
         n_in = len(op.inputs)
-        for marks in _markings(len(comp.data)):
-            marking = list(marks)
+        assert op.inputs == tuple(range(n_in, 0, -1))
+        for marks in _markings(len(comp.data) - 2):
             ins, outs = marks[:n_in], marks[n_in:]
+            # the nodes no rule reads: New below the inputs, Void above them
+            marking = [N, *reversed(ins), V, *outs]
+            assert [marking[d] for d in op.inputs] == list(ins)
             want = N not in outs and spec(list(ins))
             assert can_fire(comp, 0, marking) == want, (op.kind, ins, outs)
-            assert can_fire(comp, op.index, dict(enumerate(marks))) == want, (op.kind, ins, outs)
+            assert can_fire(comp, op.index, dict(enumerate(marking))) == want, (op.kind, ins, outs)
+
+
+class _RecordingMarking(list):
+    """A marking that records each data index it is asked for."""
+
+    def __init__(self, marks):
+        super().__init__(marks)
+        self.asked = []
+
+    def __getitem__(self, d):
+        self.asked.append(d)
+        return super().__getitem__(d)
+
+
+def test_can_fire_returns_as_soon_as_its_answer_is_known():
+    comp = build_composition(
+        ["i0", "i1", "o0", "o1"],
+        [
+            ("p", "process", ("i0", "i1"), ("o0",), "add"),
+            ("m", "merge", ("i0", "i1"), ("o0",)),
+            ("s", "sync", ("i0", "i1"), ("o0", "o1")),
+        ],
+    )
+    p, m, s = comp.operators
+    for op, marks, want, read in (
+        # a New output: no input is read
+        (p, (N, N, N, V), False, []),
+        (m, (N, N, N, V), False, []),
+        (s, (N, N, N, V), False, []),
+        # ready with input 0 Void, any_new with it New, all_new with it Old
+        (p, (V, N, V, V), False, [0]),
+        (m, (N, V, V, V), True, [0]),
+        (s, (O, N, V, V), False, [0]),
+    ):
+        marking = _RecordingMarking(marks)
+        assert can_fire(comp, op.index, marking) == want, (op.kind, marks)
+        assert [d for d in marking.asked if d in op.inputs] == read, (op.kind, marks)
