@@ -109,11 +109,10 @@ def _load(path, overrides):
 
 
 def _summary(comp, state):
-    parts = [
+    return "final: " + " ".join([
         f"{n.name}={format_value(state.values[n.index])}({state.marking[n.index].code})"
         for n in comp.data
-    ]
-    return "final: " + " ".join(parts)
+    ])
 
 
 # Characters gathered before one write. A stream opened unbuffered (python -u,

@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import heapq
 from collections import namedtuple
+from math import inf
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .dsl import format_pairs, format_value
-from .errors import FlowError
+from .errors import FlowError, ValidationError
 from .model import Composition, ExecutionState, check_duration, operator_at
 from .semantics import (
     ProcessRegistry,
@@ -55,9 +56,7 @@ ScheduleEntry.__doc__ = """One executed interval, [start, end) in virtual time (
 and its event (a TraceEvent)."""
 
 
-def startable_set(
-    run: Run, running: Collection[int], waiting: Mapping[int, float]
-) -> list[int]:
+def startable_set(run, running, waiting):
     """The candidates of a start pass: enabled operators that are not running.
 
     Ordered by (waiting key, declaration index); waiting must hold a key for
@@ -69,8 +68,8 @@ def startable_set(
     return out
 
 
-def check_durations(comp: Composition, durations: Mapping | None) -> dict[int, float]:
-    """Validate an operator index -> duration map; see check_duration."""
+def check_durations(comp, durations):
+    """Validate an operator index -> duration map, or None; see check_duration."""
     return {
         idx: check_duration(operator_at(comp, idx).name, d)
         for idx, d in (durations or {}).items()
@@ -89,11 +88,12 @@ def simulate_concurrent(
 
     Returns the run result (trace ordered by commit) and the schedule.
     Simultaneous completions commit in declaration order, and all completions
-    due at an instant commit before anything new starts. A duration that is
-    not a finite positive number, or one keyed by an index with no operator,
-    raises ValidationError before the run starts. on_commit, when given,
-    receives each ScheduleEntry as its firing commits, and the result's
-    trace and the returned schedule stay empty.
+    due at an instant commit before anything new starts. A duration that is not
+    a finite positive number, or one keyed by an index with no operator, raises
+    ValidationError before the run starts, as a clock passing the largest float
+    does mid-run, with the run so far as its result. on_commit, when given,
+    receives each ScheduleEntry as its firing commits, and the result's trace
+    and the returned schedule stay empty.
     """
     durs = {op.index: 1.0 for op in comp.operators} | check_durations(comp, durations)
 
@@ -122,7 +122,13 @@ def simulate_concurrent(
                 push(completions, (clock + durs[idx], idx))
         if not completions:  # so nothing is running either
             return run.result(), schedule
-        clock = completions[0][0]
+        clock, idx = completions[0]
+        if clock == inf:  # finite durations summed past the largest float
+            exc = ValidationError(
+                f"operator {comp.operators[idx].name!r}, started at time"
+                f" {format_value(running[idx][0])}, ends past the largest float")
+            exc.result = run.result()
+            raise exc
         while completions and completions[0][0] == clock:
             idx = pop(completions)[1]
             started, snapshot = running.pop(idx)
@@ -140,7 +146,7 @@ def simulate_concurrent(
                 return run.result(), schedule
 
 
-def schedule_row(entry: ScheduleEntry, writes: str = "") -> str:
+def schedule_row(entry, writes=""):
     """One schedule entry as a start/end/operator/writes TSV line.
 
     writes, when given, is format_pairs(entry.event.writes), already made.

@@ -112,12 +112,12 @@ def format_value(value: Value) -> str:
     A number takes its shortest decimal form, and an integral one below
     1e16 in size prints without a point. Any other value prints as
     coerce_value stores it (an int as a number), or raises its TypeMismatch,
-    as for text holding a lone surrogate.
+    as for a number that is not finite or text holding a lone surrogate.
     """
     if isinstance(value, float):  # the common case, tested first
         if value.is_integer() and -1e16 < value < 1e16:
             return str(int(value)) if value or math.copysign(1.0, value) > 0 else "-0"
-        return repr(value)
+        return repr(coerce_value(value))  # refuses inf and nan, which no literal reads
     if value is None:
         return "-"
     if isinstance(value, bool):

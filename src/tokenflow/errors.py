@@ -8,9 +8,9 @@ Every error a firing raises is prefixed "operator 'NAME' at step N: ".
 class FlowError(Exception):
     """Base class for every error this package raises on purpose.
 
-    Raised by a firing inside a run, result is the RunResult up to the
-    failure: its trace, the state before the failing firing, and
-    converged=False. Otherwise result is None.
+    Raised by a firing inside a run, or by a simulated clock passing the
+    largest float, result is the RunResult up to the failure: its trace, the
+    state before the failing firing, and converged=False. Otherwise None.
     """
 
     result = None

@@ -171,12 +171,12 @@ def want_numbers(values, ctx):
     return values
 
 
-def _process(spec, state, registry):
+def _process(spec, consumed, state, registry):
     """Run the registered function over the inputs; it writes every output."""
     fn = registry.resolve(spec.process_name)
     try:
         result = list(
-            fn([*map(state.values.__getitem__, spec.inputs)], state.exec_counts[spec.index])
+            fn([*map(state.values.__getitem__, consumed)], state.exec_counts[spec.index])
         )
     except FlowError:
         raise
@@ -189,61 +189,60 @@ def _process(spec, state, registry):
             f"process {spec.process_name!r} returned {len(result)} values,"
             f" operator writes {len(spec.outputs)}"
         )
-    return spec.inputs, tuple(zip(spec.outputs, map(coerce_value, result)))
+    return tuple(zip(spec.outputs, map(coerce_value, result)))
 
 
-def _ifelse(spec, state, registry):
+def _ifelse(spec, consumed, state, registry):
     """Input 0 goes to output 0 when input 1 holds, else to output 1."""
-    d, c = spec.inputs
+    d, c = consumed
     condition = state.values[c]
     if type(condition) is not bool:
         raise TypeMismatch(f"if/else condition must be a boolean, got {condition!r}")
-    return spec.inputs, ((spec.outputs[0 if condition else 1], state.values[d]),)
+    return ((spec.outputs[0 if condition else 1], state.values[d]),)
 
 
-def _merge(spec, state, registry):
-    """Forward and consume the New input, input 0 on a tie."""
-    first, second = spec.inputs
-    src = first if state.marking[first] == NEW else second
-    return (src,), ((spec.outputs[0], state.values[src]),)
+def _merge(spec, consumed, state, registry):
+    """Forward the one input the firing consumes."""
+    return ((spec.outputs[0], state.values[consumed[0]]),)
 
 
-def _sync(spec, state, registry):
+def _sync(spec, consumed, state, registry):
     """Input i goes to output i."""
-    (a, b), (x, y), values = spec.inputs, spec.outputs, state.values
-    return spec.inputs, ((x, values[a]), (y, values[b]))
+    (a, b), (x, y), values = consumed, spec.outputs, state.values
+    return ((x, values[a]), (y, values[b]))
 
 
-def _incr(spec, state, registry):
-    return (), ((spec.outputs[0], float(state.exec_counts[spec.index] + 1)),)
+def _incr(spec, consumed, state, registry):
+    return ((spec.outputs[0], float(state.exec_counts[spec.index] + 1)),)
 
 
-def _lt(spec, state, registry):
-    a, b = spec.inputs
+def _lt(spec, consumed, state, registry):
+    a, b = consumed
     x, y = state.values[a], state.values[b]
     if type(x) is not float or type(y) is not float:
         want_numbers((x, y), "less-than")
-    return spec.inputs, ((spec.outputs[0], x < y),)
+    return ((spec.outputs[0], x < y),)
 
 
 Kind = namedtuple("Kind", "inputs outputs rule effect takes_process", defaults=(False,))
 Kind.__doc__ = """One operator kind: its arity, firing rule and effect.
 
-inputs/outputs (int or None) are arities, None for any count (every
-operator still needs an output). rule names one of three firing rules over
-the markings of the inputs, which semantics.can_fire evaluates: "ready",
-every input holds a token and one is New (true without inputs); "any_new",
-some input is New; "all_new", every input is New. can_fire adds that no
-output may hold a New token.
-effect(spec, state, registry) returns the data indices the firing consumes
-and the (output index, value) pairs it writes; fire() makes the consumed
-inputs Old and the written outputs New. takes_process (bool) says whether
-an operator of the kind names a process function.
+inputs/outputs (int or None) are arities, None for any count (every operator
+still needs an output). rule names one of three firing rules over the
+markings of the inputs: "ready", every input holds a token and one is New
+(true without inputs); "any_new", some input is New; "all_new", every input
+is New. semantics.can_fire evaluates it, adding that no output may hold a New
+token, and semantics.consumes gives the inputs a firing consumes: the first
+New one under "any_new", else all. effect(spec, consumed, state, registry)
+returns only the (output index, value) pairs the firing writes, and fire()
+makes the consumed inputs Old and the written outputs New. takes_process
+(bool) says whether an operator of the kind names a process function.
 
-An effect reads state.values at spec.inputs in place. A kind of fixed arity
-unpacks its ports, as many as build_composition lets through. Stored
-numbers are exact floats (coerce_value), so an effect tests type(x) is
-float first and calls want_numbers only for the error it raises.
+An effect reads state.values in place at consumed, every input in port order
+but under "any_new", and never a marking. A kind of fixed arity unpacks
+them, as many as build_composition lets through. Stored numbers are exact
+floats (coerce_value), so an effect tests type(x) is float first and calls
+want_numbers only for the error it raises.
 """
 
 

@@ -1,14 +1,14 @@
 """Process registry, the firing of one operator, and runs.
 
-The rule tag and effect of every operator kind live in model.KINDS.
-can_fire() is the one evaluator of the rules, and fire() makes every
-firing from the operator and its kind's effect, committing it to the state
-it is handed, in place. A Run keeps two lists indexed by
-operator, hoods (each operator's neighbourhood) and affects (the operators
-its firing can affect), and copies its initial state once. Run.commit
-checks that the operator it is handed is enabled, fires it on that copy,
-keeps its set of enabled operators current, and hands each firing's one
-record, its TraceEvent, to its commit hook (by default, its trace). It is
+The rule tag and effect of every operator kind live in model.KINDS. can_fire()
+and consumes() are the one evaluator of the tags: whether an operator fires,
+and what it consumes. fire() commits each firing, of those inputs and the
+writes of its kind's effect, to the state it is handed, in place. A Run keeps
+two lists indexed by operator, hoods (each operator's neighbourhood) and
+affects (the operators its firing can affect), and copies its initial state
+once. Run.commit checks that the operator it is handed is enabled, fires it on
+that copy, keeps its set of enabled operators current, and hands each firing's
+one record, its TraceEvent, to its commit hook (by default, its trace). It is
 the one firing path of both processors, which differ only in which enabled
 operator they pick, and the one checked way to fire a chosen operator.
 """
@@ -130,6 +130,16 @@ def can_fire(comp: Composition, op: int, marking: Sequence[TokenState]) -> bool:
     return not stop
 
 
+def consumes(comp, op, marking):
+    """The inputs op, enabled under marking, consumes (see model.Kind); op is not checked."""
+    spec = comp.operators[op]
+    if KINDS[spec.kind].rule == "any_new":
+        for d in spec.inputs:
+            if marking[d] == NEW:
+                return (d,)
+    return spec.inputs
+
+
 TraceEvent = namedtuple("TraceEvent", "step op_index op_name reads writes")
 TraceEvent.__doc__ = """One completed firing: step (int), the state's step it fired at;
 op_index (int) and op_name (str), the operator; and reads and writes.
@@ -159,35 +169,35 @@ def fire(
     """Commit operator op, an index into comp.operators that the caller has
     found enabled, to state in place; returns the firing's event.
 
-    Consumed inputs become Old and written outputs New; the event's reads
-    are the consumed inputs, with their values before the firing. The
-    effect and the checks of its writes run before anything is written, so
-    an error leaves the state untouched; any FlowError they raise is
-    prefixed with the operator and the step. The effect reads the input
-    values from the state as they stand. Each write must be a value, not
+    consumes() names the inputs the firing makes Old, and the kind's effect
+    the writes, whose outputs it makes New; the event's reads are the
+    consumed inputs, with their values before the firing. The effect and
+    the checks of its writes run before anything is written, so an error
+    leaves the state untouched; any FlowError they raise is prefixed with
+    the operator and the step. Each write must be a value, not
     None, which only a process function can return (a ProcessError naming
     the process and the data node), and of its output's sort. The work is
     bounded by the operator's neighbourhood: fire() neither checks op nor
     copies state. Run.commit checks a chosen operator and fires it on the
     copy its run holds.
     """
-    spec, data = comp.operators[op], comp.data
+    spec, data, values, marking = comp.operators[op], comp.data, state.values, state.marking
+    consumed = consumes(comp, op, marking)
     try:
-        consumed, writes = KINDS[spec.kind].effect(spec, state, registry)
+        writes = KINDS[spec.kind].effect(spec, consumed, state, registry)
         for d, v in writes:
+            node = data[d]
             if v is None:  # only a process function can return no value
                 raise ProcessError(
                     f"process {spec.process_name!r} returned no value for data"
-                    f" {data[d].name!r}"
+                    f" {node.name!r}"
                 )
-            node = data[d]
             if node.sort != "any":
                 check_sort(node, v)
     except FlowError as exc:
         exc.args = (f"operator {spec.name!r} at step {state.step}: {exc}",)
         raise
 
-    values, marking = state.values, state.marking
     reads, wrote = [], []
     for d in consumed:
         reads.append((data[d].name, values[d]))
@@ -196,13 +206,12 @@ def fire(
         wrote.append((data[d].name, v))
         values[d] = v
         marking[d] = NEW
-    index = spec.index
     event = tuple.__new__(  # TraceEvent(...) without the frame of its __new__
-        TraceEvent, (state.step, index, spec.name, tuple(reads), tuple(wrote))
+        TraceEvent, (state.step, op, spec.name, tuple(reads), tuple(wrote))
     )
-    state.exec_counts[index] += 1
+    state.exec_counts[op] += 1
     state.step += 1
-    state.scan_start = (index + 1) % len(comp.operators)
+    state.scan_start = (op + 1) % len(comp.operators)
     return event
 
 

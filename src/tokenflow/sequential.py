@@ -46,7 +46,9 @@ def select_next(run):
 def step(
     comp: Composition, state: ExecutionState, registry: ProcessRegistry
 ) -> tuple[ExecutionState, TraceEvent] | None:
-    """Fire the scheduler's choice once. None when nothing is enabled."""
+    """Fire the scheduler's choice once. None when nothing is enabled. Each
+    call builds a new Run, which tests every operator before its one firing:
+    to step repeatedly, call run_to_convergence with RunLimits(n) and on_commit."""
     result = run_to_convergence(comp, state, registry, RunLimits(1))
     return (result.final_state, result.trace[0]) if result.trace else None
 

@@ -86,7 +86,9 @@ FAULTY: dict[str, str | bytes] = {
     "build-seed-of-wrong-sort.flow": "data a num\ninit a = true\n",
 }
 
-# Documents that load and then fail part-way through a run.
+# Documents that load and then fail part-way through a run. The clock of
+# fail-clock-overflow passes the largest float under simulate only, since
+# run keeps no time.
 FAILING: dict[str, str] = {
     "fail-add1-on-text.flow": (
         "data a\ndata b\ndata c\n"
@@ -102,6 +104,11 @@ FAILING: dict[str, str] = {
     ),
     "fail-unregistered-process.flow": (
         "data a\ndata b\nop p process:nosuch (a) -> (b)\ninit a = 1\n"
+    ),
+    "fail-clock-overflow.flow": (
+        "data a\ndata b\ndata c\n"
+        "op p1 process:add1 (a) -> (b)\nop p2 process:add1 (b) -> (c)\n"
+        "init a = 1\ndur p1 = 1e308\ndur p2 = 1e308\n"
     ),
 }
 

@@ -23,7 +23,7 @@ from tokenflow import (
 from tokenflow import concurrent
 from tokenflow.concurrent import ScheduleEntry, startable_set
 from tokenflow.dsl import format_value
-from tokenflow.semantics import TraceEvent
+from tokenflow.semantics import TraceEvent, consumes
 from conftest import (
     FLOWS,
     REPO,
@@ -149,16 +149,14 @@ def test_concurrent_matches_sequential_final_state():
         assert conc.final_state.marking == seq.final_state.marking
 
 
-def _outcomes(op, marking):
-    """The markings one firing of op may leave, whatever the values.
+def _outcomes(comp, op, marking):
+    """The markings one firing of op, enabled under marking, may leave,
+    whatever the values.
 
-    A merge consumes its New input, input 0 on a tie, and any other kind
-    all its inputs; an if/else writes either one of its outputs, and any
-    other kind all of them.
+    It consumes what semantics.consumes says; an if/else writes either one
+    of its outputs, and any other kind all of them.
     """
-    consumed = op.inputs
-    if op.kind == "merge":
-        consumed = (op.inputs[0] if marking[op.inputs[0]] == N else op.inputs[1],)
+    consumed = consumes(comp, op.index, marking)
     writes = [(out,) for out in op.outputs] if op.kind == "ifelse" else [op.outputs]
     for written in writes:
         after = list(marking)
@@ -178,7 +176,8 @@ def find_shared_enabling(comp, marking):
     """Search the markings reachable from marking, values left out, for one
     that enables two operators sharing a data node.
 
-    Enablement is reference.py's. Returns that marking, or None, and the
+    Enablement is reference.py's, and consumption semantics.consumes's, as
+    _outcomes takes it. Returns that marking, or None, and the
     number of markings visited. A None after SEARCH_LIMIT of them decides
     nothing.
     """
@@ -191,7 +190,7 @@ def find_shared_enabling(comp, marking):
         if any(hoods[a.index] & hoods[b.index] for a, b in combinations(enabled, 2)):
             return marking, len(seen)
         for op in enabled:
-            for after in _outcomes(op, marking):
+            for after in _outcomes(comp, op, marking):
                 if after not in seen:
                     seen.add(after)
                     todo.append(after)
@@ -280,6 +279,35 @@ def test_bad_durations_are_refused_before_the_run(durations, named):
     # documents refuse these values, so emission refuses them too
     with pytest.raises(ValidationError, match=named):
         emit_composition(comp, state, durations)
+
+
+_CHAIN = (
+    "data a\ndata b\ndata c\n"
+    "op p1 process:add1 (a) -> (b)\nop p2 process:add1 (b) -> (c)\ninit a = 1\n"
+)
+
+
+def test_a_clock_passing_the_largest_float_is_refused_with_the_run_so_far():
+    # Each duration is finite, but their sum is not: the run stops at the
+    # instant the clock would reach inf, naming the operator that would end
+    # then and its start, and no entry carries inf. Its error carries the
+    # run so far, with or without a hook. A sum below the largest float runs
+    # to the end.
+    comp, state, durs = parse_composition(_CHAIN + "dur p1 = 1e308\ndur p2 = 1e308\n")
+    message = r"^operator 'p2', started at time 1e\+308, ends past the largest float$"
+    kept = []
+    for hook in (kept.append, None):
+        with pytest.raises(ValidationError, match=message) as failed:
+            simulate_concurrent(comp, state, default_registry(), durs, on_commit=hook)
+        result = failed.value.result
+        assert (result.converged, result.steps_taken) == (False, 1)
+        assert result.final_state.values == [1.0, 2.0, None]
+        assert [e.op_name for e in result.trace] == ([] if hook else ["p1"])
+    assert [(e.start, e.end, e.event.op_name) for e in kept] == [(0.0, 1e308, "p1")]
+    comp, state, durs = parse_composition(_CHAIN + "dur p1 = 1e308\ndur p2 = 7e307\n")
+    result, schedule = simulate_concurrent(comp, state, default_registry(), durs)
+    assert result.converged
+    assert [entry.end for entry in schedule] == [1e308, 1e308 + 7e307]
 
 
 def test_one_start_pass_at_time_zero_and_one_per_completion_instant(monkeypatch):

@@ -1,4 +1,5 @@
 """Structure building, validation, graph views, and state construction."""
+import ast
 import itertools
 import math
 
@@ -26,10 +27,10 @@ from tokenflow.model import (
     admit_seed,
     coerce_value,
 )
-from tokenflow.semantics import can_fire
+from tokenflow.semantics import can_fire, consumes
 from tokenflow.sequential import enabled_set
 
-from conftest import FLOWS, N, O, V, branch_structure, state_of
+from conftest import FLOWS, N, O, REPO, V, branch_structure, state_of
 
 
 def test_token_state_codes():
@@ -455,7 +456,17 @@ def _lone_shapes():
         yield build_composition(names, [decl]), _KIND_SPECS[kind]
 
 
+def _consumes_spec(op, marking):
+    """The inputs a firing of op consumes: a merge its first New input in
+    port order, any other kind all of them."""
+    if op.kind == "merge":
+        return (next(d for d in op.inputs if marking[d] == N),)
+    return op.inputs
+
+
 def test_can_fire_agrees_with_the_specification_on_every_marking():
+    # and, on every marking that enables the operator, consumes with the
+    # specification of what its firing consumes
     for comp, spec in _lone_shapes():
         (op,) = comp.operators
         n_in = len(op.inputs)
@@ -468,6 +479,10 @@ def test_can_fire_agrees_with_the_specification_on_every_marking():
             want = N not in outs and spec(list(ins))
             assert can_fire(comp, 0, marking) == want, (op.kind, ins, outs)
             assert can_fire(comp, op.index, dict(enumerate(marking))) == want, (op.kind, ins, outs)
+            if want:
+                consumed = _consumes_spec(op, marking)
+                assert consumes(comp, 0, marking) == consumed, (op.kind, ins, outs)
+                assert consumes(comp, 0, dict(enumerate(marking))) == consumed, (op.kind, ins)
 
 
 class _RecordingMarking(list):
@@ -505,3 +520,35 @@ def test_can_fire_returns_as_soon_as_its_answer_is_known():
         marking = _RecordingMarking(marks)
         assert can_fire(comp, op.index, marking) == want, (op.kind, marks)
         assert [d for d in marking.asked if d in op.inputs] == read, (op.kind, marks)
+
+
+def test_a_rule_tag_is_read_in_semantics_alone_and_no_effect_reads_a_marking():
+    # Markings are the rule's and values the effect's: outside KINDS, a rule
+    # tag appears in src/tokenflow only in a comparison in semantics.py
+    # (can_fire and consumes), and no effect in model.py reads state.marking.
+    tags = {"ready", "any_new", "all_new"}
+    src = REPO / "src" / "tokenflow"
+    found = {}  # file name -> the kinds of node a tag appears in, outside KINDS
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        kinds_table = [
+            node.value for node in tree.body
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["KINDS"]
+        ]
+        in_kinds = {id(n) for table in kinds_table for n in ast.walk(table)}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Constant) and child.value in tags and id(child) not in in_kinds:
+                    found.setdefault(path.name, set()).add(type(node).__name__)
+    assert found == {"semantics.py": {"Compare"}}
+
+    tree = ast.parse((src / "model.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    effects = {entry.effect.__name__ for entry in KINDS.values()}
+    assert len(effects) == len(KINDS) and effects <= set(functions)
+    for name in sorted(effects):
+        read = [
+            node.lineno for node in ast.walk(functions[name])
+            if isinstance(node, ast.Attribute) and node.attr == "marking"
+        ]
+        assert read == [], f"effect {name} reads a marking at line(s) {read}"

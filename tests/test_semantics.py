@@ -31,7 +31,7 @@ from tokenflow import concurrent, semantics, sequential
 from tokenflow.concurrent import startable_set
 from tokenflow.sequential import enabled_set
 from tokenflow.model import Composition
-from tokenflow.semantics import Run, fire
+from tokenflow.semantics import Run, consumes, fire
 from conftest import (
     FLOWS, N, O, V, branch_structure, marked_states, run_of, small_compositions, state_of,
 )
@@ -632,9 +632,11 @@ def test_a_run_keeps_each_neighbourhood_and_an_owned_firing_commits_in_place(dat
     # search over every pair of operators give. fire() commits to the very
     # state it is handed, a copy the test owns, with the event and the state
     # Run.commit gives, and a run that commits in a drawn order, as the
-    # concurrent processor may, gives both at every firing. The process
-    # fails at a drawn firing count, or on text: then both fail alike,
-    # naming the operator and the step, and leave the state as it was.
+    # concurrent processor may, gives both at every firing. Each event reads
+    # exactly the inputs consumes() names under the marking before the
+    # firing, with their values then. The process fails at a drawn firing
+    # count, or on text: then both fail alike, naming the operator and the
+    # step, and leave the state as it was.
     comp = data.draw(small_compositions())
     state = data.draw(marked_states(comp, with_text=True))
     saved = state.copy()
@@ -661,6 +663,9 @@ def test_a_run_keeps_each_neighbourhood_and_an_owned_firing_commits_in_place(dat
             break
         idx = data.draw(st.sampled_from(run.order))
         owned = run.state.copy()
+        reads = tuple(
+            (comp.data[d].name, owned.values[d]) for d in consumes(comp, idx, owned.marking)
+        )
         try:
             event = fire(comp, idx, owned, registry)
         except FlowError as exc:
@@ -674,5 +679,6 @@ def test_a_run_keeps_each_neighbourhood_and_an_owned_firing_commits_in_place(dat
             break
         assert run.commit(idx) == event
         assert run.state == owned
+        assert event.reads == reads
         _assert_reads_old_and_writes_new(comp, event, owned)
     assert state == saved  # the run never touched it
