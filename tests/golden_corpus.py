@@ -252,6 +252,13 @@ def cases() -> dict[str, list[str]]:
     for name in FAILING:
         for command in ("run", "simulate"):
             out[f"{command} {_doc(name)}"] = [command, _doc(name)]
+    # Each sink on its own: --quiet silences stdout and leaves a --trace
+    # file written, and a failing run's committed lines reach the sink.
+    for path in [p for p in good if p.startswith("flows/")] + [_doc("fail-add1-on-text.flow")]:
+        out[f"run-trace-file-quiet {path}"] = ["run", path, "--trace", TRACE, "--quiet"]
+    fail = _doc("fail-add1-on-text.flow")
+    out[f"step-3 {fail}"] = ["step", fail, "--steps", "3"]
+    out[f"simulate-quiet {fail}"] = ["simulate", fail, "--quiet"]
     for name in FAULTY_TEXT:
         for command in ("validate", "run", "simulate"):
             out[f"{command} {_doc(name)}"] = [command, _doc(name)]
