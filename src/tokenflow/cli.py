@@ -145,16 +145,6 @@ def _batch(write, chunk=CHUNK):
     return add, flush
 
 
-def _lines_to(add, render):
-    """A commit hook adding each firing's line, as render makes it."""
-    return lambda event: add(render(event))
-
-
-def _finish(comp, result, out):
-    out(_summary(comp, result.final_state) + "\n")
-    return 0 if result.converged else 2
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     stdout = sys.stdout
@@ -183,7 +173,10 @@ def main(argv=None) -> int:
 
 def _command(args, out):
     """Carry out one parsed command, handing its output to out, an add of
-    _batch; trace lines go out as firings commit."""
+    _batch. A command that fires plans its output once: its step limit; its
+    trace sink (out, the --trace file, or none under --quiet); a schedule,
+    held by simulate with a sink and printed after the trace; and one commit
+    hook, handing each firing's line to the sink as it commits."""
     if args.command == "validate":
         comp, _, _ = _load(args.file, [])
         out(f"ok: {len(comp.data)} data nodes, {len(comp.operators)} operators\n")
@@ -198,54 +191,54 @@ def _command(args, out):
 
     from .semantics import RunLimits, Trace, default_registry, discard
 
-    registry, start = default_registry(), Trace(comp, state).start
-    if args.command != "simulate":
-        from .sequential import run_to_convergence
-
-        render = trace_renderer(start)
-    if args.command == "step":
-        if args.steps >= 1:
-            limits, hook = RunLimits(args.steps), _lines_to(out, render)
-            state = run_to_convergence(comp, state, registry, limits, hook).final_state
+    simulate = args.command == "simulate"
+    limit = getattr(args, "max_steps", getattr(args, "steps", None))  # step's --steps
+    if limit is not None and limit < 1:  # only step's may be, and nothing fires
         out(_summary(comp, state) + "\n")
         return 0
-
-    limits = RunLimits(args.max_steps) if args.max_steps else RunLimits()
-    if args.command == "run":
-        if args.trace == "-":
-            hook = discard if args.quiet else _lines_to(out, render)
-            result = run_to_convergence(comp, state, registry, limits, hook)
-        else:
-            # A file opened here is buffered, also under python -u.
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                hook = _lines_to(fh.write, render)
-                result = run_to_convergence(comp, state, registry, limits, hook)
-        return _finish(comp, result, out)
-
-    # simulate, the one command left
-    from .concurrent import schedule_row, simulate_concurrent
-
-    # The schedule, printed after the trace, is held joined in pieces of
-    # 4 KiB: one short row alone takes several times its text in memory.
-    held = []
-    keep, flush_rows = _batch(held.append, 1 << 12)
-    if args.quiet:
-        hook = discard
+    limits = RunLimits(limit) if limit else RunLimits()
+    if simulate:
+        from .concurrent import schedule_row, simulate_concurrent
     else:
-        writes = []  # each line's writes text, formatted once for its row too
-        render = trace_renderer(start, writes.append)
+        from .sequential import run_to_convergence
+    path = getattr(args, "trace", "-")
+    # A file opened here is buffered, also under python -u.
+    fh = None if path == "-" else open(path, "w", encoding="utf-8")
+    write = fh.write if fh else None if getattr(args, "quiet", False) else out
+    hook, keep = discard, None
+    if write:
+        if simulate:
+            # The schedule is held joined in pieces of 4 KiB: one short row
+            # alone takes several times its text in memory.
+            held, writes = [], []  # writes: each line's writes text, for its row too
+            keep, flush_rows = _batch(held.append, 1 << 12)
+        render = trace_renderer(
+            Trace(comp, state).start, writes.append if simulate else None
+        )
 
         def hook(entry):
-            out(render(entry.event))
-            keep(schedule_row(entry, writes.pop()))
+            if simulate:  # entry is a ScheduleEntry
+                write(render(entry.event))
+                keep(schedule_row(entry, writes.pop()))
+            else:
+                write(render(entry))
 
-    result, _ = simulate_concurrent(
-        comp, state, registry, durations, limits, hook
-    )
-    flush_rows()
-    for text in held:
-        out(text)
-    return _finish(comp, result, out)
+    try:
+        if simulate:
+            result = simulate_concurrent(
+                comp, state, default_registry(), durations, limits, hook
+            )[0]
+        else:
+            result = run_to_convergence(comp, state, default_registry(), limits, hook)
+    finally:  # a failing run leaves its committed lines in the file
+        if fh:
+            fh.close()
+    if keep:
+        flush_rows()
+        for text in held:
+            out(text)
+    out(_summary(comp, result.final_state) + "\n")
+    return 0 if result.converged or args.command == "step" else 2
 
 
 def entry() -> None:

@@ -76,6 +76,16 @@ def check_durations(comp, durations):
     }
 
 
+def _refused(run, idx, started, why):
+    """The ValidationError of an operator whose end the clock cannot hold,
+    carrying the run so far."""
+    exc = ValidationError(
+        f"operator {run.comp.operators[idx].name!r}, started at time"
+        f" {format_value(started)}, {why}")
+    exc.result = run.result()
+    return exc
+
+
 def simulate_concurrent(
     comp: Composition,
     initial: ExecutionState,
@@ -90,8 +100,10 @@ def simulate_concurrent(
     Simultaneous completions commit in declaration order, and all completions
     due at an instant commit before anything new starts. A duration that is not
     a finite positive number, or one keyed by an index with no operator, raises
-    ValidationError before the run starts, as a clock passing the largest float
-    does mid-run, with the run so far as its result. on_commit, when given,
+    ValidationError before the run starts. So, mid-run and with the run so far
+    as its result, does an operator whose end the clock cannot hold: one
+    starting at a clock so large that its duration vanishes (clock + duration
+    == clock), or one ending past the largest float. on_commit, when given,
     receives each ScheduleEntry as its firing commits, and the result's trace
     and the returned schedule stay empty.
     """
@@ -117,18 +129,18 @@ def simulate_concurrent(
         for idx in startable_set(run, running, waited):
             hood = hoods[idx]
             if hood.isdisjoint(busy):
+                end = clock + durs[idx]
+                if end == clock:  # a duration below the clock's precision
+                    raise _refused(run, idx, clock, f"ends at its start: duration"
+                                   f" {format_value(durs[idx])} is lost in the clock")
                 busy |= hood
                 running[idx] = (clock, inputs[idx](values))
-                push(completions, (clock + durs[idx], idx))
+                push(completions, (end, idx))
         if not completions:  # so nothing is running either
             return run.result(), schedule
         clock, idx = completions[0]
         if clock == inf:  # finite durations summed past the largest float
-            exc = ValidationError(
-                f"operator {comp.operators[idx].name!r}, started at time"
-                f" {format_value(running[idx][0])}, ends past the largest float")
-            exc.result = run.result()
-            raise exc
+            raise _refused(run, idx, running[idx][0], "ends past the largest float")
         while completions and completions[0][0] == clock:
             idx = pop(completions)[1]
             started, snapshot = running.pop(idx)

@@ -306,7 +306,8 @@ class Run:
         leaves there disables it.
         """
         comp, enabled, order = self.comp, self.enabled, self.order
-        if idx not in enabled or type(idx) is not int:  # True and 2.0 hash as 1 and 2
+        # the type first: True and 2.0 hash as 1 and 2, and [0] has no hash
+        if type(idx) is not int or idx not in enabled:
             raise NotEnabled(f"operator {operator_at(comp, idx).name!r} is not enabled")
         try:
             event = fire(comp, idx, self.state, self.registry)

@@ -87,8 +87,9 @@ FAULTY: dict[str, str | bytes] = {
 }
 
 # Documents that load and then fail part-way through a run. The clock of
-# fail-clock-overflow passes the largest float under simulate only, since
-# run keeps no time.
+# fail-clock-overflow passes the largest float, and p2's duration vanishes
+# into the clock of fail-duration-vanishes (1e17 + 1 == 1e17), under
+# simulate only, since run keeps no time.
 FAILING: dict[str, str] = {
     "fail-add1-on-text.flow": (
         "data a\ndata b\ndata c\n"
@@ -109,6 +110,11 @@ FAILING: dict[str, str] = {
         "data a\ndata b\ndata c\n"
         "op p1 process:add1 (a) -> (b)\nop p2 process:add1 (b) -> (c)\n"
         "init a = 1\ndur p1 = 1e308\ndur p2 = 1e308\n"
+    ),
+    "fail-duration-vanishes.flow": (
+        "data a\ndata b\ndata c\n"
+        "op p1 process:add1 (a) -> (b)\nop p2 process:add1 (b) -> (c)\n"
+        "init a = 1\ndur p1 = 1e17\ndur p2 = 1\n"
     ),
 }
 

@@ -526,7 +526,7 @@ def test_text_is_read_and_written_without_the_json_module(tmp_path):
 # compiles them from source when no bytecode is cached, so this bounds the
 # fixed cost of each run. A budget only goes down: lower it when a change
 # shrinks the path, and never raise it.
-RUN_PATH_BUDGETS = {"run": 8_003, "simulate": 8_529}
+RUN_PATH_BUDGETS = {"run": 7_938, "simulate": 8_523}
 
 
 def test_the_run_path_stays_within_its_budget():
@@ -869,7 +869,8 @@ def test_a_streamed_run_holds_no_more_memory_for_more_firings(tmp_path, monkeypa
 
 def test_a_cli_run_builds_its_start_marking_once(tmp_path, capsys, monkeypatch):
     # Cost gate: the CLI builds the start pairs its renderer needs, and a
-    # run given a commit hook builds no Trace of its own.
+    # run given a commit hook builds no Trace of its own. With no trace
+    # sink, under --quiet, it builds neither; a --trace file is still one.
     from tokenflow import semantics
 
     built = []
@@ -881,10 +882,19 @@ def test_a_cli_run_builds_its_start_marking_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(semantics, "Trace", Counted)
     out = str(tmp_path / "out.trace")
-    for argv in (["run", LOOP], ["run", LOOP, "--trace", out], ["simulate", LOOP]):
+    cases = {
+        ("run", LOOP): [10],
+        ("run", LOOP, "--trace", out): [10],
+        ("run", LOOP, "--trace", out, "--quiet"): [10],
+        ("simulate", LOOP): [10],
+        ("step", LOOP, "--steps", "3"): [10],
+        ("run", LOOP, "--quiet"): [],
+        ("simulate", LOOP, "--quiet"): [],
+    }
+    for argv, starts in cases.items():
         built.clear()
         code, _, _ = run_cli(capsys, *argv)
-        assert (code, built) == (0, [10]), argv
+        assert (code, built) == (0, starts), argv
 
 
 def test_broken_exclusion_exits_one_without_a_traceback(tmp_path, capsys, monkeypatch):

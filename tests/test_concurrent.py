@@ -287,14 +287,13 @@ _CHAIN = (
 )
 
 
-def test_a_clock_passing_the_largest_float_is_refused_with_the_run_so_far():
-    # Each duration is finite, but their sum is not: the run stops at the
-    # instant the clock would reach inf, naming the operator that would end
-    # then and its start, and no entry carries inf. Its error carries the
-    # run so far, with or without a hook. A sum below the largest float runs
-    # to the end.
-    comp, state, durs = parse_composition(_CHAIN + "dur p1 = 1e308\ndur p2 = 1e308\n")
-    message = r"^operator 'p2', started at time 1e\+308, ends past the largest float$"
+def _p2_refused(durations, message):
+    """simulate on _CHAIN with the given dur lines refuses p2 with message.
+
+    Its error carries the run so far, p1 committed, with or without a hook;
+    returns p1's end.
+    """
+    comp, state, durs = parse_composition(_CHAIN + durations)
     kept = []
     for hook in (kept.append, None):
         with pytest.raises(ValidationError, match=message) as failed:
@@ -303,11 +302,36 @@ def test_a_clock_passing_the_largest_float_is_refused_with_the_run_so_far():
         assert (result.converged, result.steps_taken) == (False, 1)
         assert result.final_state.values == [1.0, 2.0, None]
         assert [e.op_name for e in result.trace] == ([] if hook else ["p1"])
-    assert [(e.start, e.end, e.event.op_name) for e in kept] == [(0.0, 1e308, "p1")]
+    ((start, end, op),) = [(e.start, e.end, e.event.op_name) for e in kept]
+    assert (start, op) == (0.0, "p1")
+    return end
+
+
+def test_a_clock_passing_the_largest_float_is_refused_with_the_run_so_far():
+    # Each duration is finite, but their sum is not: the run stops at the
+    # instant the clock would reach inf, naming the operator that would end
+    # then and its start, and no entry carries inf. A sum below the largest
+    # float runs to the end.
+    message = r"^operator 'p2', started at time 1e\+308, ends past the largest float$"
+    assert _p2_refused("dur p1 = 1e308\ndur p2 = 1e308\n", message) == 1e308
     comp, state, durs = parse_composition(_CHAIN + "dur p1 = 1e308\ndur p2 = 7e307\n")
     result, schedule = simulate_concurrent(comp, state, default_registry(), durs)
     assert result.converged
     assert [entry.end for entry in schedule] == [1e308, 1e308 + 7e307]
+
+
+def test_a_duration_lost_in_a_large_clock_is_refused_with_the_run_so_far():
+    # 1e17 + 1 == 1e17: p2 would end at its start, a zero-length interval
+    # that undercounts the makespan. The start pass refuses it, naming the
+    # operator, its start and its duration. 16, one step of the float
+    # spacing at 1e17, still runs.
+    message = (r"^operator 'p2', started at time 1e\+17, ends at its start:"
+               r" duration 1 is lost in the clock$")
+    assert _p2_refused("dur p1 = 1e17\ndur p2 = 1\n", message) == 1e17
+    comp, state, durs = parse_composition(_CHAIN + "dur p1 = 1e17\ndur p2 = 16\n")
+    result, schedule = simulate_concurrent(comp, state, default_registry(), durs)
+    assert result.converged
+    assert [(entry.start, entry.end) for entry in schedule] == [(0, 1e17), (1e17, 1e17 + 16)]
 
 
 def test_one_start_pass_at_time_zero_and_one_per_completion_instant(monkeypatch):

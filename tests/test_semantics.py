@@ -328,10 +328,10 @@ def test_operators_come_from_build_composition_and_are_named_by_index():
 def test_an_index_naming_no_operator_is_refused_not_aliased():
     # A negative index would alias an operator from the end, True and 2.0
     # the operators 1 and 2 they equal (operator 2, incr, is enabled), and
-    # 99 none at all.
+    # 99 none at all. [0] and {} cannot even be looked up in a set.
     comp, state, _ = parse_composition((FLOWS / "c1_loop.flow").read_text(encoding="utf-8"))
     assert run_of(comp, state).commit(2).op_name == "incr"  # enabled
-    for bad in (-4, -1, 6, 99, True, 2.0, "2", None, comp.operators[2]):
+    for bad in (-4, -1, 6, 99, True, 2.0, "2", None, comp.operators[2], [0], {}):
         message = f"^no operator with index {re.escape(repr(bad))}$"
         run = run_of(comp, state)
         with pytest.raises(ValidationError, match=message):
