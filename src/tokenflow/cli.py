@@ -8,6 +8,7 @@ from __future__ import annotations
 import errno
 import os
 import sys
+from contextlib import nullcontext
 from types import SimpleNamespace
 
 from .dsl import CompositionDocument, format_value, parse_literal, trace_renderer
@@ -192,8 +193,9 @@ def _command(args, out):
     from .semantics import RunLimits, Trace, default_registry, discard
 
     simulate = args.command == "simulate"
-    limit = getattr(args, "max_steps", getattr(args, "steps", None))  # step's --steps
-    if limit is not None and limit < 1:  # only step's may be, and nothing fires
+    # --max-steps, at least 1 when given, or step's --steps, which may be less
+    limit = getattr(args, "max_steps", getattr(args, "steps", None))
+    if limit is not None and limit < 1:  # step fires nothing: the summary only
         out(_summary(comp, state) + "\n")
         return 0
     limits = RunLimits(limit) if limit else RunLimits()
@@ -203,36 +205,32 @@ def _command(args, out):
         from .sequential import run_to_convergence
     path = getattr(args, "trace", "-")
     # A file opened here is buffered, also under python -u.
-    fh = None if path == "-" else open(path, "w", encoding="utf-8")
-    write = fh.write if fh else None if getattr(args, "quiet", False) else out
-    hook, keep = discard, None
-    if write:
-        if simulate:
-            # The schedule is held joined in pieces of 4 KiB: one short row
-            # alone takes several times its text in memory.
-            held, writes = [], []  # writes: each line's writes text, for its row too
-            keep, flush_rows = _batch(held.append, 1 << 12)
-        render = trace_renderer(
-            Trace(comp, state).start, writes.append if simulate else None
-        )
+    with nullcontext() if path == "-" else open(path, "w", encoding="utf-8") as fh:
+        write = fh.write if fh else None if getattr(args, "quiet", False) else out
+        hook, keep = discard, None
+        if write:
+            if simulate:
+                # The schedule is held joined in pieces of 4 KiB: one short
+                # row alone takes several times its text in memory.
+                held, writes = [], []  # writes: each line's writes text, for its row too
+                keep, flush_rows = _batch(held.append, 1 << 12)
+            render = trace_renderer(
+                Trace(comp, state).start, writes.append if simulate else None
+            )
 
-        def hook(entry):
-            if simulate:  # entry is a ScheduleEntry
-                write(render(entry.event))
-                keep(schedule_row(entry, writes.pop()))
-            else:
-                write(render(entry))
+            def hook(entry):
+                if simulate:  # entry is a ScheduleEntry
+                    write(render(entry.event))
+                    keep(schedule_row(entry, writes.pop()))
+                else:
+                    write(render(entry))
 
-    try:
         if simulate:
             result = simulate_concurrent(
                 comp, state, default_registry(), durations, limits, hook
             )[0]
         else:
             result = run_to_convergence(comp, state, default_registry(), limits, hook)
-    finally:  # a failing run leaves its committed lines in the file
-        if fh:
-            fh.close()
     if keep:
         flush_rows()
         for text in held:
