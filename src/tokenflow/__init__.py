@@ -39,7 +39,7 @@ __version__ = "0.1.0"
 
 _LAZY = {
     "semantics": (
-        "ProcessRegistry", "RunLimits", "RunResult", "Trace", "TraceEvent",
+        "ProcessRegistry", "RunLimits", "Trace", "TraceEvent",
         "can_fire", "default_registry",
     ),
     "sequential": ("run_to_convergence", "step"),
@@ -68,7 +68,6 @@ __all__ = [
     "ProcessError",
     "ProcessRegistry",
     "RunLimits",
-    "RunResult",
     "ScheduleEntry",
     "TokenState",
     "Trace",

@@ -204,6 +204,8 @@ def _command(args, out):
     else:
         from .sequential import run_to_convergence
     path = getattr(args, "trace", "-")
+    if path != "-" and os.path.exists(path) and os.path.samefile(path, args.file):
+        raise ValidationError(f"--trace {path!r} is the document being run")
     # A file opened here is buffered, also under python -u.
     with nullcontext() if path == "-" else open(path, "w", encoding="utf-8") as fh:
         write = fh.write if fh else None if getattr(args, "quiet", False) else out

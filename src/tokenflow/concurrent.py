@@ -42,13 +42,7 @@ from typing import Callable, Iterable, Mapping
 from .dsl import format_pairs, format_value
 from .errors import FlowError, ValidationError
 from .model import Composition, ExecutionState, check_duration, operator_at
-from .semantics import (
-    ProcessRegistry,
-    Run,
-    RunLimits,
-    RunResult,
-    discard,
-)
+from .semantics import ProcessRegistry, Run, RunLimits, discard
 
 
 ScheduleEntry = namedtuple("ScheduleEntry", "start end event")
@@ -82,7 +76,7 @@ def _refused(run, idx, started, why):
     exc = ValidationError(
         f"operator {run.comp.operators[idx].name!r}, started at time"
         f" {format_value(started)}, {why}")
-    exc.result = run.result()
+    exc.result = run
     return exc
 
 
@@ -93,10 +87,10 @@ def simulate_concurrent(
     durations: Mapping[int, float] | None = None,
     limits: RunLimits = RunLimits(),
     on_commit: Callable[[ScheduleEntry], object] | None = None,
-) -> tuple[RunResult, list[ScheduleEntry]]:
+) -> tuple[Run, list[ScheduleEntry]]:
     """Simulate with per-operator durations (default 1 time unit each).
 
-    Returns the run result (trace ordered by commit) and the schedule.
+    Returns the run (its trace ordered by commit) and the schedule.
     Simultaneous completions commit in declaration order, and all completions
     due at an instant commit before anything new starts. A duration that is not
     a finite positive number, or one keyed by an index with no operator, raises
@@ -104,7 +98,7 @@ def simulate_concurrent(
     as its result, does an operator whose end the clock cannot hold: one
     starting at a clock so large that its duration vanishes (clock + duration
     == clock), or one ending past the largest float. on_commit, when given,
-    receives each ScheduleEntry as its firing commits, and the result's trace
+    receives each ScheduleEntry as its firing commits, and the run's trace
     and the returned schedule stay empty.
     """
     durs = {op.index: 1.0 for op in comp.operators} | check_durations(comp, durations)
@@ -137,7 +131,7 @@ def simulate_concurrent(
                 running[idx] = (clock, inputs[idx](values))
                 push(completions, (end, idx))
         if not completions:  # so nothing is running either
-            return run.result(), schedule
+            return run, schedule
         clock, idx = completions[0]
         if clock == inf:  # finite durations summed past the largest float
             raise _refused(run, idx, running[idx][0], "ends past the largest float")
@@ -155,7 +149,7 @@ def simulate_concurrent(
             if run.state.step >= run.stop_step:
                 # An operator in flight is still enabled, since nothing has
                 # touched its neighbourhood since it started: run.order holds it.
-                return run.result(), schedule
+                return run, schedule
 
 
 def schedule_row(entry, writes=""):

@@ -8,9 +8,10 @@ Every error a firing raises is prefixed "operator 'NAME' at step N: ".
 class FlowError(Exception):
     """Base class for every error this package raises on purpose.
 
-    Raised by a firing inside a run, or by a simulated clock passing the
-    largest float, result is the RunResult up to the failure: its trace, the
-    state before the failing firing, and converged=False. Otherwise None.
+    Raised by a firing inside a run, or by a simulated clock that cannot hold
+    an operator's end, result is the semantics.Run up to the failure: its
+    trace, the state before the failing firing, and converged=False.
+    Otherwise None.
     """
 
     result = None
@@ -38,7 +39,8 @@ class TypeMismatch(FlowError):
 
 
 class ProcessError(FlowError):
-    """A process function failed or returned the wrong number of values.
+    """A process function failed, or returned no list or tuple of one
+    value per output.
 
     An exception of any class but FlowError is chained as __cause__.
     """

@@ -175,15 +175,18 @@ def _process(spec, consumed, state, registry):
     """Run the registered function over the inputs; it writes every output."""
     fn = registry.resolve(spec.process_name)
     try:
-        result = list(
-            fn([*map(state.values.__getitem__, consumed)], state.exec_counts[spec.index])
-        )
+        result = fn([*map(state.values.__getitem__, consumed)], state.exec_counts[spec.index])
     except FlowError:
         raise
     except Exception as exc:
         raise ProcessError(
             f"process {spec.process_name!r} raised {type(exc).__name__}: {exc}"
         ) from exc
+    if not isinstance(result, (list, tuple)):  # text or a set would be split up
+        raise ProcessError(
+            f"process {spec.process_name!r} returned {type(result).__name__},"
+            " not a list or tuple"
+        )
     if len(result) != len(spec.outputs):
         raise ProcessError(
             f"process {spec.process_name!r} returned {len(result)} values,"

@@ -40,7 +40,8 @@ class ProcessRegistry:
     """Name -> process function lookup for general operators.
 
     A process function receives the input values and the number of firings
-    the operator has already completed, and returns one value per output.
+    the operator has already completed, and returns a list or tuple of one
+    value per output.
     """
 
     def __init__(self, funcs: Mapping[str, ProcessFn] | None = None):
@@ -60,7 +61,7 @@ class ProcessRegistry:
 
 
 def _identity(values, count):
-    return list(values)
+    return values  # _process hands each firing a list of its own
 
 
 def _add1(values, count):
@@ -192,8 +193,7 @@ def fire(
                     f"process {spec.process_name!r} returned no value for data"
                     f" {node.name!r}"
                 )
-            if node.sort != "any":
-                check_sort(node, v)
+            check_sort(node, v)
     except FlowError as exc:
         exc.args = (f"operator {spec.name!r} at step {state.step}: {exc}",)
         raise
@@ -231,21 +231,6 @@ class RunLimits:
         self.max_steps = max_steps
 
 
-class RunResult:
-    """How a run ended: the ExecutionState it ended in, and whether it
-    converged. steps_taken counts its firings, which trace holds unless the
-    run handed each one to a commit hook instead; trace is then an empty
-    list."""
-
-    __slots__ = ("final_state", "trace", "converged", "steps_taken")
-
-    def __init__(self, final_state, trace, converged, steps_taken):
-        self.final_state = final_state
-        self.trace = trace
-        self.converged = converged
-        self.steps_taken = steps_taken
-
-
 def discard(event) -> None:
     """A commit hook that keeps nothing."""
 
@@ -264,6 +249,9 @@ class Run:
     appends it to the trace; a run given a hook keeps no event itself, and
     its trace is an empty list, without the start marking a Trace holds.
     It fires until its state's step reaches stop_step, max_steps past start_step.
+    Both processors return their run, and a FlowError from a firing carries
+    it as its result: final_state is its state, converged says that no
+    operator is enabled, and steps_taken counts the firings.
 
     order lists the enabled operators in declaration order, and enabled
     holds the same operators as a set; both start from one enabled_set scan
@@ -278,7 +266,7 @@ class Run:
         self.registry = registry
         self.start_step = initial.step
         self.stop_step = initial.step + limits.max_steps
-        self.state = initial.copy()
+        self.state = self.final_state = initial.copy()
         self.trace = Trace(comp, initial) if on_commit is None else []
         self.on_commit = self.trace.append if on_commit is None else on_commit
         self.hoods = hoods = [neighborhood(comp, i) for i in range(len(comp.operators))]
@@ -299,7 +287,7 @@ class Run:
         registry, RunLimits()).commit(op), which leaves state as it was: an
         idx that is no operator's index raises ValidationError, and one of
         an operator not enabled NotEnabled. A FlowError from the firing
-        leaves the state as it was before it and carries the run so far as
+        leaves the state as it was before it and carries the run itself as
         its result, not converged, since the failing operator stays enabled.
         Only the operators the firing can affect are re-tested, and not the
         fired one: every firing writes an output, and the New token it
@@ -312,7 +300,7 @@ class Run:
         try:
             event = fire(comp, idx, self.state, self.registry)
         except FlowError as exc:
-            exc.result = self.result()
+            exc.result = self
             raise
         marking = self.state.marking
         for j in self.affects[idx]:
@@ -326,7 +314,12 @@ class Run:
         self.on_commit(event)
         return event
 
-    def result(self) -> RunResult:
-        """The run so far, converged when no operator is enabled."""
-        steps = self.state.step - self.start_step
-        return RunResult(self.state, self.trace, not self.order, steps)
+    @property
+    def converged(self) -> bool:
+        """Whether no operator is enabled."""
+        return not self.order
+
+    @property
+    def steps_taken(self) -> int:
+        """The firings committed, which trace holds unless a hook took them."""
+        return self.state.step - self.start_step

@@ -23,7 +23,6 @@ from .semantics import (  # enabled_set, fire: re-exported for callers of this m
     ProcessRegistry,
     Run,
     RunLimits,
-    RunResult,
     TraceEvent,
     enabled_set,
     fire,
@@ -39,8 +38,8 @@ def select_next(run):
     enabled = run.order
     if not enabled:
         return None
-    pos = bisect_left(enabled, run.state.scan_start)
-    return enabled[pos] if pos < len(enabled) else enabled[0]
+    # bisect_left gives len(enabled) past the last one, where the scan wraps
+    return enabled[bisect_left(enabled, run.state.scan_start) % len(enabled)]
 
 
 def step(
@@ -49,8 +48,8 @@ def step(
     """Fire the scheduler's choice once. None when nothing is enabled. Each
     call builds a new Run, which tests every operator before its one firing:
     to step repeatedly, call run_to_convergence with RunLimits(n) and on_commit."""
-    result = run_to_convergence(comp, state, registry, RunLimits(1))
-    return (result.final_state, result.trace[0]) if result.trace else None
+    run = run_to_convergence(comp, state, registry, RunLimits(1))
+    return (run.state, run.trace[0]) if run.trace else None
 
 
 def run_to_convergence(
@@ -59,16 +58,16 @@ def run_to_convergence(
     registry: ProcessRegistry,
     limits: RunLimits = RunLimits(),
     on_commit: Callable[[TraceEvent], object] | None = None,
-) -> RunResult:
-    """Run until no operator is enabled or the step limit is hit.
+) -> Run:
+    """Run until no operator is enabled or the step limit is hit; returns the run.
 
-    initial is never mutated. Hitting the limit is not an error: the result
+    initial is never mutated. Hitting the limit is not an error: the run
     carries the partial trace, with converged=False while an operator is
     still enabled. A FlowError from a firing carries the run up to the
     failure as its result. on_commit, when given, receives each firing's
-    event as it commits, and the result's trace stays empty.
+    event as it commits, and the run's trace stays empty.
     """
     run = Run(comp, initial, registry, limits, on_commit)
     while run.state.step < run.stop_step and (choice := select_next(run)) is not None:
         run.commit(choice)
-    return run.result()
+    return run

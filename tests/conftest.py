@@ -20,7 +20,6 @@ from tokenflow import (  # noqa: E402
     ExecutionState,
     ParseError,
     RunLimits,
-    RunResult,
     TokenState,
     TypeMismatch,
     build_composition,
@@ -111,7 +110,7 @@ def run_loop(
     process: str = "add1",
     registry=None,
     max_steps: int = 100_000,
-) -> tuple[PatternInstance, RunResult]:
+) -> tuple[PatternInstance, Run]:
     pattern = build_loop_pattern(process)
     result = run_to_convergence(
         pattern.composition,
@@ -131,7 +130,7 @@ def branch_state(pattern: PatternInstance, condition: bool, value) -> ExecutionS
 
 def run_branch(
     condition: bool, value, p1: str = "add1", p2: str = "identity"
-) -> tuple[PatternInstance, RunResult]:
+) -> tuple[PatternInstance, Run]:
     pattern = build_ifelse_pattern(p1, p2)
     result = run_to_convergence(
         pattern.composition,

@@ -86,6 +86,28 @@ def test_run_writes_trace_to_a_file(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == golden
 
 
+def test_run_refuses_a_trace_path_naming_its_own_document(tmp_path, capsys):
+    # However the path is spelled, a trace written over the document it runs
+    # would destroy it: the run is refused before the file is opened.
+    doc = tmp_path / "loop.flow"
+    text = (FLOWS / "c1_loop.flow").read_bytes()
+    doc.write_bytes(text)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.flow").symlink_to(doc)
+    spellings = (str(doc), str(tmp_path / "sub" / ".." / "loop.flow"),
+                 str(tmp_path / "link.flow"))
+    for path in spellings:
+        for quiet in ([], ["--quiet"]):
+            code, out, err = run_cli(capsys, "run", str(doc), "--trace", path, *quiet)
+            assert (code, out) == (1, ""), path
+            assert err == f"error: --trace {path!r} is the document being run\n"
+            assert doc.read_bytes() == text
+    # the document named through the link, the trace by its own path
+    code, _, err = run_cli(capsys, "run", spellings[2], "--trace", str(doc))
+    assert code == 1 and "is the document being run" in err
+    assert doc.read_bytes() == text
+
+
 def test_run_seed_override_routes_the_other_branch(capsys):
     code, out, _ = run_cli(
         capsys, "run", BRANCH, "--seed-override", "d0=false", "--quiet"
@@ -500,6 +522,8 @@ def test_a_run_imports_only_what_it_uses(tmp_path):
         "from tokenflow import *\n"
         "assert build_loop_pattern is tokenflow.build_loop_pattern\n"
         "assert all(name in globals() for name in tokenflow.__all__)\n"
+        # a run is its own result: no wrapper type is exported
+        "assert len(tokenflow.__all__) == 30 and not hasattr(tokenflow, 'RunResult')\n"
     )
 
 
@@ -526,7 +550,7 @@ def test_text_is_read_and_written_without_the_json_module(tmp_path):
 # compiles them from source when no bytecode is cached, so this bounds the
 # fixed cost of each run. A budget only goes down: lower it when a change
 # shrinks the path, and never raise it.
-RUN_PATH_BUDGETS = {"run": 7_933, "simulate": 8_518}
+RUN_PATH_BUDGETS = {"run": 7_925, "simulate": 8_517}
 
 
 def test_the_run_path_stays_within_its_budget():

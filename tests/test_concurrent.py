@@ -23,7 +23,7 @@ from tokenflow import (
 from tokenflow import concurrent
 from tokenflow.concurrent import ScheduleEntry, startable_set
 from tokenflow.dsl import format_value
-from tokenflow.semantics import TraceEvent, consumes
+from tokenflow.semantics import Run, TraceEvent, consumes
 from conftest import (
     FLOWS,
     REPO,
@@ -299,6 +299,7 @@ def _p2_refused(durations, message):
         with pytest.raises(ValidationError, match=message) as failed:
             simulate_concurrent(comp, state, default_registry(), durs, on_commit=hook)
         result = failed.value.result
+        assert type(result) is Run and result.final_state is result.state
         assert (result.converged, result.steps_taken) == (False, 1)
         assert result.final_state.values == [1.0, 2.0, None]
         assert [e.op_name for e in result.trace] == ([] if hook else ["p1"])

@@ -64,6 +64,7 @@ def _fails_alike(comp, op, state, registry, error, match=None):
     with pytest.raises(error, match=match) as committed:
         run.commit(op)
     assert str(committed.value) == str(fired.value)
+    assert committed.value.result is run  # the run is the failure's result
     assert run.state == state and not run.trace
     return fired.value
 
@@ -460,6 +461,38 @@ def test_a_process_returning_no_value_fails_before_writing():
         run_to_convergence(comp, state, registry)
 
 
+@pytest.mark.parametrize(
+    "returned, type_name",
+    [
+        ("hi", "str"),  # would write "h" and "i"
+        (b"hi", "bytes"),
+        ({"x": 1.0, "y": 2.0}, "dict"),  # would write its keys
+        ({"left", "right"}, "set"),  # would write in hash order
+        (5.0, "float"),  # not iterable, though the process raised nothing
+        ((v for v in (1.0, 2.0)), "generator"),
+    ],
+)
+def test_a_process_result_that_is_no_list_or_tuple_is_refused(returned, type_name):
+    # One value per output comes as a list or a tuple; any other result is
+    # refused whole, naming the process and the type, and nothing is written.
+    registry = ProcessRegistry({"two": lambda values, count: returned})
+    comp, state, _ = parse_composition(
+        "data a\ndata x\ndata y\nop p process:two (a) -> (x, y)\ninit a = 1\n"
+    )
+    message = (
+        f"^operator 'p' at step 0: process 'two' returned {type_name},"
+        " not a list or tuple$"
+    )
+    _fails_alike(comp, 0, state, registry, ProcessError, message)
+    with pytest.raises(ProcessError, match=message) as exc:
+        run_to_convergence(comp, state, registry)
+    assert exc.value.result.final_state == state and not exc.value.result.converged
+    for fits in ([1.0, 2.0], (1.0, 2.0)):
+        registry.register("two", lambda values, count: fits)
+        run = run_to_convergence(comp, state, registry)
+        assert run.converged and run.final_state.values == [1.0, 1.0, 2.0]
+
+
 def test_fire_checks_declared_output_sort():
     comp = build_composition(
         ["raw", ("out", "num")],
@@ -576,7 +609,10 @@ def test_a_run_never_touches_the_callers_state():
         assert processor(comp, state, default_registry()).converged
         assert state == saved, processor.__name__
         result = processor(comp, state, default_registry(), RunLimits(7))
+        # each processor returns its run, which is its own result
+        assert type(result) is Run and result.final_state is result.state
         assert not result.converged and len(result.trace) == 7
+        assert result.steps_taken == 7 and result.final_state.step == 7
         assert state == saved, processor.__name__
         with pytest.raises(ProcessError, match="third call"):
             processor(comp, state, failing)
@@ -611,7 +647,9 @@ def test_a_failing_run_keeps_its_partial_result():
             assert str(exc.value).startswith(
                 f"operator {op!r} at step {len(result.trace)}: "
             )
-            assert not result.converged
+            # the failing run itself, its failing operator still enabled
+            assert type(result) is Run and result.final_state is result.state
+            assert not result.converged and index in result.order
             assert result.steps_taken == len(result.trace)
             assert [e.op_index for e in result.trace].count(index) == done
             assert result.final_state.exec_counts[index] == done
