@@ -116,6 +116,18 @@ FAILING: dict[str, str] = {
         "op p1 process:add1 (a) -> (b)\nop p2 process:add1 (b) -> (c)\n"
         "init a = 1\ndur p1 = 1e17\ndur p2 = 1\n"
     ),
+    # perfbench's counted loop over process:identity, with bound 50 (302
+    # firings), whose text exit value then fails add1: each run fails after
+    # more firings than the CLI renders in one batch.
+    "fail-after-a-batch.flow": (
+        "data d0 num\ndata d1 num\ndata d2 bool\ndata d3 any\ndata d4 any\n"
+        "data d5 bool\ndata d6 any\ndata d7 any\ndata d8 any\ndata d9 any\ndata x\n"
+        "op merge merge (d3, d8) -> (d4)\nop sync sync (d2, d4) -> (d5, d6)\n"
+        "op incr incr () -> (d1)\nop ifelse ifelse (d6, d5) -> (d7, d9)\n"
+        "op lt lt (d1, d0) -> (d2)\nop p1 process:identity (d7) -> (d8)\n"
+        "op bad process:add1 (d9) -> (x)\n"
+        'init d0 = 50\ninit d3 = "batch"\n'
+    ),
 }
 
 # Documents that run to the end, with what a trace line must spell out:
@@ -260,11 +272,16 @@ def cases() -> dict[str, list[str]]:
             out[f"{command} {_doc(name)}"] = [command, _doc(name)]
     # Each sink on its own: --quiet silences stdout and leaves a --trace
     # file written, and a failing run's committed lines reach the sink.
-    for path in [p for p in good if p.startswith("flows/")] + [_doc("fail-add1-on-text.flow")]:
+    failing = [_doc("fail-add1-on-text.flow"), _doc("fail-after-a-batch.flow")]
+    for path in [p for p in good if p.startswith("flows/")] + failing:
         out[f"run-trace-file-quiet {path}"] = ["run", path, "--trace", TRACE, "--quiet"]
     fail = _doc("fail-add1-on-text.flow")
     out[f"step-3 {fail}"] = ["step", fail, "--steps", "3"]
     out[f"simulate-quiet {fail}"] = ["simulate", fail, "--quiet"]
+    # A step limit inside a batch of output, past the first.
+    long = _doc("loop-long.flow")
+    for command in ("run", "simulate"):
+        out[f"{command}-max-300 {long}"] = [command, long, "--max-steps", "300"]
     for name in FAULTY_TEXT:
         for command in ("validate", "run", "simulate"):
             out[f"{command} {_doc(name)}"] = [command, _doc(name)]

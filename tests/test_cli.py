@@ -34,6 +34,8 @@ from conftest import FLOWS, REPO, marked_states, small_compositions
 
 LOOP = str(FLOWS / "c1_loop.flow")
 BRANCH = str(FLOWS / "c0_ifelse.flow")
+# fails at its 302nd firing under run, past one batch of output
+BATCH_FAIL = str(REPO / "tests" / "golden" / "docs" / "fail-after-a-batch.flow")
 
 LOOP_FINAL = (
     "final: d0=10(O) d1=12(N) d2=false(N) d3=0(O) d4=9(O)"
@@ -623,6 +625,9 @@ def test_a_cli_process_prints_what_main_prints(tmp_path, capsys):
         (["simulate", LOOP, "--max-steps", "7", "--quiet"], 2),
         (["run", str(doc)], 1),
         (["simulate", str(doc)], 1),
+        (["run", BATCH_FAIL], 1),
+        (["run", BATCH_FAIL, "--trace", "TRACE", "--quiet"], 1),
+        (["simulate", BATCH_FAIL], 1),
     )
     out = tmp_path / "out"
     for argv, code in cases:
@@ -645,7 +650,15 @@ def test_a_cli_process_prints_what_main_prints(tmp_path, capsys):
 def test_stdout_on_a_full_device_exits_one(tmp_path):
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
-    for argv in (["run", LOOP], ["validate", LOOP]):
+    cases = (
+        ["run", LOOP],
+        ["validate", LOOP],
+        ["simulate", LOOP],
+        ["run", LOOP, "--trace", "/dev/full"],
+        ["run", BATCH_FAIL],
+        ["simulate", BATCH_FAIL],
+    )
+    for argv in cases:
         with open("/dev/full", "w") as full:
             done = _tokenflow(argv, full)
         assert done.returncode == 1, argv
