@@ -116,43 +116,38 @@ def _summary(comp, state):
     ])
 
 
-# Characters gathered before one write. A stream opened unbuffered (python -u,
-# PYTHONUNBUFFERED) would otherwise take a system call per trace line.
+# Characters gathered before one write to stdout. A stream opened unbuffered
+# (python -u, PYTHONUNBUFFERED) would otherwise take a system call per line.
 CHUNK = 1 << 16
+# Firings whose output is made in one pass: their trace lines, and under
+# simulate their schedule rows, joined as one held piece.
+BATCH = 256
 
 
-def _batch(write, chunk=CHUNK):
-    """(add, flush): add gathers text that write is handed in pieces of
-    chunk characters or more; flush hands over what is left, however little.
-    """
-    parts = []
-    room = chunk
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    stdout = sys.stdout
+    parts = []  # text for stdout, written in pieces of CHUNK characters or more
+    room = CHUNK
 
-    def add(text):
+    def out(text):
         nonlocal room
         parts.append(text)
         room -= len(text)
         if room <= 0:
             flush()
 
-    def flush():
+    def flush():  # writes what is gathered, however little
         nonlocal room
         if parts:
             text = "".join(parts)
             parts.clear()
-            room = chunk
-            write(text)
+            room = CHUNK
+            stdout.write(text)
 
-    return add, flush
-
-
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    stdout = sys.stdout
     try:
         if stdout is None:  # the process started with stdout closed
             raise OSError(errno.EBADF, "stdout is closed")
-        out, flush = _batch(stdout.write)
         args = _read(argv)
         if args is None:
             from .usage import UsageError, parse_args
@@ -173,11 +168,13 @@ def main(argv=None) -> int:
 
 
 def _command(args, out):
-    """Carry out one parsed command, handing its output to out, an add of
-    _batch. A command that fires plans its output once: its step limit; its
-    trace sink (out, the --trace file, or none under --quiet); a schedule,
-    held by simulate with a sink and printed after the trace; and one commit
-    hook, handing each firing's line to the sink as it commits."""
+    """Carry out one parsed command, handing its output to out. A command
+    that fires plans its output once: its step limit; its trace sink (out,
+    the --trace file, or none under --quiet); a schedule, held by simulate
+    with a sink and printed after the trace; and one commit hook, which
+    gathers each firing's event (under simulate its ScheduleEntry). Every
+    BATCH firings, and once more when the run returns or raises, one pass
+    hands the gathered lines to the sink and joins their schedule rows."""
     if args.command == "validate":
         comp, _, _ = _load(args.file, [])
         out(f"ok: {len(comp.data)} data nodes, {len(comp.operators)} operators\n")
@@ -209,34 +206,40 @@ def _command(args, out):
     # A file opened here is buffered, also under python -u.
     with nullcontext() if path == "-" else open(path, "w", encoding="utf-8") as fh:
         write = fh.write if fh else None if getattr(args, "quiet", False) else out
-        hook, keep = discard, None
+        # writes: each line's writes text, made by render for its row too
+        hook, pending, held, writes = discard, [], [], []
+
+        def flush():
+            # out of pending first: the renderer must see each event once
+            batch = pending[:]
+            pending.clear()
+            for entry in batch:
+                write(render(entry.event if simulate else entry))
+            if simulate:  # each entry is a ScheduleEntry
+                held.append("".join(map(schedule_row, batch, writes)))
+                writes.clear()
+
         if write:
-            if simulate:
-                # The schedule is held joined in pieces of 4 KiB: one short
-                # row alone takes several times its text in memory.
-                held, writes = [], []  # writes: each line's writes text, for its row too
-                keep, flush_rows = _batch(held.append, 1 << 12)
             render = trace_renderer(
                 Trace(comp, state).start, writes.append if simulate else None
             )
 
             def hook(entry):
-                if simulate:  # entry is a ScheduleEntry
-                    write(render(entry.event))
-                    keep(schedule_row(entry, writes.pop()))
-                else:
-                    write(render(entry))
+                pending.append(entry)
+                if len(pending) >= BATCH:
+                    flush()
 
-        if simulate:
-            result = simulate_concurrent(
-                comp, state, default_registry(), durations, limits, hook
-            )[0]
-        else:
-            result = run_to_convergence(comp, state, default_registry(), limits, hook)
-    if keep:
-        flush_rows()
-        for text in held:
-            out(text)
+        try:
+            result = (
+                simulate_concurrent(comp, state, default_registry(), durations, limits, hook)[0]
+                if simulate
+                else run_to_convergence(comp, state, default_registry(), limits, hook)
+            )
+        finally:  # the lines of what the run committed, also when it failed;
+            # under --quiet nothing is pending, and nothing is rendered
+            flush()
+    for text in held:
+        out(text)
     out(_summary(comp, result.final_state) + "\n")
     return 0 if result.converged or args.command == "step" else 2
 

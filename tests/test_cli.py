@@ -650,6 +650,7 @@ def test_a_cli_process_prints_what_main_prints(tmp_path, capsys):
 def test_stdout_on_a_full_device_exits_one(tmp_path):
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
+    long = _loop_document(tmp_path, 1000)  # fails at a write in mid-run
     cases = (
         ["run", LOOP],
         ["validate", LOOP],
@@ -657,6 +658,8 @@ def test_stdout_on_a_full_device_exits_one(tmp_path):
         ["run", LOOP, "--trace", "/dev/full"],
         ["run", BATCH_FAIL],
         ["simulate", BATCH_FAIL],
+        ["simulate", long],
+        ["run", long, "--trace", "/dev/full"],
     )
     for argv in cases:
         with open("/dev/full", "w") as full:
@@ -858,6 +861,39 @@ class _Sink:
 
     def flush(self):
         pass
+
+
+class _FullSink(_Sink):
+    """A stream whose every write fails, as on a full device."""
+
+    def write(self, text):
+        self.writes += 1
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+
+def test_a_write_failing_in_a_batch_is_not_tried_again(tmp_path, monkeypatch, capsys):
+    # The batch leaves the pending list before it is written: the pass that
+    # ends the run finds nothing to render, and nothing is written again.
+    doc = _loop_document(tmp_path, 1000)
+    for argv in (["run", doc], ["simulate", doc], ["run", doc, "--trace", "TRACE"]):
+        sink = _FullSink()
+        if "TRACE" in argv:
+            def opened(path, mode="r", **options):  # the trace file is the sink
+                return sink if mode == "w" else open(path, mode, **options)
+
+            monkeypatch.setattr(cli, "open", opened, raising=False)
+        else:
+            monkeypatch.setattr(sys, "stdout", sink)
+        assert main(argv) == 1, argv
+        monkeypatch.undo()
+        assert sink.writes == 1, argv
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
 
 
 def test_stdout_gets_few_large_writes(tmp_path, monkeypatch):
