@@ -99,7 +99,7 @@ def _load(path, overrides):
     for item in overrides:
         where = f"--seed-override {item!r}"
         name, eq, literal = item.partition("=")
-        if not eq or not name:
+        if not (eq and name):
             raise ValidationError(f"{where}: want name=literal")
         try:
             value = parse_literal(literal.strip())
@@ -149,7 +149,7 @@ def main(argv=None) -> int:
         if stdout is None:  # the process started with stdout closed
             raise OSError(errno.EBADF, "stdout is closed")
         args = _read(argv)
-        if args is None:
+        if not args:
             from .usage import UsageError, parse_args
 
             try:
@@ -163,6 +163,13 @@ def main(argv=None) -> int:
             flush()
             stdout.flush()
     except (FlowError, OSError) as exc:
+        # A run's own error, which failed writes of its output replaced (a
+        # trace file's close writes again), is printed first.
+        first = exc
+        while isinstance(first, OSError):
+            first = first.__context__
+        if isinstance(first, FlowError) and first is not exc:
+            print(f"error: {first}", file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -176,7 +183,7 @@ def _command(args, out):
     BATCH firings, and once more when the run returns or raises, one pass
     hands the gathered lines to the sink and joins their schedule rows."""
     if args.command == "validate":
-        comp, _, _ = _load(args.file, [])
+        comp = _load(args.file, [])[0]
         out(f"ok: {len(comp.data)} data nodes, {len(comp.operators)} operators\n")
         return 0
 

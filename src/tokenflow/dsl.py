@@ -33,9 +33,8 @@ from .model import (
     coerce_value,
     initial_state,
 )
-# The grammar of a number literal, composed into the readers below.
-_NUM = r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_NUMBER = re.compile(_NUM + r"\Z")  # the whole token, no final line break
+# The grammar of a number literal: the whole token, no final line break.
+_NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
 # A double-quoted text literal with backslash escapes. Group "end" holds its
 # closing quote and is empty for a literal left open, which runs to the end
 # of the line.
@@ -46,12 +45,9 @@ _OP = re.compile(
     r"\s*op\s+(\S+)\s+([A-Za-z_][\w-]*)(?::(\S+))?\s*"
     r"\(\s*([^()]*)\)\s*->\s*\(\s*([^()]*)\)\s*$"
 )
-# The literal is a number (group num) when its whole word is one, else text
-# or any other word (group lit); the last group holds what follows it.
-_INIT = re.compile(
-    rf"\s*init\s+(\S+)\s*=\s*(?=\S)(?:(?P<num>{_NUM})(?!\S)|(?P<lit>{_TEXT}|\S*))"
-    r"\s*(.*?)\s*$"
-)
+# The literal is text or one word, which parse_literal reads; the last group
+# holds what follows it.
+_INIT = re.compile(rf"\s*init\s+(\S+)\s*=\s*(?=\S)({_TEXT}|\S*)\s*(.*?)\s*$")
 _DUR = re.compile(r"\s*dur\s+(\S+)\s*=\s*(\S+)\s*$")  # _NUMBER reads the value
 # Each declaration's regex, and what a line it does not match is called.
 _READERS = {
@@ -204,17 +200,15 @@ class CompositionDocument:
                 outs = tuple(map(str.strip, outs.split(","))) if outs else ()
                 ops.append((lineno, (name, kind, ins, outs, process)))
             elif head == "init":
-                name, num, lit, end, rest = m.groups()
+                name, lit, end, rest = m.groups()
                 if name in inits:
                     raise ParseError(lineno, f"duplicate init for {name!r}")
                 if end == "":
                     raise ParseError(lineno, "unterminated text literal")
-                if rest and rest != "old":
+                if rest not in ("", "old"):
                     raise ParseError(lineno, f"unexpected trailing {rest!r}")
                 try:
-                    value = parse_literal(lit) if num is None else coerce_value(float(num))
-                except TypeMismatch:  # a number beyond binary64, named as written
-                    raise ParseError(lineno, f"number {num} is not finite") from None
+                    value = parse_literal(lit)
                 except ValueError as exc:
                     raise ParseError(lineno, str(exc)) from None
                 inits[name] = (value, rest == "old", lineno)

@@ -4,8 +4,10 @@ Both processors here re-test every operator before every decision and keep
 whole-state snapshots, with no index of any kind; the engine's processors
 must produce exactly what these do. Enablement is decided by this module's
 own statement of each kind's firing rule and of an operator's
-neighbourhood, which share no code with the engine's. Trace lines are rendered from the full marking of the state after
-each firing, not from marking deltas.
+neighbourhood, which share no code with the engine's, and the rotating
+scan moves its own cursor (scan_start) past each choice. Trace lines are
+rendered from the full marking of the state after each firing, not from
+marking deltas.
 """
 from __future__ import annotations
 
@@ -79,6 +81,7 @@ def run(
             return state, "".join(lines), False
         state = state.copy()
         event = fire(comp, choice, state, registry)
+        state.scan_start = (choice + 1) % n  # the scan resumes past the choice
         lines.append(trace_line(comp, event, state))
 
 

@@ -36,6 +36,8 @@ LOOP = str(FLOWS / "c1_loop.flow")
 BRANCH = str(FLOWS / "c0_ifelse.flow")
 # fails at its 302nd firing under run, past one batch of output
 BATCH_FAIL = str(REPO / "tests" / "golden" / "docs" / "fail-after-a-batch.flow")
+# fails at its second firing, after one trace line
+TEXT_FAIL = str(REPO / "tests" / "golden" / "docs" / "fail-add1-on-text.flow")
 
 LOOP_FINAL = (
     "final: d0=10(O) d1=12(N) d2=false(N) d3=0(O) d4=9(O)"
@@ -552,7 +554,7 @@ def test_text_is_read_and_written_without_the_json_module(tmp_path):
 # compiles them from source when no bytecode is cached, so this bounds the
 # fixed cost of each run. A budget only goes down: lower it when a change
 # shrinks the path, and never raise it.
-RUN_PATH_BUDGETS = {"run": 7_922, "simulate": 8_514}
+RUN_PATH_BUDGETS = {"run": 7_921, "simulate": 8_513}
 
 
 def test_the_run_path_stays_within_its_budget():
@@ -651,21 +653,28 @@ def test_stdout_on_a_full_device_exits_one(tmp_path):
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
     long = _loop_document(tmp_path, 1000)  # fails at a write in mid-run
+    batch_fail = "error: operator 'bad' at step {}: add1 needs number operands, got 'batch'\n"
+    text_fail = "error: operator 'q' at step 1: add1 needs number operands, got 'x'\n"
+    # each case with the run's own error, printed before the write error
     cases = (
-        ["run", LOOP],
-        ["validate", LOOP],
-        ["simulate", LOOP],
-        ["run", LOOP, "--trace", "/dev/full"],
-        ["run", BATCH_FAIL],
-        ["simulate", BATCH_FAIL],
-        ["simulate", long],
-        ["run", long, "--trace", "/dev/full"],
+        (["run", LOOP], ""),
+        (["validate", LOOP], ""),
+        (["simulate", LOOP], ""),
+        (["run", LOOP, "--trace", "/dev/full"], ""),
+        (["run", BATCH_FAIL], batch_fail.format(301)),
+        (["simulate", BATCH_FAIL], batch_fail.format(302)),
+        (["simulate", long], ""),
+        (["run", long, "--trace", "/dev/full"], ""),
+        # the trace file's last write is buffered, and its close fails
+        (["run", TEXT_FAIL, "--trace", "/dev/full"], text_fail),
     )
-    for argv in cases:
+    for argv, own in cases:
         with open("/dev/full", "w") as full:
             done = _tokenflow(argv, full)
         assert done.returncode == 1, argv
-        assert re.fullmatch(rb"error: \[Errno 28\] [^\n]*\n", done.stderr), done.stderr
+        err = done.stderr.decode()
+        assert err.startswith(own), (argv, err)
+        assert re.fullmatch(r"error: \[Errno 28\] [^\n]*\n", err[len(own):]), (argv, err)
 
 
 def test_a_closed_stdout_exits_one_with_one_error_line():
@@ -880,20 +889,25 @@ class _FullSink(_Sink):
 def test_a_write_failing_in_a_batch_is_not_tried_again(tmp_path, monkeypatch, capsys):
     # The batch leaves the pending list before it is written: the pass that
     # ends the run finds nothing to render, and nothing is written again.
+    # A run that failed before its last batch failed to write reports its
+    # own error first, naming the operator and the step.
     doc = _loop_document(tmp_path, 1000)
-    for argv in (["run", doc], ["simulate", doc], ["run", doc, "--trace", "TRACE"]):
-        sink = _FullSink()
-        if "TRACE" in argv:
-            def opened(path, mode="r", **options):  # the trace file is the sink
-                return sink if mode == "w" else open(path, mode, **options)
+    text_fail = "error: operator 'q' at step 1: add1 needs number operands, got 'x'\n"
+    for flow, own in ((doc, ""), (TEXT_FAIL, text_fail)):
+        for argv in (["run", flow], ["simulate", flow], ["run", flow, "--trace", "TRACE"]):
+            sink = _FullSink()
+            if "TRACE" in argv:
+                def opened(path, mode="r", **options):  # the trace file is the sink
+                    return sink if mode == "w" else open(path, mode, **options)
 
-            monkeypatch.setattr(cli, "open", opened, raising=False)
-        else:
-            monkeypatch.setattr(sys, "stdout", sink)
-        assert main(argv) == 1, argv
-        monkeypatch.undo()
-        assert sink.writes == 1, argv
-        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+                monkeypatch.setattr(cli, "open", opened, raising=False)
+            else:
+                monkeypatch.setattr(sys, "stdout", sink)
+            assert main(argv) == 1, argv
+            monkeypatch.undo()
+            assert sink.writes == 1, argv
+            err = capsys.readouterr().err
+            assert err == own + "error: [Errno 28] No space left on device\n", argv
 
 
 def test_stdout_gets_few_large_writes(tmp_path, monkeypatch):
