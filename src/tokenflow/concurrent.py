@@ -23,13 +23,12 @@ so only the selection differs. Completions wait in a heap ordered by (end
 time, declaration index). Run.commit keeps run.order, the enabled
 operators, current, and each start pass rebuilds the wait times from it:
 an operator enabled at the previous pass keeps its time, and any other
-takes the clock. The data of the running operators is kept in one busy
-set, grown when an operator starts and shrunk when it completes. A start
-pass is one sweep, in (wait time, index) order, over the startable_set of
-the run (the enabled operators that are not running), starting each one
-that touches no busy data. Each commit is recorded once, as a
-ScheduleEntry: its interval in virtual time and its firing's event, which
-names the operator.
+takes the clock. A start pass is one sweep, in (wait time, index) order,
+over the startable_set of the run (the enabled operators that are not
+running), starting each one that shares no data node with a running
+operator: none of the operators in its run.affects is running. Each
+commit is recorded once, as a ScheduleEntry: its interval in virtual time
+and its firing's event, which names the operator.
 """
 from __future__ import annotations
 
@@ -97,7 +96,9 @@ def simulate_concurrent(
     ValidationError before the run starts. So, mid-run and with the run so far
     as its result, does an operator whose end the clock cannot hold: one
     starting at a clock so large that its duration vanishes (clock + duration
-    == clock), or one ending past the largest float. on_commit, when given,
+    == clock), or one ending past the largest float. An operator whose inputs
+    moved while it ran, which only a broken exclusion rule allows, raises
+    FlowError, also with the run so far as its result. on_commit, when given,
     receives each ScheduleEntry as its firing commits, and the run's trace
     and the returned schedule stay empty.
     """
@@ -106,7 +107,7 @@ def simulate_concurrent(
     schedule = []
     emit = schedule.append if on_commit is None else on_commit
     run = Run(comp, initial, registry, limits, None if on_commit is None else discard)
-    values, commit, hoods = run.state.values, run.commit, run.hoods
+    values, commit, affects = run.state.values, run.commit, run.affects
     # inputs[i](values): the values of operator i's inputs, to compare at its
     # end; len, which gives the same for any state of one run, if it has none
     inputs = [itemgetter(*op.inputs) if op.inputs else len for op in comp.operators]
@@ -116,18 +117,15 @@ def simulate_concurrent(
     # op index -> (start time, input snapshot)
     running = {}
     completions = []  # heap of (end time, op index)
-    busy = set()  # the data of the running operators
     waited = {}  # enabled op index -> the time it has been enabled since
     while True:
         waited = {idx: waited.get(idx, clock) for idx in run.order}
         for idx in startable_set(run, running, waited):
-            hood = hoods[idx]
-            if hood.isdisjoint(busy):
+            if running.keys().isdisjoint(affects[idx]):
                 end = clock + durs[idx]
                 if end == clock:  # a duration below the clock's precision
                     raise _refused(run, idx, clock, f"ends at its start: duration"
                                    f" {format_value(durs[idx])} is lost in the clock")
-                busy |= hood
                 running[idx] = (clock, inputs[idx](values))
                 push(completions, (end, idx))
         if not completions:  # so nothing is running either
@@ -138,12 +136,13 @@ def simulate_concurrent(
         while completions and completions[0][0] == clock:
             idx = pop(completions)[1]
             started, snapshot = running.pop(idx)
-            busy -= hoods[idx]
             if inputs[idx](values) != snapshot:
-                raise FlowError(
+                exc = FlowError(
                     f"exclusion rule violated: inputs of {comp.operators[idx].name!r}"
-                    f" moved mid-flight at time {clock}"
+                    f" moved mid-flight at time {format_value(clock)}"
                 )
+                exc.result = run
+                raise exc
             event = commit(idx)
             emit(new(ScheduleEntry, (started, clock, event)))
             if run.state.step >= run.stop_step:

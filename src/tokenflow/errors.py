@@ -8,10 +8,12 @@ Every error a firing raises is prefixed "operator 'NAME' at step N: ".
 class FlowError(Exception):
     """Base class for every error this package raises on purpose.
 
-    Raised by a firing inside a run, or by a simulated clock that cannot hold
-    an operator's end, result is the semantics.Run up to the failure: its
-    trace, the state before the failing firing, and converged=False.
-    Otherwise None.
+    Raised by a firing inside a run, by a simulated clock that cannot hold
+    an operator's end, or by the concurrent processor's exclusion check (an
+    operator's inputs moved while it ran), result is the semantics.Run up to
+    the failure: its trace and the state before the failing firing. Its
+    converged is False, as the failing operator is still enabled, unless an
+    exclusion failure's other operator disabled it. Otherwise None.
     """
 
     result = None

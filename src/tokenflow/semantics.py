@@ -4,8 +4,8 @@ The rule tag and effect of every operator kind live in model.KINDS. can_fire()
 and consumes() are the one evaluator of the tags: whether an operator fires,
 and what it consumes. fire() commits each firing, of those inputs and the
 writes of its kind's effect, to the state it is handed, in place. A Run keeps
-two lists indexed by operator, hoods (each operator's neighbourhood) and
-affects (the operators its firing can affect), and copies its initial state
+one list indexed by operator, affects (the operators each firing can affect,
+which are those sharing a data node with it), and copies its initial state
 once. Run.commit checks that the operator it is handed is enabled, fires it on
 that copy, keeps its set of enabled operators current, and hands each firing's
 one record, its TraceEvent, to its commit hook (by default, its trace). It is
@@ -255,10 +255,10 @@ class Run:
 
     order lists the enabled operators in declaration order, and enabled
     holds the same operators as a set; both start from one enabled_set scan
-    and commit() keeps them current. hoods[i] is the neighbourhood of
-    operator i, and affects[i] the indices, in declaration order, of the
-    operators sharing a data node with it (itself included): the only ones
-    whose enablement its firing can change.
+    and commit() keeps them current. affects[i] holds the indices, in
+    declaration order, of the operators sharing a data node with operator i
+    (itself included): the only ones whose enablement its firing can change,
+    and the ones the concurrent processor keeps from running beside it.
     """
 
     def __init__(self, comp, initial, registry, limits, on_commit=None):
@@ -269,7 +269,7 @@ class Run:
         self.state = self.final_state = initial.copy()
         self.trace = Trace(comp, initial) if on_commit is None else []
         self.on_commit = self.trace.append if on_commit is None else on_commit
-        self.hoods = hoods = [neighborhood(comp, i) for i in range(len(comp.operators))]
+        hoods = [neighborhood(comp, i) for i in range(len(comp.operators))]
         touching = {}  # data index -> the operators touching it
         for i, hood in enumerate(hoods):
             for d in hood:

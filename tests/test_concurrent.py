@@ -9,7 +9,9 @@ import reference
 
 from tokenflow import (
     FlowError,
+    ProcessError,
     RunLimits,
+    TypeMismatch,
     ValidationError,
     build_loop_pattern,
     default_registry,
@@ -105,15 +107,42 @@ def test_simulated_loop_overlaps_disjoint_operators():
     assert result.final_state.values[pattern.role_map["result"]] == 9.0
 
 
-def test_overlapping_intervals_never_share_data():
-    pattern, _, schedule = sim_loop(10.0)
-    comp = pattern.composition
+def _assert_no_overlap_shares_data(comp, schedule):
+    touches = [set(op.inputs) | set(op.outputs) for op in comp.operators]
     for i, a in enumerate(schedule):
         for b in schedule[i + 1 :]:
             if a.start < b.end and b.start < a.end:
                 x, y = a.event, b.event
-                shared = neighborhood(comp, x.op_index) & neighborhood(comp, y.op_index)
+                shared = touches[x.op_index] & touches[y.op_index]
                 assert not shared, (x.op_name, y.op_name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_overlapping_intervals_never_share_data(data):
+    # The loop never enables two operators that share data, so a drawn
+    # composition, marking and durations check the exclusion rule too. The
+    # entries come through on_commit, so a run that fails is checked as far
+    # as it went. Only a firing may fail it, on its values: two operators
+    # that share data and run together end in a NotEnabled, for one the
+    # other disabled, or in an exclusion failure, for one whose inputs the
+    # other moved, and those fail the test.
+    pattern, _, schedule = sim_loop(10.0)
+    _assert_no_overlap_shares_data(pattern.composition, schedule)
+    comp = data.draw(small_compositions())
+    state = data.draw(marked_states(comp))
+    durations = {
+        op.index: data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+        for op in comp.operators
+    }
+    entries = []
+    try:
+        simulate_concurrent(
+            comp, state, default_registry(), durations, RunLimits(50), entries.append
+        )
+    except (ProcessError, TypeMismatch):
+        pass
+    _assert_no_overlap_shares_data(comp, entries)
 
 
 def test_simultaneous_completions_commit_in_declaration_order():
@@ -333,6 +362,30 @@ def test_a_duration_lost_in_a_large_clock_is_refused_with_the_run_so_far():
     result, schedule = simulate_concurrent(comp, state, default_registry(), durs)
     assert result.converged
     assert [(entry.start, entry.end) for entry in schedule] == [(0, 1e17), (1e17, 1e17 + 16)]
+
+
+def test_a_broken_exclusion_is_refused_with_the_run_so_far(monkeypatch):
+    # With neighbourhoods ignored, inc and eat start together although both
+    # touch a; inc commits at time 1 and moves eat's input mid-flight. The
+    # error names eat and the time as the schedule prints it, and carries
+    # the run with inc committed.
+    monkeypatch.setattr("tokenflow.semantics.neighborhood", lambda comp, op: frozenset())
+    comp, state, _ = parse_composition(
+        "data a num\ndata b num\ndata c any\n"
+        "op inc incr () -> (a)\n"
+        "op eat process:add (a, b) -> (c)\n"
+        "init a = 5 old\ninit b = 1\n"
+    )
+    with pytest.raises(FlowError) as failed:
+        simulate_concurrent(comp, state, default_registry())
+    assert type(failed.value) is FlowError
+    assert str(failed.value) == (
+        "exclusion rule violated: inputs of 'eat' moved mid-flight at time 1"
+    )
+    result = failed.value.result
+    assert type(result) is Run
+    assert (result.converged, result.steps_taken) == (False, 1)
+    assert [e.op_name for e in result.trace] == ["inc"]
 
 
 def test_one_start_pass_at_time_zero_and_one_per_completion_instant(monkeypatch):

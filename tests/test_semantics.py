@@ -666,15 +666,15 @@ def test_a_failing_run_keeps_its_partial_result():
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_a_run_keeps_each_neighbourhood_and_an_owned_firing_commits_in_place(data):
-    # run.hoods and run.affects hold what neighborhood() and a brute-force
-    # search over every pair of operators give. fire() commits to the very
-    # state it is handed, a copy the test owns, with the event and the state
-    # Run.commit gives, and a run that commits in a drawn order, as the
-    # concurrent processor may, gives both at every firing. Each event reads
-    # exactly the inputs consumes() names under the marking before the
-    # firing, with their values then. The process fails at a drawn firing
-    # count, or on text: then both fail alike, naming the operator and the
-    # step, and leave the state as it was.
+    # run.affects holds what a brute-force search over every pair of
+    # operators gives. fire() commits to the very state it is handed, a copy
+    # the test owns, with the event and the state Run.commit gives, and a
+    # run that commits in a drawn order, as the concurrent processor may,
+    # gives both at every firing. Each event reads exactly the inputs
+    # consumes() names under the marking before the firing, with their
+    # values then. The process fails at a drawn firing count, or on text:
+    # then both fail alike, naming the operator and the step, and leave the
+    # state as it was.
     comp = data.draw(small_compositions())
     state = data.draw(marked_states(comp, with_text=True))
     saved = state.copy()
@@ -689,7 +689,6 @@ def test_a_run_keeps_each_neighbourhood_and_an_owned_firing_commits_in_place(dat
     run = Run(comp, state, registry, RunLimits())
     ops = comp.operators
     for i, op in enumerate(ops):
-        assert run.hoods[i] == neighborhood(comp, i)
         touches = set(op.inputs) | set(op.outputs)
         assert run.affects[i] == [
             j for j, other in enumerate(ops)
