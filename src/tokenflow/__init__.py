@@ -32,7 +32,6 @@ from .model import (
     TokenState,
     build_composition,
     initial_state,
-    neighborhood,
 )
 
 __version__ = "0.1.0"
@@ -82,7 +81,6 @@ __all__ = [
     "emit_composition",
     "format_value",
     "initial_state",
-    "neighborhood",
     "parse_composition",
     "run_to_convergence",
     "schedule_tsv",

@@ -406,13 +406,6 @@ def operator_at(comp: Composition, op: int) -> OperatorSpec:
     return comp.operators[op]
 
 
-def neighborhood(comp: Composition, op: int) -> frozenset[int]:
-    """All data indices operator op, an index into comp.operators, touches:
-    inputs plus outputs."""
-    spec = operator_at(comp, op)
-    return frozenset(spec.inputs + spec.outputs)
-
-
 class ExecutionState:
     """Mutable execution snapshot: markings, values, firing counters.
 

@@ -28,7 +28,6 @@ from .model import (
     ExecutionState,
     TokenState,
     check_sort,
-    neighborhood,
     operator_at,
     want_numbers,
 )
@@ -257,8 +256,9 @@ class Run:
     holds the same operators as a set; both start from one enabled_set scan
     and commit() keeps them current. affects[i] holds the indices, in
     declaration order, of the operators sharing a data node with operator i
-    (itself included): the only ones whose enablement its firing can change,
-    and the ones the concurrent processor keeps from running beside it.
+    (itself included), built from the operators' ports, inputs and outputs:
+    the only ones whose enablement its firing can change, and the ones the
+    concurrent processor keeps from running beside it.
     """
 
     def __init__(self, comp, initial, registry, limits, on_commit=None):
@@ -269,13 +269,13 @@ class Run:
         self.state = self.final_state = initial.copy()
         self.trace = Trace(comp, initial) if on_commit is None else []
         self.on_commit = self.trace.append if on_commit is None else on_commit
-        hoods = [neighborhood(comp, i) for i in range(len(comp.operators))]
-        touching = {}  # data index -> the operators touching it
-        for i, hood in enumerate(hoods):
-            for d in hood:
-                touching.setdefault(d, []).append(i)
+        touching = [[] for _ in comp.data]  # data index -> the operators with a port on it
+        for op in comp.operators:
+            for d in op.inputs + op.outputs:
+                touching[d].append(op.index)
         self.affects = [
-            sorted({j for d in hood for j in touching[d]}) for hood in hoods
+            sorted({j for d in op.inputs + op.outputs for j in touching[d]})
+            for op in comp.operators
         ]
         self.order = enabled_set(comp, self.state)
         self.enabled = set(self.order)

@@ -35,6 +35,7 @@ from tokenflow import (  # noqa: E402
 from tokenflow.model import KINDS  # noqa: E402
 from tokenflow.patterns import PatternInstance  # noqa: E402
 from tokenflow.semantics import Run  # noqa: E402
+from reference import _touches  # noqa: E402
 
 REPO = Path(__file__).resolve().parent.parent
 FLOWS = REPO / "flows"
@@ -69,6 +70,19 @@ def state_of(comp: Composition, marks: dict, values: dict) -> ExecutionState:
 def run_of(comp: Composition, state: ExecutionState) -> Run:
     """A fresh run of comp from a copy of state, with nothing committed yet."""
     return Run(comp, state, default_registry(), RunLimits())
+
+
+def break_exclusion(monkeypatch) -> None:
+    """Empty the conflict relation, affects, of every run made from here on,
+    so the concurrent processor starts operators that share a data node
+    together."""
+    real_init = Run.__init__
+
+    def without_conflicts(run, *args, **kwargs):
+        real_init(run, *args, **kwargs)
+        run.affects = [[] for _ in run.affects]
+
+    monkeypatch.setattr(Run, "__init__", without_conflicts)
 
 
 def branch_structure(op2_reads: str = "d2") -> Composition:
@@ -150,6 +164,22 @@ def loop_oracle(bound: float, seed, fn) -> tuple[object, int]:
     return v, count
 
 
+def projections(comp: Composition, trace) -> list[list[tuple]]:
+    """Per data node, the (op name, reads, writes) of each firing in trace
+    whose operator touches the node, in firing order.
+
+    Two firing sequences are equal up to swaps of adjacent firings that
+    share no data node exactly when their projections are equal
+    (Mazurkiewicz's projection lemma). The nodes an operator touches come
+    from reference._touches, which the engine does not share.
+    """
+    nodes = [[] for _ in comp.data]
+    for event in trace:
+        for d in _touches(comp.operators[event.op_index]):
+            nodes[d].append((event.op_name, event.reads, event.writes))
+    return nodes
+
+
 # Sorts a drawn data node declares: `any` first, as the one hypothesis shrinks
 # towards, and as often as the others together, so that most drawn runs get
 # past their first firings.
@@ -162,7 +192,10 @@ def small_compositions(draw, max_data: int = 6, max_ops: int = 4) -> Composition
     """Random valid compositions within the small-structure envelope.
 
     Each data node declares a drawn sort, most often `any`; a node feeding an
-    if/else condition port declares `bool` or `any`.
+    if/else condition port declares `bool` or `any`. An operator's ports are
+    most often distinct nodes, but one in four with two or more inputs draws
+    them from the nodes it does not write with replacement, so one node may
+    be read on several of its ports.
     """
     n_data = draw(st.integers(min_value=1, max_value=max_data))
     names = [f"d{i}" for i in range(n_data)]
@@ -183,6 +216,10 @@ def small_compositions(draw, max_data: int = 6, max_ops: int = 4) -> Composition
         picks = draw(st.permutations(range(n_data)))
         ins = tuple(names[i] for i in picks[:n_in])
         outs = tuple(names[i] for i in picks[n_in : n_in + n_out])
+        if n_in > 1 and draw(st.integers(0, 3)) == 0:
+            others = picks[:n_in] + picks[n_in + n_out :]
+            repeats = st.lists(st.sampled_from(others), min_size=n_in, max_size=n_in)
+            ins = tuple(names[i] for i in draw(repeats))
         decl = (f"op{k}", kind, ins, outs)
         if kind == "process":
             decl += ("add",)

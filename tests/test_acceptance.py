@@ -21,13 +21,13 @@ from tokenflow import (
     can_fire,
     default_registry,
     emit_composition,
-    neighborhood,
     parse_composition,
     run_to_convergence,
     serialize_trace,
     simulate_concurrent,
 )
 from tokenflow.sequential import enabled_set
+from reference import _touches
 from conftest import (
     FLOWS,
     N,
@@ -38,6 +38,7 @@ from conftest import (
     loop_oracle,
     loop_state,
     marked_states,
+    projections,
     run_branch,
     run_loop,
     run_of,
@@ -274,12 +275,12 @@ def test_criterion_6_stalled_marking_has_no_enabled_operator():
 
 def _check_schedule(comp, initial, schedule):
     # overlapping intervals never share data
+    ops = comp.operators
     for i, a in enumerate(schedule):
         for b in schedule[i + 1 :]:
             if a.start < b.end and b.start < a.end:
                 assert not (
-                    neighborhood(comp, a.event.op_index)
-                    & neighborhood(comp, b.event.op_index)
+                    _touches(ops[a.event.op_index]) & _touches(ops[b.event.op_index])
                 ), (a.event.op_name, b.event.op_name)
 
     # greedy maximality: whenever an operator is enabled on committed data
@@ -289,7 +290,7 @@ def _check_schedule(comp, initial, schedule):
         running = [e.event.op_index for e in schedule if e.start <= t < e.end]
         busy = set()
         for idx in running:
-            busy |= neighborhood(comp, idx)
+            busy |= _touches(ops[idx])
         # the committed marking: every firing due by t, replayed in commit
         # order, its reads made Old and its writes New
         marking = list(initial.marking)
@@ -302,9 +303,7 @@ def _check_schedule(comp, initial, schedule):
         for op in comp.operators:
             if op.index in running:
                 continue
-            startable = can_fire(comp, op.index, marking) and not (
-                neighborhood(comp, op.index) & busy
-            )
+            startable = can_fire(comp, op.index, marking) and not (_touches(op) & busy)
             assert not startable, (t, op.name)
 
 
@@ -328,6 +327,7 @@ def test_criterion_7_concurrent_runs_match_sequential_results():
             assert conc.final_state.values == seq.final_state.values
             assert conc.final_state.marking == seq.final_state.marking
             assert conc.final_state.exec_counts == seq.final_state.exec_counts
+            assert projections(comp, conc.trace) == projections(comp, seq.trace)
             _check_schedule(comp, initial, schedule)
 
 

@@ -30,7 +30,7 @@ from tokenflow import cli
 from tokenflow.cli import CHUNK, COMMANDS, _read, _summary, main
 from tokenflow.dsl import format_pairs, format_value
 from tokenflow.usage import parse_args
-from conftest import FLOWS, REPO, marked_states, small_compositions
+from conftest import FLOWS, REPO, break_exclusion, marked_states, small_compositions
 
 LOOP = str(FLOWS / "c1_loop.flow")
 BRANCH = str(FLOWS / "c0_ifelse.flow")
@@ -527,7 +527,7 @@ def test_a_run_imports_only_what_it_uses(tmp_path):
         "assert build_loop_pattern is tokenflow.build_loop_pattern\n"
         "assert all(name in globals() for name in tokenflow.__all__)\n"
         # a run is its own result: no wrapper type is exported
-        "assert len(tokenflow.__all__) == 30 and not hasattr(tokenflow, 'RunResult')\n"
+        "assert len(tokenflow.__all__) == 29 and not hasattr(tokenflow, 'RunResult')\n"
     )
 
 
@@ -554,7 +554,7 @@ def test_text_is_read_and_written_without_the_json_module(tmp_path):
 # compiles them from source when no bytecode is cached, so this bounds the
 # fixed cost of each run. A budget only goes down: lower it when a change
 # shrinks the path, and never raise it.
-RUN_PATH_BUDGETS = {"run": 7_917, "simulate": 8_500}
+RUN_PATH_BUDGETS = {"run": 7_871, "simulate": 8_454}
 
 
 def test_the_run_path_stays_within_its_budget():
@@ -985,11 +985,9 @@ def test_a_cli_run_builds_its_start_marking_once(tmp_path, capsys, monkeypatch):
 
 
 def test_broken_exclusion_exits_one_without_a_traceback(tmp_path, capsys, monkeypatch):
-    # With neighborhoods ignored, inc and eat start together although both
-    # touch a; inc commits first and moves eat's input mid-flight.
-    monkeypatch.setattr(
-        "tokenflow.semantics.neighborhood", lambda comp, op: frozenset()
-    )
+    # With every run's conflict relation emptied, inc and eat start together
+    # although both touch a; inc commits first and moves eat's input mid-flight.
+    break_exclusion(monkeypatch)
     doc = tmp_path / "race.flow"
     doc.write_text(
         "data a num\ndata b num\ndata c any\n"

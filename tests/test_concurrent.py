@@ -16,7 +16,6 @@ from tokenflow import (
     build_loop_pattern,
     default_registry,
     emit_composition,
-    neighborhood,
     parse_composition,
     run_to_convergence,
     schedule_tsv,
@@ -33,9 +32,11 @@ from conftest import (
     O,
     branch_state,
     branch_structure,
+    break_exclusion,
     build_ifelse_pattern,
     loop_state,
     marked_states,
+    projections,
     run_of,
     small_compositions,
     state_of,
@@ -68,7 +69,8 @@ def test_startable_set_orders_by_waiting_time():
 def test_a_start_pass_excludes_overlapping_neighborhoods():
     comp = branch_structure()  # op1 and op2 both read d2
     state = state_of(comp, {"d2": N}, {"d2": 5.0})
-    assert neighborhood(comp, 1) & neighborhood(comp, 2) == {2}
+    op1, op2 = comp.operators[1:3]
+    assert reference._touches(op1) & reference._touches(op2) == {2}
     assert startable_set(run_of(comp, state), (), {1: 0.0, 2: 0.0}) == [1, 2]
     # Only op1 starts at time 0; its firing consumes d2, so op2 never fires.
     result, schedule = simulate_concurrent(comp, state, default_registry())
@@ -164,6 +166,8 @@ def test_concurrent_matches_sequential_final_state():
         assert result.final_state.values == seq.final_state.values
         assert result.final_state.marking == seq.final_state.marking
         assert result.final_state.exec_counts == seq.final_state.exec_counts
+        comp = pattern.composition
+        assert projections(comp, result.trace) == projections(comp, seq.trace)
 
     for cond in (True, False):
         pattern = build_ifelse_pattern("add1", "identity")
@@ -176,6 +180,7 @@ def test_concurrent_matches_sequential_final_state():
         )
         assert conc.final_state.values == seq.final_state.values
         assert conc.final_state.marking == seq.final_state.marking
+        assert projections(comp, conc.trace) == projections(comp, seq.trace)
 
 
 def _outcomes(comp, op, marking):
@@ -262,6 +267,7 @@ def test_a_composition_without_shared_enablings_ends_as_sequential(data):
     if seq.converged and conc.converged:
         for field in ("values", "marking", "exec_counts"):
             assert getattr(conc.final_state, field) == getattr(seq.final_state, field)
+        assert projections(comp, conc.trace) == projections(comp, seq.trace)
 
 
 def test_non_unit_durations_still_converge():
@@ -365,11 +371,11 @@ def test_a_duration_lost_in_a_large_clock_is_refused_with_the_run_so_far():
 
 
 def test_a_broken_exclusion_is_refused_with_the_run_so_far(monkeypatch):
-    # With neighbourhoods ignored, inc and eat start together although both
-    # touch a; inc commits at time 1 and moves eat's input mid-flight. The
-    # error names eat and the time as the schedule prints it, and carries
-    # the run with inc committed.
-    monkeypatch.setattr("tokenflow.semantics.neighborhood", lambda comp, op: frozenset())
+    # With every run's conflict relation emptied, inc and eat start together
+    # although both touch a; inc commits at time 1 and moves eat's input
+    # mid-flight. The error names eat and the time as the schedule prints
+    # it, and carries the run with inc committed.
+    break_exclusion(monkeypatch)
     comp, state, _ = parse_composition(
         "data a num\ndata b num\ndata c any\n"
         "op inc incr () -> (a)\n"

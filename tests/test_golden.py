@@ -5,6 +5,7 @@ a few as processes, which end through cli.entry(). See tests/golden_corpus.py
 for what the corpus holds and how to regenerate it.
 """
 import json
+import os
 import subprocess
 import sys
 
@@ -24,6 +25,23 @@ IN_A_PROCESS = (
     "simulate tests/golden/docs/fail-add1-on-text.flow",
     "validate tests/golden/docs/read-not-utf8.flow",
     "usage: unknown option",
+)
+
+
+# Cases run as processes under two hash seeds: runs and schedules of the
+# workloads and of the documents whose processors part, names and text that
+# need escaping, a drawing, a trace file and a refused document.
+HASH_SEEDS = ("0", "987654")
+UNDER_HASH_SEEDS = (
+    "run tests/golden/docs/tree-fanin.flow",
+    "simulate tests/golden/docs/tree-fanin.flow",
+    "simulate tests/golden/docs/loops-wide.flow",
+    "simulate tests/golden/docs/diverge-merge-race.flow",
+    "run tests/golden/docs/diverge-two-writers.flow",
+    "simulate tests/golden/docs/edge-names-and-text.flow",
+    "run-trace-file tests/golden/docs/edge-wide-names.flow",
+    "graph tests/golden/docs/loops-wide.flow",
+    "validate tests/golden/docs/build-duplicate-output.flow",
 )
 
 
@@ -53,3 +71,22 @@ def test_a_cli_process_matches_the_corpus(name, tmp_path):
     if trace.exists():
         made["trace"] = record(trace.read_text(encoding="utf-8"))
     assert made == _expected(name)
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # Each sampled case prints the same bytes, trace file included, as a
+    # process under either hash seed.
+    for name in UNDER_HASH_SEEDS:
+        made, traced = [], TRACE in RECORDS[name]["argv"]
+        for seed in HASH_SEEDS:
+            trace = tmp_path / f"{seed}.trace"
+            argv = [str(trace) if a == TRACE else a for a in RECORDS[name]["argv"]]
+            done = subprocess.run(
+                [sys.executable, "-m", "tokenflow", *argv],
+                cwd=REPO,
+                capture_output=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            wrote = trace.read_bytes() if traced else None
+            made.append((done.returncode, done.stdout, done.stderr, wrote))
+        assert made[0] == made[1], name

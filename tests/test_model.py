@@ -16,7 +16,6 @@ from tokenflow import (
     build_ifelse_pattern,
     default_registry,
     initial_state,
-    neighborhood,
     parse_composition,
     run_to_convergence,
 )
@@ -271,12 +270,6 @@ def test_declarations_are_frozen():
         comp.operators[0].kind = "merge"
     assert comp.data[0].name == "d0"
     assert comp.operators[0].kind == "process"
-
-
-def test_neighborhood_is_inputs_and_outputs():
-    comp = branch_structure()
-    assert neighborhood(comp, comp.operator_named("op0").index) == frozenset({0, 1, 2, 3})
-    assert neighborhood(comp, 1) == frozenset({2, 4})
 
 
 def test_initial_state_defaults_to_void():

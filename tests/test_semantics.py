@@ -22,7 +22,6 @@ from tokenflow import (
     default_registry,
     emit_composition,
     initial_state,
-    neighborhood,
     parse_composition,
     run_to_convergence,
     simulate_concurrent,
@@ -322,8 +321,6 @@ def test_operators_come_from_build_composition_and_are_named_by_index():
         run_of(comp, state).commit(spec)
     with pytest.raises(ValidationError, match=message):
         can_fire(comp, spec, state.marking)
-    with pytest.raises(ValidationError, match=message):
-        neighborhood(comp, spec)
 
 
 def test_an_index_naming_no_operator_is_refused_not_aliased():
@@ -340,8 +337,6 @@ def test_an_index_naming_no_operator_is_refused_not_aliased():
         assert run.state == state and not run.trace
         with pytest.raises(ValidationError, match=message):
             can_fire(comp, bad, state.marking)
-        with pytest.raises(ValidationError, match=message):
-            neighborhood(comp, bad)
     # An index of an operator that is not enabled is still NotEnabled.
     with pytest.raises(NotEnabled, match="^operator 'p1' is not enabled$"):
         run_of(comp, state).commit(5)
