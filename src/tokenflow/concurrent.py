@@ -63,9 +63,12 @@ def startable_set(run, running, waiting):
 
 def check_durations(comp, durations):
     """Validate an operator index -> duration map, or None; see check_duration."""
+    durations = durations or {}
+    if not hasattr(durations, "items"):
+        raise ValidationError("durations must be a mapping from operator index")
     return {
         idx: check_duration(operator_at(comp, idx).name, d)
-        for idx, d in (durations or {}).items()
+        for idx, d in durations.items()
     }
 
 

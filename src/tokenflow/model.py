@@ -171,11 +171,11 @@ def want_numbers(values, ctx):
     return values
 
 
-def _process(spec, consumed, state, registry):
+def _process(spec, consumed, values, count, registry):
     """Run the registered function over the inputs; it writes every output."""
     fn = registry.resolve(spec.process_name)
     try:
-        result = fn([*map(state.values.__getitem__, consumed)], state.exec_counts[spec.index])
+        result = fn([*map(values.__getitem__, consumed)], count)
     except FlowError:
         raise
     except Exception as exc:
@@ -195,33 +195,33 @@ def _process(spec, consumed, state, registry):
     return tuple(zip(spec.outputs, map(coerce_value, result)))
 
 
-def _ifelse(spec, consumed, state, registry):
+def _ifelse(spec, consumed, values, count, registry):
     """Input 0 goes to output 0 when input 1 holds, else to output 1."""
     d, c = consumed
-    condition = state.values[c]
+    condition = values[c]
     if type(condition) is not bool:
         raise TypeMismatch(f"if/else condition must be a boolean, got {condition!r}")
-    return ((spec.outputs[0 if condition else 1], state.values[d]),)
+    return ((spec.outputs[0 if condition else 1], values[d]),)
 
 
-def _merge(spec, consumed, state, registry):
+def _merge(spec, consumed, values, count, registry):
     """Forward the one input the firing consumes."""
-    return ((spec.outputs[0], state.values[consumed[0]]),)
+    return ((spec.outputs[0], values[consumed[0]]),)
 
 
-def _sync(spec, consumed, state, registry):
+def _sync(spec, consumed, values, count, registry):
     """Input i goes to output i."""
-    (a, b), (x, y), values = consumed, spec.outputs, state.values
+    (a, b), (x, y) = consumed, spec.outputs
     return ((x, values[a]), (y, values[b]))
 
 
-def _incr(spec, consumed, state, registry):
-    return ((spec.outputs[0], float(state.exec_counts[spec.index] + 1)),)
+def _incr(spec, consumed, values, count, registry):
+    return ((spec.outputs[0], float(count + 1)),)
 
 
-def _lt(spec, consumed, state, registry):
+def _lt(spec, consumed, values, count, registry):
     a, b = consumed
-    x, y = state.values[a], state.values[b]
+    x, y = values[a], values[b]
     if type(x) is not float or type(y) is not float:
         want_numbers((x, y), "less-than")
     return ((spec.outputs[0], x < y),)
@@ -236,16 +236,16 @@ markings of the inputs: "ready", every input holds a token and one is New
 (true without inputs); "any_new", some input is New; "all_new", every input
 is New. semantics.can_fire evaluates it, adding that no output may hold a New
 token, and semantics.consumes gives the inputs a firing consumes: the first
-New one under "any_new", else all. effect(spec, consumed, state, registry)
-returns only the (output index, value) pairs the firing writes, and fire()
-makes the consumed inputs Old and the written outputs New. takes_process
-(bool) says whether an operator of the kind names a process function.
+New one under "any_new", else all. effect(spec, consumed, values, count,
+registry) is handed the run's value list, in place, and count, the
+operator's completed firings; it returns only the (output index, value)
+pairs the firing writes, and fire() makes the consumed inputs Old and the
+written outputs New. takes_process (bool) says whether an operator of the
+kind names a process function.
 
-An effect reads state.values in place at consumed, every input in port order
-but under "any_new", and never a marking. A kind of fixed arity unpacks
-them, as many as build_composition lets through. Stored numbers are exact
-floats (coerce_value), so an effect tests type(x) is float first and calls
-want_numbers only for the error it raises.
+An effect reads values at consumed (every input in port order but under
+"any_new") and, as stored numbers are exact floats (coerce_value), tests
+type(x) is float first and calls want_numbers only for the error it raises.
 """
 
 

@@ -184,7 +184,7 @@ def fire(
     spec, data, values, marking = comp.operators[op], comp.data, state.values, state.marking
     consumed = consumes(comp, op, marking)
     try:
-        writes = KINDS[spec.kind].effect(spec, consumed, state, registry)
+        writes = KINDS[spec.kind].effect(spec, consumed, values, state.exec_counts[op], registry)
         for d, v in writes:
             node = data[d]
             if v is None:  # only a process function can return no value

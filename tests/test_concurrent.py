@@ -303,8 +303,9 @@ def test_duration_must_be_positive():
         ({0: "x"}, "'merge'"),
         ({6: 1.0}, "index 6"),
         ({True: 1.0}, "index True"),
+        ([1.0], "^durations must be a mapping from operator index$"),
     ],
-    ids=["nan", "inf", "zero", "negative", "text", "unknown-index", "bool-index"],
+    ids=["nan", "inf", "zero", "negative", "text", "unknown-index", "bool-index", "list"],
 )
 def test_bad_durations_are_refused_before_the_run(durations, named):
     pattern = build_loop_pattern("add1")

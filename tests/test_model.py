@@ -518,7 +518,8 @@ def test_can_fire_returns_as_soon_as_its_answer_is_known():
 def test_a_rule_tag_is_read_in_semantics_alone_and_no_effect_reads_a_marking():
     # Markings are the rule's and values the effect's: outside KINDS, a rule
     # tag appears in src/tokenflow only in a comparison in semantics.py
-    # (can_fire and consumes), and no effect in model.py reads state.marking.
+    # (can_fire and consumes), and no effect in model.py takes the state or
+    # reads a marking.
     tags = {"ready", "any_new", "all_new"}
     src = REPO / "src" / "tokenflow"
     found = {}  # file name -> the kinds of node a tag appears in, outside KINDS
@@ -540,6 +541,8 @@ def test_a_rule_tag_is_read_in_semantics_alone_and_no_effect_reads_a_marking():
     effects = {entry.effect.__name__ for entry in KINDS.values()}
     assert len(effects) == len(KINDS) and effects <= set(functions)
     for name in sorted(effects):
+        params = [a.arg for a in functions[name].args.args]
+        assert params == ["spec", "consumed", "values", "count", "registry"], name
         read = [
             node.lineno for node in ast.walk(functions[name])
             if isinstance(node, ast.Attribute) and node.attr == "marking"

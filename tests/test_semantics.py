@@ -24,6 +24,7 @@ from tokenflow import (
     initial_state,
     parse_composition,
     run_to_convergence,
+    serialize_trace,
     simulate_concurrent,
 )
 from tokenflow import concurrent, semantics, sequential
@@ -315,6 +316,8 @@ def test_operators_come_from_build_composition_and_are_named_by_index():
     for clone in (copy.copy(comp), copy.deepcopy(comp), pickle.loads(pickle.dumps(comp))):
         assert clone == comp and clone.operator_named("op1") == comp.operators[1]
     state = state_of(comp, {"d0": N, "d1": N}, {"d0": 1.0, "d1": 1.0})
+    # an object of another type is unequal to either, not compared slot by slot
+    assert comp != comp.data and state != state.marking
     spec = comp.operators[0]
     message = r"^no operator with index OperatorSpec\("
     with pytest.raises(ValidationError, match=message):
@@ -454,6 +457,31 @@ def test_a_process_returning_no_value_fails_before_writing():
     )
     with pytest.raises(ProcessError, match="process 'half' returned no value for data 'c'$"):
         run_to_convergence(comp, state, registry)
+
+
+def test_a_process_function_gets_a_list_of_its_own():
+    # The list a process function is handed is its own to change: the
+    # event's reads, its trace line and the run's values keep the inputs.
+    def scribble(values, count):
+        total = values[0] + values[1]
+        values.clear()
+        values.append("scribbled")
+        return [total]
+
+    registry = ProcessRegistry({"scribble": scribble})
+    comp, state, _ = parse_composition(
+        "data a num\ndata b num\ndata c num\n"
+        "op p process:scribble (a, b) -> (c)\ninit a = 1\ninit b = 2\n"
+    )
+    for run in (
+        run_to_convergence(comp, state, registry),
+        simulate_concurrent(comp, state, registry)[0],
+    ):
+        assert run.trace[0].reads == (("a", 1.0), ("b", 2.0))
+        assert serialize_trace(run.trace) == (
+            "step=0 op=p reads={a=1,b=2} writes={c=3} marking=a:O,b:O,c:N\n"
+        )
+        assert run.final_state.values == [1.0, 2.0, 3.0]
 
 
 @pytest.mark.parametrize(
